@@ -128,6 +128,10 @@ def _scan(ctx, name: str) -> Dict[Any, int]:
     input, so handing out the view is safe and saves an O(n) copy per
     scan."""
     value = ctx.lookup(name)
+    if type(value) is dict:
+        # a shard slot (execute_program binds count dicts): already in
+        # dictionary form, and not a relation scan to observe
+        return value
     if not isinstance(value, Bag):
         raise UnboundVariableError(
             f"binding {name!r} is not a bag "
@@ -217,6 +221,23 @@ class CodegenPlan:
     @property
     def root(self) -> PhysicalNode:
         return self.physical.root
+
+    def kernels(self) -> Tuple[str, ...]:
+        """The kernels one execution of the root runs: the fused root
+        segment's, or — for a root the emitter does not fuse — the
+        stream nodes' that execute instead."""
+        if self.root_segment is not None:
+            return self.root_segment.kernels
+        names: List[str] = []
+        seen: set = set()
+        stack = [self.physical.root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                names.append(node.kernel)
+                stack.extend(reversed(node.children()))
+        return tuple(names)
 
     def execute(self, ctx) -> Any:
         if self.root_segment is None:

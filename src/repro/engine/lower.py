@@ -55,7 +55,8 @@ from repro.engine.physical import (
 )
 from repro.planner.stats import BagStats, estimate
 
-__all__ = ["PhysicalPlan", "Lowering", "lower", "compile_object_lambda"]
+__all__ = ["PhysicalPlan", "Lowering", "lower", "compile_object_lambda",
+           "compile_predicate", "equi_join_keys"]
 
 #: Estimated product cardinality below which a nested-loop product is
 #: kept even when an equality predicate could fuse into a hash join.
@@ -254,10 +255,11 @@ class Lowering:
         """Wrap a partition-compatible subtree in
         Gather -> Exchange -> Partition* nodes.
 
-        Refusal conditions (documented in ``docs/parallel.md``):
+        Refusal conditions (documented in ``docs/parallel.md``), all
+        checked before the segment's program is built:
 
         1. the root operator is not partition-compatible (the segment
-           compiler returns ``None``, and the pass recurses into the
+           recogniser returns ``None``, and the pass recurses into the
            children via normal lowering);
         2. cardinality estimates are unavailable for some leaf while
            the policy threshold is positive — without statistics the
@@ -290,18 +292,21 @@ class Lowering:
             for leaf in segment.leaves
         ]
         exchange = Exchange(partitions, segment.program, estimated,
-                            tag=self.segment_tag)
+                            tag=self.segment_tag,
+                            semiring=self.semiring)
         return Gather(exchange, estimated)
 
     # -- selection / join -----------------------------------------------
 
     def _lower_select(self, expr: Select,
                       estimated: Optional[BagStats]) -> PhysicalNode:
-        if (self.cost_based and expr.op == "eq"
-                and isinstance(expr.operand, Cartesian)):
-            join = self._try_fuse_join(expr, expr.operand, estimated)
-            if join is not None:
-                return join
+        if self.cost_based:
+            keys = equi_join_keys(expr, self._operand_arity)
+            if keys is not None:
+                join = self._try_fuse_join(expr.operand, keys,
+                                           estimated)
+                if join is not None:
+                    return join
         compiled = compile_predicate(expr, self.semiring)
         if compiled is not None:
             return StreamingSelect(self._lower(expr.operand),
@@ -318,20 +323,13 @@ class Lowering:
         return StreamingSelect(self._lower(expr.operand), make, False,
                                estimated)
 
-    def _try_fuse_join(self, select: Select, product: Cartesian,
+    def _try_fuse_join(self, product: Cartesian,
+                       keys: Tuple[int, int],
                        estimated: Optional[BagStats]
                        ) -> Optional[PhysicalNode]:
-        """Fuse ``sigma_{alpha_i = alpha_j}`` over a product into a
-        hash join when the equality crosses the product boundary."""
-        indices = _attr_eq_indices(select)
-        if indices is None:
-            return None
-        left_arity = self._operand_arity(product.left)
-        if left_arity is None:
-            return None
-        i, j = sorted(indices)
-        if not (i <= left_arity < j):
-            return None  # both attributes on one side: plain filter
+        """Fuse an equi-join (:func:`equi_join_keys` recognised it)
+        into a hash join, unless the product is too small to pay for
+        the table build."""
         left_stats = self._estimate(product.left)
         right_stats = self._estimate(product.right)
         lcard = self._card(left_stats)
@@ -344,7 +342,7 @@ class Lowering:
             build_right = False
         return HashJoin(self._lower(product.left),
                         self._lower(product.right),
-                        (i,), (j - left_arity,), build_right,
+                        (keys[0],), (keys[1],), build_right,
                         estimated)
 
     def _operand_arity(self, operand: Expr) -> Optional[int]:
@@ -417,10 +415,15 @@ def _compile_body(body: Expr, param: str, sr=None
             constant = sr.adapt_bag(constant)
         return lambda value: constant
     if isinstance(body, Attribute):
+        index = body.index
+        if isinstance(body.operand, Var) and body.operand.name == param:
+            # alpha_i of the member itself — the shape of every
+            # declarative predicate and projection, and per-row work in
+            # every engine and every shard: skip the identity hop
+            return lambda value: ops_attribute(value, index)
         inner = _compile_body(body.operand, param, sr)
         if inner is None:
             return None
-        index = body.index
         return lambda value: ops_attribute(inner(value), index)
     if isinstance(body, Tupling):
         parts = [_compile_body(part, param, sr) for part in body.parts]
@@ -464,6 +467,30 @@ def _attr_eq_indices(select: Select) -> Optional[Tuple[int, int]]:
             and right.operand.name == select.right.param):
         return left.index, right.index
     return None
+
+
+def equi_join_keys(select: Select,
+                   arity_of: Callable[[Expr], Optional[int]]
+                   ) -> Optional[Tuple[int, int]]:
+    """``(i, j)`` when ``select`` is ``sigma_{alpha_i = alpha_j}(L x R)``
+    with the equality crossing the product boundary: ``i`` indexes the
+    left operand's tuples, ``j`` the right operand's own.  The one
+    equi-join recogniser: join fusion hashes on these keys and the
+    parallelism pass partitions on them, so the two cannot disagree.
+    ``arity_of`` may answer ``None`` (left arity unknown), which
+    refuses."""
+    if select.op != "eq" or not isinstance(select.operand, Cartesian):
+        return None
+    indices = _attr_eq_indices(select)
+    if indices is None:
+        return None
+    left_arity = arity_of(select.operand.left)
+    if left_arity is None:
+        return None
+    i, j = sorted(indices)
+    if not (i <= left_arity < j):
+        return None  # both attributes on one side: plain filter
+    return i, j - left_arity
 
 
 def lower(expr: Expr,

@@ -4,9 +4,11 @@ Three layers (see ``docs/parallel.md`` for the full story):
 
 * :mod:`~repro.engine.parallel.partition` — hash partitioning of
   multiplicity streams, the partition-compatibility table, the
-  closure-free *segment programs* shipped to workers, and the
-  worker-resident compiled-segment cache (each worker compiles a
-  segment once per plan tag and reuses the closure across morsels);
+  recogniser that turns a subtree into a *segment program* (its own
+  expression over slot variables), and the worker-resident
+  compiled-segment cache (each worker lowers and fuses a program once
+  per plan tag through the serial codegen pipeline and reuses the
+  fused segment across morsels);
 * :mod:`~repro.engine.parallel.codec` — the columnar shard codec
   (value column + count column, interned atoms) used to ship morsels
   to process-pool workers instead of pickled count dicts;
@@ -39,7 +41,7 @@ from repro.engine.parallel.governor import (
 )
 from repro.engine.parallel.partition import (
     PARTITION_COMPAT, LeafSpec, ParallelPolicy, ParallelSegment,
-    clear_segment_cache, compile_parallel_segment,
+    SegmentProgram, clear_segment_cache, compile_parallel_segment,
     compiled_segment_for, execute_program, merge_counts,
     segment_cache_len, split_counts,
 )
@@ -47,7 +49,7 @@ from repro.engine.resilience import LADDER, ResilienceConfig
 
 __all__ = [
     "PARTITION_COMPAT", "ParallelPolicy", "ParallelSegment", "LeafSpec",
-    "ParallelConfig", "Partition", "Exchange", "Gather",
+    "SegmentProgram", "ParallelConfig", "Partition", "Exchange", "Gather",
     "adaptive_shards",
     "SharedBudget", "WorkerGovernor", "presplit_limits",
     "presplit_spec", "merge_worker_steps", "compile_parallel_segment",

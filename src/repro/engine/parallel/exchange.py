@@ -32,11 +32,11 @@ process boundary as a codec blob
 (:mod:`repro.engine.parallel.codec` — interned atoms, value array +
 count array) instead of a pickled dict, in both directions; the bytes
 actually shipped are counted in ``EngineStats.bytes_shipped``.
-Workers execute the declarative segment program through a
-process-local compiled-segment cache
+Workers resolve the segment program through a process-local
+compiled-segment cache
 (:func:`~repro.engine.parallel.partition.compiled_segment_for`), so a
-worker compiles each distinct ``(pass tag, program)`` once and every
-later morsel reuses the resident closures.
+worker lowers and fuses each distinct ``(pass tag, program)`` once and
+every later morsel reuses the resident fused segment.
 
 Error handling is fail-fast by default: the first worker failure
 cancels the shared fail-fast token (thread backend), so sibling
@@ -74,7 +74,8 @@ from repro.engine.parallel.governor import (
     SharedBudget, WorkerGovernor, merge_worker_steps, presplit_spec,
 )
 from repro.engine.parallel.partition import (
-    counts_size, execute_program, merge_counts, split_counts,
+    SegmentProgram, compiled_segment_for, execute_program,
+    merge_counts, split_counts,
 )
 from repro.engine.physical import EngineStats, PhysicalNode
 from repro.engine.resilience import (
@@ -189,21 +190,21 @@ class Partition(PhysicalNode):
 class Exchange(PhysicalNode):
     """Run a shard-local segment program on a worker pool.
 
-    ``partitions`` feed the program's input slots in order;
-    ``program`` is the closure-free step list of
-    :func:`repro.engine.parallel.partition.execute_program`.  Without a
-    :class:`ParallelConfig` on the context (``ctx.parallel is None``)
-    the program runs inline on a single unsplit shard — byte-identical
-    to the parallel result, which keeps cached parallel plans usable
-    from serial entry points.
+    ``partitions`` feed the program's slots in order; ``program`` is
+    the :class:`~repro.engine.parallel.partition.SegmentProgram` that
+    :func:`repro.engine.parallel.partition.execute_program` runs.
+    Without a :class:`ParallelConfig` on the context (``ctx.parallel
+    is None``) the program runs inline on a single unsplit shard —
+    byte-identical to the parallel result, which keeps cached parallel
+    plans usable from serial entry points.
     """
 
-    __slots__ = ("partitions", "program", "tag")
+    __slots__ = ("partitions", "program", "tag", "semiring")
     kernel = "exchange"
 
     def __init__(self, partitions: Sequence[Partition],
-                 program: Tuple[Tuple, ...], estimated=None,
-                 tag: Optional[Tuple] = None):
+                 program: SegmentProgram, estimated=None,
+                 tag: Optional[Tuple] = None, semiring=None):
         super().__init__(estimated)
         self.partitions = tuple(partitions)
         self.program = program
@@ -211,13 +212,23 @@ class Exchange(PhysicalNode):
         #: half of the worker-local compiled-segment cache key, so a
         #: pass-config change invalidates resident segments.
         self.tag = tag
+        #: The semiring the plan was lowered under (``None`` = N):
+        #: what ``label`` must compile the segment with to show the
+        #: kernels the workers actually run.
+        self.semiring = semiring
 
     def children(self):
         return self.partitions
 
     def label(self):
-        steps = ",".join(step[0] for step in self.program)
-        return super().label() + f"  program=[{steps}]"
+        plan = compiled_segment_for(self.program, tag=self.tag,
+                                    sr=self.semiring)
+        shown = f"  kernels=[{', '.join(plan.kernels())}]"
+        if plan.root_segment is not None and plan.root_segment.inputs:
+            # barrier leaves (nest under a dedup, ...) the fused
+            # segment reads through the stream kernels
+            shown += f"  inputs=[{', '.join(plan.root_segment.inputs)}]"
+        return super().label() + shown
 
     # -- execution --------------------------------------------------------
 
@@ -227,29 +238,12 @@ class Exchange(PhysicalNode):
         sr = getattr(ctx, "semiring", None)
         if config is None:
             merged = execute_program(
-                self.program, inputs, tick=self._serial_tick(ctx),
+                self.program, inputs, governor=ctx.governor,
                 every=ctx.tick_interval, stats=ctx.stats,
-                check_size=self._size_check(ctx), tag=self.tag,
-                sr=sr)
+                tag=self.tag, sr=sr)
         else:
             merged = self._run_sharded(ctx, config, inputs, sr)
         yield from merged.items()
-
-    @staticmethod
-    def _serial_tick(ctx):
-        return None if ctx.governor is None else ctx.tick
-
-    @staticmethod
-    def _size_check(ctx):
-        governor = ctx.governor
-        if governor is None or governor.max_size is None:
-            return None
-        evaluator_stats = ctx.evaluator.stats
-
-        def check(size: int) -> None:
-            governor.check_size(size, evaluator_stats)
-
-        return check
 
     def _run_sharded(self, ctx, config: ParallelConfig,
                      inputs: List[Dict[Any, int]],
@@ -280,11 +274,7 @@ class Exchange(PhysicalNode):
         worker_steps = [steps for _, _, steps, _ in outcomes]
         if ctx.governor is not None:
             merge_worker_steps(ctx.governor, worker_steps)
-            if ctx.governor.max_size is not None:
-                # counts_size walks every merged value, so only pay
-                # for it when a size budget can actually trip
-                ctx.governor.check_size(counts_size(merged),
-                                        ctx.evaluator.stats)
+            ctx.check_size(merged)
         ctx.stats.worker_steps.extend(worker_steps)
         for _, _, _, stats in outcomes:
             ctx.stats.merge_from(stats)
@@ -335,12 +325,12 @@ def _thread_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
         return pool
 
 
-def _run_thread_pool(ctx, config: ParallelConfig, program,
-                     tasks: List[Tuple[int, List[Dict[Any, int]]]],
-                     tag: Optional[Tuple] = None,
-                     sr=None
-                     ) -> List[Tuple[int, Dict[Any, int], int,
-                                     EngineStats]]:
+def _thread_task(ctx, program, tag: Optional[Tuple], sr, chaos=None):
+    """The task both thread schedulers submit per morsel: one shard
+    through :func:`execute_program`, under a :class:`WorkerGovernor`
+    drawing on the parent's remaining step budget when the run is
+    governed (and under the resilient scheduler's chaos plan, if
+    any)."""
     parent = ctx.governor
     shared: Optional[SharedBudget] = None
     if parent is not None:
@@ -350,23 +340,33 @@ def _run_thread_pool(ctx, config: ParallelConfig, program,
             remaining = max(0, parent.max_steps - parent.steps)
         shared = SharedBudget(remaining)
 
-    def run_task(index: int, inputs: List[Dict[Any, int]]):
-        stats = EngineStats()
-        if parent is None:
-            counts = execute_program(program, inputs,
-                                     every=ctx.tick_interval,
-                                     stats=stats, tag=tag, sr=sr)
-            return index, counts, 0, stats
-        worker = WorkerGovernor(parent, shared)
+    def run_task(index: int, inputs: List[Dict[Any, int]],
+                 attempt: int = 1):
+        stats = _task_stats(chaos, index, attempt, program, tag, sr,
+                            in_process_worker=False)
+        worker = (None if parent is None
+                  else WorkerGovernor(parent, shared))
         try:
             counts = execute_program(
-                program, inputs, tick=worker.tick,
-                every=ctx.tick_interval, stats=stats,
-                check_size=worker.check_size, tag=tag, sr=sr)
-            return index, counts, worker.steps, stats
+                program, inputs, governor=worker,
+                every=ctx.tick_interval, stats=stats, tag=tag, sr=sr)
+            return (index, counts,
+                    0 if worker is None else worker.steps, stats)
         finally:
-            worker.close()
+            if worker is not None:
+                worker.close()
 
+    return run_task
+
+
+def _run_thread_pool(ctx, config: ParallelConfig, program,
+                     tasks: List[Tuple[int, List[Dict[Any, int]]]],
+                     tag: Optional[Tuple] = None,
+                     sr=None
+                     ) -> List[Tuple[int, Dict[Any, int], int,
+                                     EngineStats]]:
+    parent = ctx.governor
+    run_task = _thread_task(ctx, program, tag, sr)
     outcomes: List[Tuple[int, Dict[Any, int], int, EngineStats]] = []
     first_error: Optional[BaseException] = None
     pool = _thread_pool(config.workers)
@@ -453,21 +453,15 @@ def _process_task(payload):
         from repro.core.semiring import resolve_semiring
         sr = resolve_semiring(sr_name)
     inputs = [decode_shard(blob) for blob in blobs]
-    fault = _chaos_hook(chaos, index, attempt, len(program),
+    stats = _task_stats(chaos, index, attempt, program, tag, sr,
                         in_process_worker=True)
-    stats = EngineStats()
-    if limits_spec is None:
-        counts = execute_program(program, inputs, every=every,
-                                 stats=stats, fault=fault, tag=tag,
-                                 sr=sr)
-        return index, encode_shard(counts), 0, stats
-    governor = ResourceGovernor(Limits(**limits_spec))
-    governor.start()
-    counts = execute_program(program, inputs, tick=governor.tick,
-                             every=every, stats=stats,
-                             check_size=governor.check_size,
-                             fault=fault, tag=tag, sr=sr)
-    return index, encode_shard(counts), governor.steps, stats
+    governor = None
+    if limits_spec is not None:
+        governor = ResourceGovernor(Limits(**limits_spec)).start()
+    counts = execute_program(program, inputs, governor=governor,
+                             every=every, stats=stats, tag=tag, sr=sr)
+    return (index, encode_shard(counts),
+            0 if governor is None else governor.steps, stats)
 
 
 def _process_context():
@@ -549,25 +543,39 @@ class _LadderFault(Exception):
         self.reason = reason
 
 
-def _chaos_hook(chaos, shard: int, attempt: int, num_steps: int, *,
-                in_process_worker: bool):
-    """Bind one (shard, attempt) execution to its chaos decision.
+class _ChaosStats(EngineStats):
+    """Worker stats that detonate a chaos plan *between kernels* of a
+    shard segment: fused closures and stream nodes alike report every
+    kernel they run through ``record_kernel``, so that is where the
+    seeded target — an index among the segment's kernels — is met."""
 
-    Returns ``None`` (no fault this attempt) or a per-step callable
-    for :func:`execute_program`'s ``fault`` hook that detonates at the
-    seeded step index."""
-    if chaos is None:
-        return None
-    target = chaos.fire_at(shard, attempt, num_steps)
-    if target is None:
-        return None
+    def __init__(self, chaos, shard: int, attempt: int, target: int,
+                 in_process_worker: bool):
+        super().__init__()
+        self._chaos = chaos
+        self._fire_args = (shard, attempt)
+        self._in_process_worker = in_process_worker
+        self._kernels_left = target + 1  # dies after kernel ``target``
 
-    def fault(step_index: int) -> None:
-        if step_index == target:
-            chaos.fire(shard, attempt,
-                       in_process_worker=in_process_worker)
+    def record_kernel(self, name: str) -> None:
+        super().record_kernel(name)
+        self._kernels_left -= 1
+        if self._kernels_left == 0:
+            self._chaos.fire(*self._fire_args,
+                             in_process_worker=self._in_process_worker)
 
-    return fault
+
+def _task_stats(chaos, shard: int, attempt: int, program, tag, sr, *,
+                in_process_worker: bool) -> EngineStats:
+    """One (shard, attempt) execution's stats, bound to its chaos
+    decision: plain stats, or stats that kill the worker partway
+    through the compiled segment's kernels."""
+    if chaos is None or not chaos.should_fire(shard, attempt):
+        return EngineStats()
+    kernels = compiled_segment_for(program, tag=tag, sr=sr).kernels()
+    return _ChaosStats(chaos, shard, attempt,
+                       chaos.fire_at(shard, attempt, len(kernels)),
+                       in_process_worker)
 
 
 def _fault_reason(error: BaseException, attempts: int) -> str:
@@ -632,14 +640,13 @@ def _run_serial_inline(ctx, program,
     parent governor.  No workers → no worker loss; chaos plans target
     workers, so they never fire here and termination is guaranteed
     (governed verdicts aside)."""
-    tick = None if ctx.governor is None else ctx.tick
-    check = Exchange._size_check(ctx)
     outcomes = []
     for index, inputs in tasks:
         stats = EngineStats()
-        counts = execute_program(program, inputs, tick=tick,
+        counts = execute_program(program, inputs,
+                                 governor=ctx.governor,
                                  every=ctx.tick_interval, stats=stats,
-                                 check_size=check, tag=tag, sr=sr)
+                                 tag=tag, sr=sr)
         # steps were ticked straight into the parent governor
         outcomes.append((index, counts, 0, stats))
     return outcomes
@@ -662,37 +669,7 @@ def _run_thread_pool_resilient(
     the unfinished tasks.
     """
     parent = ctx.governor
-    shared: Optional[SharedBudget] = None
-    if parent is not None:
-        parent.ensure_started()
-        remaining_steps = None
-        if parent.max_steps is not None:
-            remaining_steps = max(0, parent.max_steps - parent.steps)
-        shared = SharedBudget(remaining_steps)
-    chaos = res.chaos
-
-    def run_task(index: int, inputs: List[Dict[Any, int]],
-                 attempt: int):
-        fault = _chaos_hook(chaos, index, attempt, len(program),
-                            in_process_worker=False)
-        stats = EngineStats()
-        if parent is None:
-            counts = execute_program(program, inputs,
-                                     every=ctx.tick_interval,
-                                     stats=stats, fault=fault,
-                                     tag=tag, sr=sr)
-            return index, counts, 0, stats
-        worker = WorkerGovernor(parent, shared)
-        try:
-            counts = execute_program(
-                program, inputs, tick=worker.tick,
-                every=ctx.tick_interval, stats=stats,
-                check_size=worker.check_size, fault=fault, tag=tag,
-                sr=sr)
-            return index, counts, worker.steps, stats
-        finally:
-            worker.close()
-
+    run_task = _thread_task(ctx, program, tag, sr, res.chaos)
     inputs_of = dict(tasks)
     outcomes: List[Tuple[int, Dict[Any, int], int, EngineStats]] = []
     unfinished = {index for index, _ in tasks}

@@ -1,4 +1,4 @@
-"""Hash partitioning and shard-local segment programs.
+"""Hash partitioning, the segment recogniser, and shard execution.
 
 The bag operators of the paper distribute over a *hash partition of
 the value space*: for any deterministic shard function ``s(v)``, all
@@ -19,48 +19,43 @@ Everything else (powerset, powerbag, flatten, unnest, oracle
 fallbacks) forces a gather barrier: those subtrees are materialised
 once, serially, and become partitioned *inputs* of the segment.
 
-A *segment* is the unit shipped to workers: a closure-free program of
-kernel steps over input slots (:func:`execute_program`).  Keeping the
-program declarative — attribute indices and constants, never compiled
-closures — is what makes the process backend possible: a program plus
-its shard inputs pickles, a closure does not.  Each worker compiles
-the declarative program **once** into a list of columnar step
-closures (predicates, mappers, and key projectors prebuilt; kernels
-from :mod:`repro.engine.columnar`) and caches it in a process-local
-cache keyed by the planner's pass tag plus the program itself, so
-every subsequent morsel of the same plan reuses the compiled segment
-(:func:`compiled_segment_for`).
+A shard therefore needs no compiler of its own: it is the serial fused
+segment run on a slice.  Workers are shipped a :class:`SegmentProgram`
+— the segment's own logical expression over slot variables — lower and
+fuse it **once** through ``lower`` → ``compile_codegen``
+(:func:`compiled_segment_for`, cached per worker on the planner's pass
+tag plus the program), and :func:`execute_program` runs the fused root
+segment with the shard dicts bound to the slots.
 
 :data:`PARTITION_COMPAT` is the compatibility table the docs and the
-lowering pass share; :func:`compile_parallel_segment` turns a logical
-expression into a program plus leaf partition specs, or ``None`` when
-the root operator is not partition-compatible.
+lowering pass share; :func:`compile_parallel_segment` recognises a
+partition-compatible expression root and names its leaves and their
+partition keys, or returns ``None`` (the lowering pass then recurses
+and retries on the children).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import (
-    Any, Callable, Dict, List, Optional, Sequence, Tuple,
-)
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bag import Tup
-from repro.core.database import encoding_size
+from repro.core.eval import Evaluator
 from repro.core.expr import (
-    AdditiveUnion, Attribute, Cartesian, Const, Dedup, Expr,
-    Intersection, Lam, Map, MaxUnion, Select, Subtraction, Tupling,
-    Var, _compare,
+    AdditiveUnion, Cartesian, Dedup, Expr, Intersection, Map, MaxUnion,
+    Select, Subtraction, Var,
 )
 from repro.core.nest import Nest
-from repro.engine import kernels
-from repro.engine.columnar import (
-    c_add_union, c_hash_join, c_max_union, c_min_intersect, c_monus,
-    c_scale_dict, sum_counts,
+from repro.engine.codegen import CodegenPlan, compile_codegen
+from repro.engine.lower import (
+    compile_object_lambda, compile_predicate, equi_join_keys, lower,
 )
+from repro.engine.physical import ExecContext
 
 __all__ = [
     "PARTITION_COMPAT", "ParallelPolicy", "ParallelSegment", "LeafSpec",
-    "shard_of", "split_counts", "merge_counts", "counts_size",
+    "SegmentProgram", "split_counts", "merge_counts",
     "execute_program", "compile_parallel_segment",
     "compiled_segment_for", "clear_segment_cache", "segment_cache_len",
 ]
@@ -112,19 +107,36 @@ class ParallelPolicy:
 
 @dataclass
 class LeafSpec:
-    """One segment input: the subtree feeding the slot plus the
-    partition key (attribute indices; ``None`` = whole-value hash)."""
+    """One segment input: the subtree feeding the slot, the partition
+    key (attribute indices; ``None`` = whole-value hash), and the
+    arity of the subtree's tuples when structure reveals it."""
 
     expr: Expr
     key: Optional[Tuple[int, ...]] = None
+    arity: Optional[int] = None
 
 
-@dataclass
-class ParallelSegment:
-    """A compiled segment: the step program plus its input leaves."""
+@dataclass(frozen=True)
+class SegmentProgram:
+    """What an exchange ships to its workers: the segment's logical
+    expression over the slot variables ``$0..$n-1`` (hashable,
+    picklable) and the tuple arity of each slot (``None`` = unknown).
+    The arities ride along because the worker's lowering fuses
+    ``sigma(L x R)`` into a hash join only when it can split the
+    attribute positions at the left arity — without them a join
+    segment degrades to select-over-product."""
 
-    program: Tuple[Tuple, ...]
-    leaves: List[LeafSpec]
+    expr: Expr
+    arities: Tuple[Optional[int], ...]
+
+    def slot_arities(self) -> Dict[str, int]:
+        return {_slot_name(slot): arity
+                for slot, arity in enumerate(self.arities)
+                if arity is not None}
+
+
+def _slot_name(slot: int) -> str:
+    return f"${slot}"
 
 
 # ----------------------------------------------------------------------
@@ -140,12 +152,6 @@ def _key_projector(indices: Optional[Sequence[int]]
         return lambda value: value.attribute(index)
     fixed = tuple(indices)
     return lambda value: tuple(value.attribute(i) for i in fixed)
-
-
-def shard_of(value: Any, num_shards: int,
-             key: Optional[Sequence[int]] = None) -> int:
-    """The shard a value belongs to under a key projection."""
-    return hash(_key_projector(key)(value)) % num_shards
 
 
 def split_counts(counts: Dict[Any, int], num_shards: int,
@@ -186,158 +192,58 @@ def merge_counts(shards: Sequence[Dict[Any, int]],
     return merged
 
 
-def counts_size(counts: Dict[Any, int]) -> int:
-    """Standard-encoding size of a materialised count dict (the same
-    measure :meth:`ExecContext.check_size` applies); non-integer
-    semiring annotations weigh one occurrence."""
-    return 1 + sum((count if isinstance(count, int) else 1)
-                   * encoding_size(value)
-                   for value, count in counts.items())
-
-
 # ----------------------------------------------------------------------
-# Segment programs
+# Shard execution: the segment cache and the fused segment run on a slice
 # ----------------------------------------------------------------------
 
-def _predicate_for(op: str, index: int, rhs: Tuple) -> Callable[[Any], bool]:
-    if rhs[0] == "attr":
-        other = rhs[1]
-        if op == "eq":
-            return lambda t: t.attribute(index) == t.attribute(other)
-        return lambda t: _compare(op, t.attribute(index),
-                                  t.attribute(other))
-    constant = rhs[1]
-    if op == "eq":
-        return lambda t: t.attribute(index) == constant
-    return lambda t: _compare(op, t.attribute(index), constant)
-
-
-def _mapper_for(spec: Tuple) -> Callable[[Any], Any]:
-    kind, payload = spec
-    if kind == "val":
-        part_kind, part = payload
-        if part_kind == "attr":
-            return lambda t: t.attribute(part)
-        return lambda t: part
-    parts = payload
-
-    def build(t, parts=parts):
-        return Tup(*(t.attribute(p) if k == "attr" else p
-                     for k, p in parts))
-
-    return build
-
-
-def _compile_step(step: Tuple, sr=None) -> Tuple[str, Callable]:
-    """Compile one declarative program step into a columnar closure.
-
-    The closure takes ``(slots, tick)`` and returns a fresh count
-    dict; predicates, mappers, and key projectors are built **here**,
-    once per compiled segment, never per morsel.  Only the join kernel
-    consumes ``tick`` directly (it is the one step that can emit far
-    more rows than it reads); every other step is governed by the
-    driver's proportional post-step ticking.
-
-    ``sr`` is the multiplicity semiring (``None`` = N): the closures
-    thread it into the columnar kernels, which keep their own int
-    fast paths, so the N specialisation is unchanged.
-    """
-    op = step[0]
-    if op == "union":
-        i, j = step[1], step[2]
-        return op, lambda slots, tick: c_add_union(slots[i], slots[j],
-                                                   sr)
-    if op == "monus":
-        i, j = step[1], step[2]
-        return op, lambda slots, tick: c_monus(slots[i], slots[j], sr)
-    if op == "intersect":
-        i, j = step[1], step[2]
-        return op, lambda slots, tick: c_min_intersect(slots[i],
-                                                       slots[j], sr)
-    if op == "max":
-        i, j = step[1], step[2]
-        return op, lambda slots, tick: c_max_union(slots[i], slots[j],
-                                                   sr)
-    if op == "dedup":
-        i = step[1]
-        one = 1 if sr is None else sr.one
-        return op, lambda slots, tick: dict.fromkeys(slots[i], one)
-    if op == "scale":
-        i, factor = step[1], step[2]
-        return op, lambda slots, tick: c_scale_dict(slots[i], factor,
-                                                    sr)
-    if op == "select":
-        i = step[1]
-        predicate = _predicate_for(step[2], step[3], step[4])
-        return op, lambda slots, tick: {
-            value: count for value, count in slots[i].items()
-            if predicate(value)}
-    if op == "map":
-        i = step[1]
-        mapper = _mapper_for(step[2])
-        return op, lambda slots, tick: sum_counts(
-            map(mapper, slots[i]), slots[i].values(), sr)
-    if op == "join":
-        i, j = step[1], step[2]
-        probe_key = _key_projector((step[3],))
-        build_key = _key_projector((step[4],))
-
-        def join(slots, tick, i=i, j=j):
-            probe = slots[i]
-            values, counts = c_hash_join(
-                list(probe.keys()), list(probe.values()), slots[j],
-                probe_key, build_key, probe_is_left=True, tick=tick,
-                sr=sr)
-            return sum_counts(values, counts, sr)
-
-        return op, join
-    if op == "nest":
-        i, indices = step[1], step[2]
-        return op, lambda slots, tick: dict(
-            kernels.k_nest(slots[i], indices, sr=sr))
-    raise ValueError(f"unknown segment op {op!r}")  # pragma: no cover
-
-
-#: Worker-local compiled segments: ``(tag, program) -> [(op, fn)]``.
+#: Worker-local compiled segments: ``(tag, program) -> CodegenPlan``.
 #: Lives at module level so it survives across morsels of one worker
 #: process (fork'd children inherit the parent's warm entries too).
 #: The tag is the planner's ``PassConfig.cache_tag()`` — a config
 #: change (different passes, different selectivity) must compile a
 #: fresh segment even for a syntactically identical program.
-_SEGMENT_CACHE: Dict[Tuple[Any, Tuple[Tuple, ...]], List[Tuple[str, Callable]]] = {}
+_SEGMENT_CACHE: Dict[Tuple[Any, SegmentProgram], CodegenPlan] = {}
 _SEGMENT_CACHE_CAP = 256
+#: Thread-backend workers share the cache: evicting by iteration while
+#: a sibling inserts raises "dictionary changed size during iteration".
+_SEGMENT_CACHE_LOCK = threading.Lock()
 
 
-def compiled_segment_for(program: Sequence[Tuple],
+def compiled_segment_for(program: SegmentProgram,
                          tag: Optional[Tuple] = None,
                          stats=None,
-                         sr=None) -> List[Tuple[str, Callable]]:
-    """The compiled closure list for a program, compiled at most once
-    per worker per ``(tag, program)``.  Hit/miss counts land in
-    ``stats`` (an :class:`~repro.engine.physical.EngineStats`), which
-    the exchange merges back into the parent — so ``:explain`` shows
-    how often workers reused a resident segment.  The tag (the
-    planner's ``cache_tag()``) already carries the semiring name, so
-    N and generic compilations of the same program never collide."""
-    key = (tag, tuple(program))
-    compiled = _SEGMENT_CACHE.get(key)
-    if compiled is not None:
+                         sr=None) -> CodegenPlan:
+    """The fused plan for a program — the pipeline a serial
+    ``engine="codegen"`` query takes — compiled at most once per
+    worker per ``(tag, program)``.  Hit/miss counts land in ``stats``
+    (an :class:`~repro.engine.physical.EngineStats`), which the
+    exchange merges back into the parent — so ``:explain`` shows how
+    often workers reused a resident segment.  The tag (the planner's
+    ``cache_tag()``) already carries the semiring name, so N and
+    generic compilations of the same program never collide."""
+    key = (tag, program)
+    plan = _SEGMENT_CACHE.get(key)
+    if plan is not None:
         if stats is not None:
             stats.segment_cache_hits += 1
-        return compiled
-    compiled = [_compile_step(step, sr) for step in program]
-    if len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_CAP:
-        _SEGMENT_CACHE.pop(next(iter(_SEGMENT_CACHE)))
-    _SEGMENT_CACHE[key] = compiled
+        return plan
+    plan = compile_codegen(lower(program.expr, semiring=sr,
+                                 arities=program.slot_arities()),
+                           semiring=sr)
+    with _SEGMENT_CACHE_LOCK:
+        if len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_CAP:
+            _SEGMENT_CACHE.pop(next(iter(_SEGMENT_CACHE)))
+        _SEGMENT_CACHE[key] = plan
     if stats is not None:
         stats.segment_cache_misses += 1
-    return compiled
+    return plan
 
 
 def clear_segment_cache() -> None:
     """Drop every compiled segment (tests; a respawned pool starts
     cold anyway because a fresh process starts with an empty dict)."""
-    _SEGMENT_CACHE.clear()
+    with _SEGMENT_CACHE_LOCK:
+        _SEGMENT_CACHE.clear()
 
 
 def segment_cache_len() -> int:
@@ -345,118 +251,73 @@ def segment_cache_len() -> int:
     return len(_SEGMENT_CACHE)
 
 
-def execute_program(program: Sequence[Tuple],
+def execute_program(program: SegmentProgram,
                     inputs: Sequence[Dict[Any, int]],
-                    tick: Optional[Callable[[], None]] = None,
+                    governor=None,
                     every: int = 128,
-                    check_size: Optional[Callable[[int], None]] = None,
                     stats=None,
-                    fault: Optional[Callable[[int], None]] = None,
                     tag: Optional[Tuple] = None,
                     sr=None) -> Dict[Any, int]:
-    """Run a segment program over one shard's input dicts.
+    """Run a segment program over one shard's input dicts and return
+    the shard's counts dict, unsealed.
 
-    Slots ``0..len(inputs)-1`` are the inputs; step ``k`` of the
-    program produces slot ``len(inputs)+k``; the last step's dict is
-    the shard's result.  ``tick`` is the worker governor's tick (step
-    budget / deadline / cancellation), ``check_size`` its
-    intermediate-size check, ``stats`` an optional
-    :class:`~repro.engine.physical.EngineStats` fed per step.
+    The compiled segment runs exactly as a serial fused plan does:
+    ``inputs[k]`` is bound to slot ``$k`` of an ordinary
+    :class:`~repro.engine.physical.ExecContext` whose ``governor`` is
+    the worker's (step budget, deadline, cancellation, size budget —
+    ticked and size-checked per kernel, ``every`` rows between
+    ticks); ``stats`` is an optional
+    :class:`~repro.engine.physical.EngineStats` fed per kernel (the
+    chaos harness passes one that raises between kernels to simulate
+    a worker dying mid-segment).
 
-    The program is compiled (once per worker, see
-    :func:`compiled_segment_for`) into columnar closures over the
-    dict kernels of :mod:`repro.engine.columnar`; each step runs as
-    one bulk dict operation instead of a per-row generator chain.
-    Governance is preserved per step: the driver ticks once before a
-    step and proportionally to the result size after it (so budgets,
-    deadlines, and cancellation trip with the same granularity the
-    stream kernels had), the join kernel additionally ticks inside
-    per ``TICK_CHUNK`` emitted rows, and every step's materialised
-    size passes through ``check_size``.
-
-    ``fault`` is the chaos hook: called with the 0-based program-step
-    index *before* the step runs, it may raise to simulate a worker
-    dying mid-segment.  Because the input dicts are never mutated —
-    every step produces a fresh dict in a new slot — a retry from the
-    same inputs is idempotent no matter where a previous attempt died.
+    The input shards are never mutated — scans borrow them, and the
+    emitter's in-place merges touch only dicts a kernel of the same
+    run produced — so a retry from the same inputs is idempotent
+    wherever the last attempt died.
     """
-    compiled = compiled_segment_for(program, tag=tag, stats=stats,
-                                    sr=sr)
-    slots: List[Dict[Any, int]] = list(inputs)
-    for position, (op, fn) in enumerate(compiled):
-        if fault is not None:
-            fault(position)
-        if tick is not None:
-            tick()
-        result = fn(slots, tick)
-        if tick is not None:
-            for _ in range(len(result) // every):
-                tick()
-        if check_size is not None:
-            check_size(counts_size(result))
-        if stats is not None:
-            stats.record_kernel(f"p-{op}")
-            stats.rows_emitted += len(result)
-        slots.append(result)
-    return slots[-1]
+    plan = compiled_segment_for(program, tag=tag, stats=stats, sr=sr)
+    slots = {_slot_name(slot): counts
+             for slot, counts in enumerate(inputs)}
+    evaluator = Evaluator(track_stats=False, governor=governor,
+                          semiring=sr)
+    ctx = ExecContext(slots, evaluator, stats=stats, tick_interval=every)
+    if plan.root_segment is None:
+        # a root the emitter does not fuse (nest): collect it through
+        # the stream nodes, unsealed — not plan.execute's Bag per morsel
+        return ctx.collect(plan.root)
+    return plan.root_segment.fn(ctx)
 
 
 # ----------------------------------------------------------------------
-# Segment compilation (logical expression -> program + leaves)
+# The recogniser (logical expression -> leaves + keys, then the program)
 # ----------------------------------------------------------------------
 
-_VP_BINARY = {AdditiveUnion: "union", Subtraction: "monus",
-              Intersection: "intersect", MaxUnion: "max"}
+_VP_BINARY = (AdditiveUnion, Subtraction, Intersection, MaxUnion)
 
 
-def _select_spec(select: Select) -> Optional[Tuple[str, int, Tuple]]:
-    """``(op, i, rhs)`` for declarative selections
-    ``sigma[t: alpha_i(t) op (alpha_j(t) | const)]``; ``None`` when
-    either lambda resists (the evaluator would be needed)."""
-    left = select.left.body
-    if not (isinstance(left, Attribute)
-            and isinstance(left.operand, Var)
-            and left.operand.name == select.left.param):
-        return None
-    right = select.right.body
-    if (isinstance(right, Attribute)
-            and isinstance(right.operand, Var)
-            and right.operand.name == select.right.param):
-        return (select.op, left.index, ("attr", right.index))
-    if isinstance(right, Const):
-        value = right.value
-        if isinstance(value, (str, int, float, bool)):
-            return (select.op, left.index, ("const", value))
-    return None
+class ParallelSegment:
+    """A recognised segment.  ``leaves`` is all the threshold check
+    needs; ``program`` is built on first access, so a segment the pass
+    goes on to refuse costs no more than its recognition."""
 
+    def __init__(self, expr: Expr, recogniser: "_SegmentCompiler"):
+        self.leaves = recogniser.leaves
+        self._expr = expr
+        self._recogniser = recogniser
 
-def _map_spec(lam: Lam) -> Optional[Tuple]:
-    """Declarative MAP bodies: a projection, a constant, or a tupling
-    of projections/constants."""
-
-    def part_of(body: Expr) -> Optional[Tuple]:
-        if (isinstance(body, Attribute) and isinstance(body.operand, Var)
-                and body.operand.name == lam.param):
-            return ("attr", body.index)
-        if isinstance(body, Const) and isinstance(
-                body.value, (str, int, float, bool)):
-            return ("const", body.value)
-        return None
-
-    body = lam.body
-    if isinstance(body, Tupling) and body.parts:
-        parts = tuple(part_of(part) for part in body.parts)
-        if any(part is None for part in parts):
-            return None
-        return ("tup", parts)
-    single = part_of(body)
-    if single is None:
-        return None
-    return ("val", single)
+    @cached_property
+    def program(self) -> SegmentProgram:
+        return SegmentProgram(
+            self._recogniser.substitute(self._expr),
+            tuple(leaf.arity for leaf in self.leaves))
 
 
 class _SegmentCompiler:
-    """One compilation attempt over one expression root.
+    """The partition-compatibility recogniser over one expression
+    root: MAP only at the root, a spine of unary value-preserving
+    operators above at most one key operator (join or nest),
+    value-preserving trees below; every other subtree is a leaf.
 
     ``arity_of`` resolves the tuple arity of a subexpression (needed
     to split join attribute positions and to complement nest indices);
@@ -465,186 +326,123 @@ class _SegmentCompiler:
 
     def __init__(self, arity_of: Callable[[Expr], Optional[int]]):
         self.arity_of = arity_of
-        self.steps: List[Tuple] = []
         self.leaves: List[LeafSpec] = []
-        # common-subexpression sharing: an expression tree repeats
-        # shared subtrees textually (the chain workloads repeat their
-        # relations at every level), but a shard is a pure function of
-        # (leaf expression, partition key) and a step a pure function
-        # of its tuple — so equal leaves and equal steps collapse to
-        # one slot instead of being materialised, shipped, and
-        # executed once per occurrence.
-        self._leaf_slots: Dict[Any, int] = {}
-        self._step_refs: Dict[Tuple, int] = {}
-        self._current_key: Optional[Tuple[int, ...]] = None
+        #: partition-local operators recognised (a segment needs one)
+        self.kernels = 0
+        # a shard is a pure function of (leaf expression, partition
+        # key): equal leaves under one key (the chain workloads repeat
+        # their relations at every level) share a slot instead of
+        # being materialised and shipped per occurrence
+        self._slots: Dict[Tuple[Any, Expr], Var] = {}
+        #: id(the key operator) -> the partition key of each operand
+        self._side_keys: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
 
-    # -- leaves -----------------------------------------------------------
-
-    def _leaf(self, expr: Expr) -> int:
-        slot_key = (self._current_key, expr)
-        slot = self._leaf_slots.get(slot_key)
-        if slot is None:
-            self.leaves.append(LeafSpec(expr, self._current_key))
-            slot = len(self.leaves) - 1
-            self._leaf_slots[slot_key] = slot
-        return slot
-
-    # -- value-preserving trees ------------------------------------------
-
-    def _vp(self, expr: Expr) -> int:
-        """Compile a value-preserving subtree; anything else becomes a
-        leaf slot (materialised serially, partitioned as input)."""
-        cls = type(expr)
-        if cls in _VP_BINARY:
-            if cls is AdditiveUnion and expr.left == expr.right:
-                inner = self._vp(expr.left)
-                return self._push(("scale", inner, 2))
-            left = self._vp(expr.left)
-            right = self._vp(expr.right)
-            return self._push((_VP_BINARY[cls], left, right))
-        if isinstance(expr, Dedup):
-            return self._push(("dedup", self._vp(expr.operand)))
-        if isinstance(expr, Select):
-            spec = _select_spec(expr)
-            if spec is not None and self._join_shape(expr) is None:
-                inner = self._vp(expr.operand)
-                return self._push(("select", inner, *spec))
-        return self._leaf(expr)
-
-    def _push(self, step: Tuple) -> int:
-        ref = self._step_refs.get(step)
-        if ref is None:
-            self.steps.append(step)
-            ref = -len(self.steps)  # negative step slot, resolved later
-            self._step_refs[step] = ref
-        return ref
-
-    # -- key operators ----------------------------------------------------
-
-    def _join_shape(self, expr: Expr):
-        """``(left, right, i, j_local)`` when the selection is an
-        attribute equality crossing a product boundary."""
-        if not (isinstance(expr, Select) and expr.op == "eq"
-                and isinstance(expr.operand, Cartesian)):
-            return None
-        spec = _select_spec(expr)
-        if spec is None or spec[2][0] != "attr":
-            return None
-        product = expr.operand
-        left_arity = self.arity_of(product.left)
-        if left_arity is None:
-            return None
-        i, j = sorted((spec[1], spec[2][1]))
-        if not (i <= left_arity < j):
-            return None
-        return (product.left, product.right, i, j - left_arity)
-
-    def _key_side(self, expr: Expr, key: Tuple[int, ...]) -> int:
-        """Compile one side of a key operator: a value-preserving tree
-        whose leaves are partitioned by the operator's key.  The key
-        scopes the CSE map — the same subtree needed under a different
-        partitioning is a different shard and keeps its own slot."""
-        previous = self._current_key
-        self._current_key = key
-        try:
-            return self._vp(expr)
-        finally:
-            self._current_key = previous
-
-    # -- entry ------------------------------------------------------------
+    # -- recognition ------------------------------------------------------
 
     def compile(self, expr: Expr) -> Optional[ParallelSegment]:
-        map_spec = None
+        core = expr
         if isinstance(expr, Map):
-            map_spec = _map_spec(expr.lam)
-            if map_spec is None:
+            if compile_object_lambda(expr.lam) is None:
                 return None  # the pass retries on the operand
-            expr = expr.operand
-        root = self._core(expr)
-        if root is None or not self.steps:
+            core = expr.operand
+        # a bare passthrough of leaves parallelises nothing: require at
+        # least one real kernel over the fan-out (the root MAP aside)
+        if not self._core(core) or not self.kernels:
             return None
-        if map_spec is not None:
-            root = self._push(("map", root, map_spec))
-        program = self._resolve(root)
-        if program is None:
-            return None
-        return ParallelSegment(program, self.leaves)
+        return ParallelSegment(expr, self)
 
-    def _core(self, expr: Expr) -> Optional[int]:
+    def _core(self, expr: Expr) -> bool:
         """The segment spine: unary value-preserving operators above at
         most one key operator (join or nest), else a pure VP tree."""
         if isinstance(expr, Dedup):
-            inner = self._core(expr.operand)
-            if inner is None:
-                return None
-            return self._push(("dedup", inner))
-        join = self._join_shape(expr) if isinstance(expr, Select) else None
-        if join is not None:
-            left, right, i, j = join
-            a = self._key_side(left, (i,))
-            b = self._key_side(right, (j,))
-            return self._push(("join", a, b, i, j))
+            self.kernels += 1
+            return self._core(expr.operand)
         if isinstance(expr, Select):
-            spec = _select_spec(expr)
-            if spec is None:
-                return None
-            inner = self._core(expr.operand)
-            if inner is None:
-                return None
-            return self._push(("select", inner, *spec))
+            keys = equi_join_keys(expr, self.arity_of)
+            if keys is not None:
+                return self._key_operator(
+                    expr, (expr.operand.left, expr.operand.right),
+                    ((keys[0],), (keys[1],)))
+            if compile_predicate(expr) is None:
+                return False  # the evaluator would be needed
+            self.kernels += 1
+            return self._core(expr.operand)
         if isinstance(expr, Nest):
             arity = self.arity_of(expr.operand)
-            if arity is None:
-                return None
-            indices = expr.indices
-            if max(indices) > arity or min(indices) < 1:
-                return None
+            if arity is None or max(expr.indices) > arity:
+                return False
             rest = tuple(i for i in range(1, arity + 1)
-                         if i not in indices)
+                         if i not in expr.indices)
             if not rest:
-                return None  # grouping by the empty key: one global group
-            slot = self._key_side(expr.operand, rest)
-            return self._push(("nest", slot, indices))
-        return self._vp(expr)
+                return False  # grouping by the empty key: one global group
+            return self._key_operator(expr, (expr.operand,), (rest,))
+        self._vp(expr, None)
+        return True
 
-    def _resolve(self, root: int) -> Optional[Tuple[Tuple, ...]]:
-        """Rewrite negative step references into absolute slot ids
-        (leaves occupy ``0..L-1``, step k produces ``L+k``)."""
-        base = len(self.leaves)
+    def _key_operator(self, expr: Expr, operands: Tuple[Expr, ...],
+                      keys: Tuple[Tuple[int, ...], ...]) -> bool:
+        """Each operand of the key operator is a value-preserving tree
+        whose leaves are partitioned by that operand's key."""
+        self._side_keys[id(expr)] = keys
+        self.kernels += 1
+        for operand, key in zip(operands, keys):
+            self._vp(operand, key)
+        return True
 
-        def fix(ref: int) -> int:
-            return ref if ref >= 0 else base + (-ref - 1)
+    def _vp(self, expr: Expr, key: Optional[Tuple[int, ...]]) -> None:
+        """Recognise a value-preserving subtree; anything else — a
+        selection the workers could not compile, a second join — is a
+        leaf slot partitioned by ``key``."""
+        if isinstance(expr, _VP_BINARY):
+            self.kernels += 1
+            self._vp(expr.left, key)
+            self._vp(expr.right, key)
+        elif isinstance(expr, Dedup) or (
+                isinstance(expr, Select)
+                and compile_predicate(expr) is not None
+                and equi_join_keys(expr, self.arity_of) is None):
+            self.kernels += 1
+            self._vp(expr.operand, key)
+        elif (key, expr) not in self._slots:
+            self._slots[key, expr] = Var(_slot_name(len(self.leaves)))
+            self.leaves.append(LeafSpec(expr, key, self.arity_of(expr)))
 
-        resolved = []
-        for step in self.steps:
-            op = step[0]
-            if op in ("union", "monus", "intersect", "max"):
-                resolved.append((op, fix(step[1]), fix(step[2])))
-            elif op in ("dedup",):
-                resolved.append((op, fix(step[1])))
-            elif op in ("scale", "map", "nest"):
-                resolved.append((op, fix(step[1]), step[2]))
-            elif op == "select":
-                resolved.append((op, fix(step[1]), *step[2:]))
-            elif op == "join":
-                resolved.append((op, fix(step[1]), fix(step[2]),
-                                 step[3], step[4]))
-            else:  # pragma: no cover
-                return None
-        if fix(root) != base + len(resolved) - 1:
-            return None  # the root must be the last step
-        return tuple(resolved)
+    # -- the program ------------------------------------------------------
+
+    def substitute(self, expr: Expr,
+                   key: Optional[Tuple[int, ...]] = None) -> Expr:
+        """``expr`` with every leaf replaced by its slot variable.  A
+        node that is not a leaf is one of the operators recognition
+        walked through, so rebuilding it over substituted operands
+        needs no second set of decisions."""
+        slot = self._slots.get((key, expr))
+        if slot is not None:
+            return slot
+        sides = self._side_keys.get(id(expr))
+        if isinstance(expr, Map):
+            return Map(expr.lam, self.substitute(expr.operand))
+        if isinstance(expr, Dedup):
+            return Dedup(self.substitute(expr.operand, key))
+        if isinstance(expr, Nest):
+            return Nest(self.substitute(expr.operand, sides[0]),
+                        *expr.indices)
+        if isinstance(expr, Select):
+            if sides is None:
+                operand = self.substitute(expr.operand, key)
+            else:
+                product = expr.operand
+                operand = Cartesian(
+                    self.substitute(product.left, sides[0]),
+                    self.substitute(product.right, sides[1]))
+            return Select(expr.left, expr.right, operand, expr.op)
+        return type(expr)(self.substitute(expr.left, key),
+                          self.substitute(expr.right, key))
 
 
 def compile_parallel_segment(expr: Expr,
                              arity_of: Callable[[Expr], Optional[int]]
                              ) -> Optional[ParallelSegment]:
-    """Compile an expression into a shard-local segment, or ``None``
+    """Recognise an expression as a shard-local segment, or ``None``
     when the root is not partition-compatible (the lowering pass then
     recurses and retries on the children)."""
-    segment = _SegmentCompiler(arity_of).compile(expr)
-    if segment is None or not segment.program or not segment.leaves:
-        return None
-    # A segment that is a bare passthrough of one leaf parallelises
-    # nothing; require at least one real kernel step over the fan-out.
-    return segment
+    return _SegmentCompiler(arity_of).compile(expr)

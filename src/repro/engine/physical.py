@@ -203,7 +203,8 @@ class ExecContext:
                  "_tick_interval", "_last_tick_at")
 
     def __init__(self, bindings: Mapping[str, Any], evaluator,
-                 stats: Optional[EngineStats] = None, parallel=None):
+                 stats: Optional[EngineStats] = None, parallel=None,
+                 tick_interval: int = _TICK_EVERY):
         self.bindings = dict(bindings)
         self.evaluator = evaluator
         self.governor = evaluator.governor
@@ -217,7 +218,7 @@ class ExecContext:
         #: Exchange nodes fall back to inline execution without it.
         self.parallel = parallel
         self._env = (self.bindings, None)
-        self._tick_interval = _TICK_EVERY
+        self._tick_interval = tick_interval
         self._last_tick_at: Optional[float] = None
 
     def lookup(self, name: str) -> Any:
@@ -355,6 +356,11 @@ class ScanBag(PhysicalNode):
 
     def _rows(self, ctx):
         value = ctx.lookup(self.name)
+        if type(value) is dict:
+            # a shard slot (execute_program binds count dicts): already
+            # in dictionary form, and not a relation scan to observe
+            yield from value.items()
+            return
         if not isinstance(value, Bag):
             raise UnboundVariableError(
                 f"binding {self.name!r} is not a bag "

@@ -13,8 +13,9 @@ does next:
    on a new worker with seeded backoff/jitter.  Idempotence is
    structural: a segment program is a pure function of its immutable
    input shards (:func:`~repro.engine.parallel.partition.
-   execute_program` never mutates a slot), so re-running it cannot
-   double-count.
+   execute_program` never mutates an input shard: scans borrow them,
+   and codegen's in-place dedup-union merges touch only dicts the
+   same run produced), so re-running it cannot double-count.
 2. **Worker-loss recovery** — under the process backend a dead child
    condemns the whole ``ProcessPoolExecutor``; the exchange respawns
    the pool once and reschedules only the unfinished shards.

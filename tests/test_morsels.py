@@ -16,11 +16,12 @@ import pytest
 
 from repro.core.bag import Bag, Tup
 from repro.core.expr import Dedup, var
+from repro.engine.codegen import FusedSegment
 from repro.engine import EngineStats, evaluate, explain_physical
 from repro.engine.parallel import (
-    ParallelConfig, adaptive_shards, clear_segment_cache,
-    compiled_segment_for, decode_shard, encode_shard,
-    segment_cache_len,
+    ParallelConfig, SegmentProgram, adaptive_shards,
+    clear_segment_cache, compiled_segment_for, decode_shard,
+    encode_shard, execute_program, segment_cache_len,
 )
 from repro.engine.parallel.exchange import MORSEL_MIN_ROWS
 from repro.guard import ChaosPlan, Limits, ResourceGovernor
@@ -122,7 +123,7 @@ class TestCodecRoundTrip:
 # Worker-resident compiled segments
 # ----------------------------------------------------------------------
 
-_PROGRAM = (("union", 0, 1), ("dedup", 2))
+_PROGRAM = SegmentProgram(Dedup(var("$0") + var("$1")), (None, None))
 
 
 class TestSegmentCache:
@@ -134,6 +135,7 @@ class TestSegmentCache:
         first = compiled_segment_for(_PROGRAM, tag=("t",), stats=stats)
         second = compiled_segment_for(_PROGRAM, tag=("t",), stats=stats)
         assert second is first
+        assert isinstance(first.root_segment, FusedSegment)
         assert stats.segment_cache_misses == 1
         assert stats.segment_cache_hits == 1
 
@@ -148,15 +150,86 @@ class TestSegmentCache:
 
     def test_program_change_invalidates(self):
         a = compiled_segment_for(_PROGRAM, tag=("t",))
-        b = compiled_segment_for((("union", 0, 1),), tag=("t",))
+        b = compiled_segment_for(
+            SegmentProgram(var("$0") + var("$1"), (None, None)),
+            tag=("t",))
         assert a is not b
         assert segment_cache_len() == 2
 
     def test_cache_is_bounded(self):
         from repro.engine.parallel.partition import _SEGMENT_CACHE_CAP
         for k in range(_SEGMENT_CACHE_CAP + 10):
-            compiled_segment_for((("scale", 0, k + 1),), tag=None)
+            compiled_segment_for(
+                SegmentProgram(Dedup(var("$0")), (k + 1,)), tag=None)
         assert segment_cache_len() <= _SEGMENT_CACHE_CAP
+
+    def test_eviction_is_safe_under_concurrent_compiles(
+            self, monkeypatch):
+        """Thread-backend workers share the cache.  With the cap at 1
+        every insert evicts, and evicting by iteration while a sibling
+        inserts raised ``RuntimeError: dictionary changed size during
+        iteration`` until insert+evict took a lock."""
+        import sys
+        import threading
+
+        from repro.engine.parallel import partition
+        monkeypatch.setattr(partition, "_SEGMENT_CACHE_CAP", 1)
+        # nothing but the cache left in the loop: the window is narrow
+        monkeypatch.setattr(partition, "lower", lambda expr, **kw: expr)
+        monkeypatch.setattr(partition, "compile_codegen",
+                            lambda plan, **kw: object())
+        errors = []
+        start = threading.Barrier(4)
+
+        def compile_many(worker):
+            try:
+                start.wait(10)
+                for k in range(5000):
+                    compiled_segment_for(
+                        SegmentProgram(Dedup(var("$0")),
+                                       (worker * 1000 + k,)))
+            except BaseException as error:  # noqa: BLE001 - reported
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=compile_many, args=(w,))
+                       for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert segment_cache_len() <= 1
+
+    def test_chaos_detonates_between_kernels(self):
+        """A chaos fault kills the worker partway through the fused
+        segment's kernels, not only at its entry; wherever it died the
+        input shards are untouched, so the retry is idempotent."""
+        from repro.engine.parallel.exchange import _task_stats
+        from repro.guard import WorkerCrash
+        kernels = compiled_segment_for(_PROGRAM).kernels()
+        assert len(kernels) > 1
+        left = {Tup(i): 2 for i in range(10)}
+        right = {Tup(i): 1 for i in range(5, 15)}
+        before = (dict(left), dict(right))
+        expected = execute_program(_PROGRAM, [left, right])
+        chaos = ChaosPlan(kind="morsel-fault", probability=1.0)
+        died_after = set()
+        for shard in range(12):
+            stats = _task_stats(chaos, shard, 1, _PROGRAM, None, None,
+                                in_process_worker=False)
+            with pytest.raises(WorkerCrash):
+                execute_program(_PROGRAM, [left, right], stats=stats)
+            died_after.add(sum(stats.kernel_counts.values()))
+            assert (left, right) == before
+        assert died_after <= set(range(1, len(kernels) + 1))
+        assert len(died_after) > 1  # seeded across the segment
+        assert execute_program(_PROGRAM, [left, right]) == expected
 
     def test_thread_morsels_hit_after_first_compile(self):
         """workers=1 runs morsels sequentially: the first compiles,

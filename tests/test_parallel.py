@@ -11,6 +11,7 @@ engine=parallel dispatch through ``core.eval``/``run_sql``/the CLI.
 from __future__ import annotations
 
 import io
+import pickle
 
 import pytest
 
@@ -26,10 +27,11 @@ from repro.core.expr import (
 from repro.core.nest import Nest, Unnest
 from repro.engine import EngineStats, PlanCache, evaluate, plan_for
 from repro.engine import explain_physical
+from repro.engine.codegen import CodegenPlan, FusedSegment
 from repro.engine.parallel import (
     PARTITION_COMPAT, Exchange, Gather, ParallelConfig, ParallelPolicy,
     Partition, SharedBudget, WorkerGovernor, compile_parallel_segment,
-    execute_program, merge_counts, split_counts,
+    compiled_segment_for, execute_program, merge_counts, split_counts,
 )
 from repro.guard import CancellationToken, Limits, ResourceGovernor
 
@@ -110,14 +112,22 @@ class TestSplitMerge:
         assert PARTITION_COMPAT["flatten"] == "barrier"
 
 
+def _kernels(segment):
+    """The kernels of the fused segment a worker compiles the
+    program into (scans of the input slots aside)."""
+    plan = compiled_segment_for(segment.program)
+    return [k for k in plan.kernels() if k != "scan"]
+
+
 class TestSegmentCompiler:
     def test_union_chain_compiles_with_value_leaves(self):
         expr = Dedup((var("A") + var("B")) - var("C"))
         segment = compile_parallel_segment(expr, lambda e: None)
         assert segment is not None
         assert [leaf.key for leaf in segment.leaves] == [None] * 3
-        ops = [step[0] for step in segment.program]
-        assert ops == ["union", "monus", "dedup"]
+        assert segment.program.expr == Dedup(
+            (var("$0") + var("$1")) - var("$2"))
+        assert _kernels(segment) == ["additive-union", "monus", "dedup"]
 
     def test_join_compiles_with_key_leaves(self):
         join = Select(Lam("t", Attribute(Var("t"), 2)),
@@ -127,7 +137,8 @@ class TestSegmentCompiler:
             join, _arity_of_factory({"R": 2, "S": 2}))
         assert segment is not None
         assert [leaf.key for leaf in segment.leaves] == [(2,), (1,)]
-        assert segment.program[-1][0] == "join"
+        assert segment.program.arities == (2, 2)
+        assert _kernels(segment)[-1] == "hash-join"
 
     def test_join_without_arity_falls_back_to_select_over_product(self):
         """With no arity information the compiler cannot split the
@@ -140,7 +151,7 @@ class TestSegmentCompiler:
         assert segment is not None
         assert len(segment.leaves) == 1
         assert segment.leaves[0].key is None
-        assert segment.program[-1][0] == "select"
+        assert _kernels(segment)[-1] == "select"
 
     def test_nest_partitions_on_group_key(self):
         segment = compile_parallel_segment(
@@ -155,13 +166,13 @@ class TestSegmentCompiler:
         at_root = compile_parallel_segment(
             Map(proj, Dedup(var("R") + var("R"))), lambda e: None)
         assert at_root is not None
-        assert at_root.program[-1][0] == "map"
+        assert _kernels(at_root)[-1] == "map"
         # map *below* a dedup would break value-disjointness: the map
         # subtree must become an opaque leaf instead of a program step
         below = compile_parallel_segment(
             Dedup(Map(proj, var("R")) + var("S")), lambda e: None)
         assert below is not None
-        assert all(step[0] != "map" for step in below.program)
+        assert "map" not in _kernels(below)
 
     def test_barrier_roots_refuse(self):
         assert compile_parallel_segment(Powerset(var("R")),
@@ -179,6 +190,21 @@ class TestSegmentCompiler:
         inputs = [dict(bag.items()) for bag in (a, b, c)]
         got = execute_program(segment.program, inputs)
         assert Bag.from_counts(got) == expected
+
+    def test_shard_segment_is_the_serial_fused_segment(self):
+        """A shard has no compiler of its own: the program compiles
+        through lower + codegen into the closure a serial
+        ``engine="codegen"`` query would run, and ``partition.py``
+        holds no second step compiler beside it."""
+        segment = compile_parallel_segment(
+            Dedup((var("A") + var("B")) - var("C")), lambda e: None)
+        plan = compiled_segment_for(segment.program)
+        assert isinstance(plan, CodegenPlan)
+        assert isinstance(plan.root_segment, FusedSegment)
+        from repro.engine.parallel import partition
+        for name in ("_compile_step", "_predicate_for", "_mapper_for",
+                     "_select_spec", "_map_spec"):
+            assert not hasattr(partition, name)
 
 
 # ----------------------------------------------------------------------
@@ -204,6 +230,43 @@ _BATTERY = [
                          Lam("t", Attribute(Var("t"), 3)),
                          Cartesian(var("R"), var("R")), "eq")),
 ]
+
+
+class TestShardedPrograms:
+    """Every battery shape under every semiring, driven by hand: split
+    the leaves on the recogniser's keys, ship the program through
+    pickle, run it per shard, merge — equal to the tree walker, with
+    the input shards left exactly as they were."""
+
+    @pytest.mark.parametrize("semiring",
+                             ["nat", "bool", "tropical", "provenance"])
+    @pytest.mark.parametrize("label,expr",
+                             _BATTERY, ids=[l for l, _ in _BATTERY])
+    def test_shards_merge_to_the_oracle(self, label, expr, semiring):
+        from repro.core.semiring import resolve_semiring
+        sr = resolve_semiring(semiring)
+        db = {"R": _R, "S": _S}
+        segment = compile_parallel_segment(
+            expr, _arity_of_factory({"R": 2, "S": 2}))
+        assert segment is not None
+        program = pickle.loads(pickle.dumps(segment.program))
+        assert program == segment.program
+        sharded = [
+            split_counts(dict(core_evaluate(leaf.expr, db,
+                                            semiring=semiring).items()),
+                         4, leaf.key)
+            for leaf in segment.leaves]
+        outputs = []
+        for index in range(4):
+            task = [shards[index] for shards in sharded]
+            before = [dict(counts) for counts in task]
+            # the tag half of the cache key is what keeps the N and
+            # generic compilations of one program apart
+            outputs.append(execute_program(program, task,
+                                           tag=(semiring,), sr=sr))
+            assert task == before
+        assert (Bag.from_counts(merge_counts(outputs, sr))
+                == core_evaluate(expr, db, semiring=semiring))
 
 
 class TestParallelEquality:
@@ -491,6 +554,8 @@ class TestDispatch:
         assert "Partition" in text
         assert "key=[2]" in text and "key=[1]" in text
         assert "partitions created   2" in text
+        # the exchange names the kernels of the fused shard segment
+        assert "kernels=[scan, scan, hash-join]" in text
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
