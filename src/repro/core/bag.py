@@ -79,23 +79,29 @@ class Tup:
         """Return the underlying attribute tuple (0-based)."""
         return self._items
 
-    def concat(self, other: "Tup") -> "Tup":
-        """Concatenate two tuples (used by the Cartesian product).
+    @staticmethod
+    def trusted(items: Tuple[Any, ...]) -> "Tup":
+        """Wrap an items tuple whose every item is already a validated
+        value, skipping the per-item check; hash and shape stay lazy.
 
-        Both operands are already-validated tuples, so the result skips
-        the per-item value check — the join and product kernels build
-        one concatenation per output row and this is their hot path."""
+        The one constructor for callers that only rearrange values a
+        checked constructor has seen: :meth:`concat` (one per join
+        output row) and the shard decoder (one per row off the
+        wire)."""
+        out = Tup.__new__(Tup)
+        out._items = items
+        out._hash = None
+        out._shape = None
+        return out
+
+    def concat(self, other: "Tup") -> "Tup":
+        """Concatenate two tuples (used by the Cartesian product)."""
         if not isinstance(other, Tup):
             raise ValueConstructionError(
                 f"cannot concatenate Tup with {type(other).__name__}")
-        out = Tup.__new__(Tup)
-        items = self._items + other._items
-        out._items = items
-        out._hash = None
+        out = Tup.trusted(self._items + other._items)
         if self._shape is not None and other._shape is not None:
             out._shape = _concat_shape(self._shape, other._shape)
-        else:
-            out._shape = None
         return out
 
     def __getitem__(self, index: int) -> Any:

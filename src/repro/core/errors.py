@@ -97,6 +97,17 @@ class GovernedError(EvaluationError):
         for key, value in details.items():
             setattr(self, key, value)
 
+    def __reduce__(self):
+        # rebuild through __init__, so a governed error raised in a
+        # process worker reaches the parent as the same subtype with
+        # its message, partial stats and keyword details intact
+        return (_rebuild_governed,
+                (type(self), self.args[0], self.stats, self.details))
+
+
+def _rebuild_governed(cls, message, stats, details):
+    return cls(message, stats=stats, **details)
+
 
 class BudgetExceeded(GovernedError, ResourceLimitError):
     """A step, size, powerset, or iteration budget was exhausted.

@@ -21,7 +21,7 @@ Conventions
   pre-refactor engine (pinned by bench_e27).
 * :class:`NatSemiring` and :class:`BoolSemiring` annotate with plain
   Python ints (``{0, 1}`` for Bool), so their bags remain valid count
-  dicts and the parallel codec keeps its varint fast mode.
+  dicts and the parallel codec keeps its packed int count column.
 * :class:`TropicalSemiring` and :class:`ProvenancePolynomial` annotate
   with frozen wrapper values (:class:`Trop`, :class:`Prov`) that
   subclass the :class:`SemiringValue` marker, which
@@ -197,7 +197,7 @@ class Semiring:
         self-unions to the operand instead of a scale-by-2.
     ``integer_counts``
         Annotations are plain ints (N, Bool) — required by powerset /
-        powerbag, and keeps the codec varint fast mode.
+        powerbag, and keeps the codec's count column packed ints.
     ``naturally_ordered``
         ``a <= b  iff  exists c: a + c = b`` is a partial order; all
         shipped instances are naturally ordered.
@@ -302,8 +302,8 @@ class Semiring:
     # -- codec hooks ----------------------------------------------------
 
     def encode_count(self, count: Any) -> bytes:
-        """Serialise one annotation for the parallel shard codec's
-        generic (CM02) count column."""
+        """Serialise one annotation (the shard codec itself pickles a
+        shard's whole count column at once)."""
         import pickle
         return pickle.dumps(count, protocol=pickle.HIGHEST_PROTOCOL)
 

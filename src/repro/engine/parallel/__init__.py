@@ -9,12 +9,14 @@ Three layers (see ``docs/parallel.md`` for the full story):
   compiled-segment cache (each worker lowers and fuses a program once
   per plan tag through the serial codegen pipeline and reuses the
   fused segment across morsels);
-* :mod:`~repro.engine.parallel.codec` — the columnar shard codec
-  (value column + count column, interned atoms) used to ship morsels
-  to process-pool workers instead of pickled count dicts;
+* :mod:`~repro.engine.parallel.codec` — the packed-column shard
+  codec (a count column plus fixed-width value cells, moved with
+  C-level bulk operations) used to ship morsels to process-pool
+  workers instead of pickled count dicts;
 * :mod:`~repro.engine.parallel.exchange` — the
-  Partition/Exchange/Gather physical nodes and the thread/process
-  worker pools with ordered merge and fail-fast errors;
+  Partition/Exchange/Gather physical nodes and the resident
+  thread/process worker pools with ordered merge and fail-fast
+  errors;
 * :mod:`~repro.engine.parallel.governor` — budget splitting so a
   parallel run honours the same :class:`~repro.guard.Limits` as a
   serial one (shared step pool, inherited deadline, linked
@@ -34,6 +36,7 @@ workers=N)``, ``run_sql(..., engine="parallel")``, the CLI's
 from repro.engine.parallel.codec import decode_shard, encode_shard
 from repro.engine.parallel.exchange import (
     Exchange, Gather, ParallelConfig, Partition, adaptive_shards,
+    shutdown_pools,
 )
 from repro.engine.parallel.governor import (
     SharedBudget, WorkerGovernor, merge_worker_steps, presplit_limits,
@@ -50,7 +53,7 @@ from repro.engine.resilience import LADDER, ResilienceConfig
 __all__ = [
     "PARTITION_COMPAT", "ParallelPolicy", "ParallelSegment", "LeafSpec",
     "SegmentProgram", "ParallelConfig", "Partition", "Exchange", "Gather",
-    "adaptive_shards",
+    "adaptive_shards", "shutdown_pools",
     "SharedBudget", "WorkerGovernor", "presplit_limits",
     "presplit_spec", "merge_worker_steps", "compile_parallel_segment",
     "compiled_segment_for", "clear_segment_cache", "segment_cache_len",

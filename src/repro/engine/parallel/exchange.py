@@ -29,14 +29,16 @@ small inputs get fewer, bigger morsels (down to one).
 
 Columnar morsels: under the process backend each shard crosses the
 process boundary as a codec blob
-(:mod:`repro.engine.parallel.codec` — interned atoms, value array +
-count array) instead of a pickled dict, in both directions; the bytes
-actually shipped are counted in ``EngineStats.bytes_shipped``.
-Workers resolve the segment program through a process-local
-compiled-segment cache
-(:func:`~repro.engine.parallel.partition.compiled_segment_for`), so a
+(:mod:`repro.engine.parallel.codec` — a packed count column plus
+fixed-width value cells) instead of a pickled dict, in both
+directions; the bytes actually shipped are counted in
+``EngineStats.bytes_shipped``.  Both backends run on resident pools,
+so process workers outlive their exchange and resolve the segment
+program through a process-local compiled-segment cache
+(:func:`~repro.engine.parallel.partition.compiled_segment_for`): a
 worker lowers and fuses each distinct ``(pass tag, program)`` once and
-every later morsel reuses the resident fused segment.
+every later morsel — of this query or a later one — reuses the
+resident fused segment.
 
 Error handling is fail-fast by default: the first worker failure
 cancels the shared fail-fast token (thread backend), so sibling
@@ -61,6 +63,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
+import multiprocessing.connection
+import multiprocessing.util
+import os
 import random
 import threading
 import time
@@ -68,7 +73,7 @@ from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.errors import Cancelled
+from repro.core.errors import BudgetExceeded, Cancelled
 from repro.engine.parallel.codec import decode_shard, encode_shard
 from repro.engine.parallel.governor import (
     SharedBudget, WorkerGovernor, merge_worker_steps, presplit_spec,
@@ -85,7 +90,7 @@ from repro.guard import Limits, ResourceGovernor
 from repro.guard.retry import classify_governed_error
 
 __all__ = ["ParallelConfig", "Partition", "Exchange", "Gather",
-           "adaptive_shards"]
+           "adaptive_shards", "shutdown_pools"]
 
 #: Default shards-per-worker over-partitioning factor.  2, not 4: a
 #: compiled columnar step costs microseconds per morsel, so dispatch
@@ -257,15 +262,17 @@ class Exchange(PhysicalNode):
                  if any(shards[index] for shards in sharded)]
         if not tasks:
             return {}
-        if config.resilience is not None:
-            outcomes = _run_resilient(ctx, config, self.program, tasks,
-                                      config.resilience, self.tag, sr)
-        elif config.backend == "process":
-            outcomes = _run_process_pool(ctx, config, self.program,
-                                         tasks, self.tag, sr)
-        else:
-            outcomes = _run_thread_pool(ctx, config, self.program,
-                                        tasks, self.tag, sr)
+        try:
+            if config.resilience is not None:
+                outcomes = _run_resilient(ctx, config, self.program,
+                                          tasks, config.resilience,
+                                          self.tag, sr)
+            else:
+                outcomes = _run_fail_fast(ctx, config, self.program,
+                                          tasks, self.tag, sr)
+        except BudgetExceeded as verdict:
+            _restate_step_verdict(ctx.governor, verdict)
+            raise
         ctx.stats.morsels_executed += len(tasks)
         # ordered merge: shard index order, not completion order
         outcomes.sort(key=lambda outcome: outcome[0])
@@ -301,28 +308,73 @@ class Gather(PhysicalNode):
 
 
 # ----------------------------------------------------------------------
-# Thread backend
+# Resident pools and the fail-fast scheduler
 # ----------------------------------------------------------------------
 
-#: Long-lived thread pools shared by every exchange, one per worker
-#: count.  Spawning OS threads costs ~10ms apiece on small boxes — a
-#: per-exchange pool would dominate sub-50ms queries, so the thread
-#: backend keeps its pools resident the same way workers keep their
-#: compiled segments.  The resilient thread rung still spawns its own
-#: pools: its worker-loss recovery condemns and respawns them.
-_THREAD_POOLS: Dict[int, concurrent.futures.ThreadPoolExecutor] = {}
-_THREAD_POOLS_LOCK = threading.Lock()
+#: Long-lived pools shared by every exchange, one per ``(backend,
+#: os.getpid(), workers)``.  Spawning OS threads costs ~10 ms apiece
+#: on small boxes and forking a process pool 20-25 ms, so a
+#: per-exchange pool would dominate sub-50 ms queries; keeping the
+#: process workers alive is also what makes their compiled-segment
+#: cache resident across queries.  The pid is part of the key because
+#: a forked child inherits this dict but none of the pools' threads
+#: or pipes: it must create its own.  The resilient rungs still spawn
+#: private pools: their worker-loss recovery condemns and respawns
+#: them.
+_POOLS: Dict[Tuple[str, int, int], concurrent.futures.Executor] = {}
+_POOLS_LOCK = threading.Lock()
 
 
-def _thread_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
-    with _THREAD_POOLS_LOCK:
-        pool = _THREAD_POOLS.get(workers)
+def _pool_key(config: ParallelConfig) -> Tuple[str, int, int]:
+    return config.backend, os.getpid(), config.workers
+
+
+def _resident_pool(config: ParallelConfig
+                   ) -> concurrent.futures.Executor:
+    key = _pool_key(config)
+    with _POOLS_LOCK:
+        pool = _POOLS.get(key)
         if pool is None:
-            pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix=f"exchange-{workers}w")
-            _THREAD_POOLS[workers] = pool
+            if config.backend == "process":
+                pool = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=config.workers,
+                    mp_context=_process_context(),
+                    initializer=_exit_with_parent)
+                # a multiprocessing child joins its own children
+                # before the interpreter's exit hooks would stop the
+                # workers, so without this its exit hangs on them;
+                # the priority puts it ahead of the finalizers (10)
+                # that close the queues the stop message travels on
+                multiprocessing.util.Finalize(None, shutdown_pools,
+                                              exitpriority=20)
+            else:
+                pool = concurrent.futures.ThreadPoolExecutor(
+                    max_workers=config.workers,
+                    thread_name_prefix=f"exchange-{config.workers}w")
+            _POOLS[key] = pool
         return pool
+
+
+def shutdown_pools() -> None:
+    """Stop this process's resident pools and their workers; the next
+    exchange creates fresh ones.  Waits for running morsels."""
+    pid = os.getpid()
+    with _POOLS_LOCK:
+        mine = [_POOLS.pop(key) for key in list(_POOLS)
+                if key[1] == pid]
+    for pool in mine:
+        pool.shutdown()
+
+
+def _discard_pool(config: ParallelConfig,
+                  pool: concurrent.futures.Executor) -> None:
+    """Forget a broken resident pool (it cannot run another task) so
+    the next exchange creates a fresh one."""
+    key = _pool_key(config)
+    with _POOLS_LOCK:
+        if _POOLS.get(key) is pool:
+            del _POOLS[key]
+    pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _thread_task(ctx, program, tag: Optional[Tuple], sr, chaos=None):
@@ -359,76 +411,6 @@ def _thread_task(ctx, program, tag: Optional[Tuple], sr, chaos=None):
     return run_task
 
 
-def _run_thread_pool(ctx, config: ParallelConfig, program,
-                     tasks: List[Tuple[int, List[Dict[Any, int]]]],
-                     tag: Optional[Tuple] = None,
-                     sr=None
-                     ) -> List[Tuple[int, Dict[Any, int], int,
-                                     EngineStats]]:
-    parent = ctx.governor
-    run_task = _thread_task(ctx, program, tag, sr)
-    outcomes: List[Tuple[int, Dict[Any, int], int, EngineStats]] = []
-    first_error: Optional[BaseException] = None
-    pool = _thread_pool(config.workers)
-    futures = [pool.submit(run_task, index, inputs)
-               for index, inputs in tasks]
-    # as_completed drains *every* future (cancelled ones included), so
-    # no task of this exchange is still running when we return even
-    # though the shared pool itself stays alive.
-    for future in concurrent.futures.as_completed(futures):
-        if future.cancelled():
-            # a queued morsel we cancelled after the first
-            # failure; .exception() would raise CancelledError
-            continue
-        error = future.exception()
-        if error is None:
-            outcomes.append(future.result())
-            continue
-        first_error = _prefer(first_error, error)
-        if parent is not None:
-            # fail fast: siblings observe the token at their
-            # next governor tick and stop mid-morsel
-            parent.token.cancel("parallel worker failed: "
-                                f"{type(error).__name__}")
-        for pending in futures:
-            pending.cancel()
-    if first_error is not None:
-        _uncancel(ctx, first_error)
-        raise first_error
-    return outcomes
-
-
-def _prefer(current: Optional[BaseException],
-            candidate: BaseException) -> BaseException:
-    """Keep the most informative error: the first non-``Cancelled``
-    failure beats the secondary cancellations it caused."""
-    if current is None:
-        return candidate
-    if isinstance(current, Cancelled) and not isinstance(candidate,
-                                                        Cancelled):
-        return candidate
-    return current
-
-
-def _uncancel(ctx, error: BaseException) -> None:
-    """Reset a fail-fast cancellation so the error propagating out of
-    the exchange is the worker's own failure, not a sticky token that
-    would poison unrelated later evaluations on the same governor."""
-    governor = ctx.governor
-    if governor is None:
-        return
-    token = governor.token
-    if (token.cancelled and token.reason
-            and token.reason.startswith("parallel worker failed")
-            and not isinstance(error, Cancelled)):
-        token._cancelled = False
-        token.reason = None
-
-
-# ----------------------------------------------------------------------
-# Process backend
-# ----------------------------------------------------------------------
-
 def _process_task(payload):
     """Top-level worker entry (must be picklable by reference).
 
@@ -464,6 +446,20 @@ def _process_task(payload):
             0 if governor is None else governor.steps, stats)
 
 
+def _exit_with_parent() -> None:
+    """Resident-worker initializer: a worker idles on its call queue
+    for as long as the pool lives, and a parent that is killed never
+    sends the stop message — so watch the parent and die with it."""
+    parent = multiprocessing.parent_process()
+
+    def watch() -> None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True,
+                     name="exchange-parent-watch").start()
+
+
 def _process_context():
     """Prefer fork: shard dicts ship without re-hashing surprises and
     the pool starts fast; fall back to the platform default."""
@@ -488,38 +484,124 @@ def _decode_outcome(ctx, outcome) -> Tuple[int, Dict[Any, int], int,
     return index, decode_shard(blob), steps, stats
 
 
-def _run_process_pool(ctx, config: ParallelConfig, program,
-                      tasks: List[Tuple[int, List[Dict[Any, int]]]],
-                      tag: Optional[Tuple] = None,
-                      sr=None
-                      ) -> List[Tuple[int, Dict[Any, int], int,
-                                      EngineStats]]:
-    limits_spec = presplit_spec(ctx.governor, len(tasks))
-    sr_name = None if sr is None else sr.name
-    payloads = [(index, program, _encode_task(ctx, inputs),
-                 limits_spec, ctx.tick_interval, None, 1, tag,
-                 sr_name)
-                for index, inputs in tasks]
+def _run_fail_fast(ctx, config: ParallelConfig, program,
+                   tasks: List[Tuple[int, List[Dict[Any, int]]]],
+                   tag: Optional[Tuple] = None,
+                   sr=None
+                   ) -> List[Tuple[int, Dict[Any, int], int,
+                                   EngineStats]]:
+    """One morsel per task on the backend's resident pool; the first
+    failure cancels everything still queued and is what surfaces.
+
+    The two backends differ only in the submitted function and its
+    arguments: thread workers take the shard dicts by reference,
+    process workers take a codec payload — encoded *as it is
+    submitted*, so worker 1 decodes while the parent encodes morsel 2
+    — and hand back a blob to decode.
+    """
+    parent = ctx.governor
+    pool = _resident_pool(config)
+    if config.backend == "process":
+        limits_spec = presplit_spec(parent, len(tasks))
+        sr_name = None if sr is None else sr.name
+        task = _process_task
+
+        def arguments(index, inputs):
+            return ((index, program, _encode_task(ctx, inputs),
+                     limits_spec, ctx.tick_interval, None, 1, tag,
+                     sr_name),)
+
+        def finish(outcome):
+            return _decode_outcome(ctx, outcome)
+    else:
+        task = _thread_task(ctx, program, tag, sr)
+
+        def arguments(index, inputs):
+            return index, inputs
+
+        def finish(outcome):
+            return outcome
+
     outcomes: List[Tuple[int, Dict[Any, int], int, EngineStats]] = []
     first_error: Optional[BaseException] = None
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.workers,
-            mp_context=_process_context()) as pool:
-        futures = [pool.submit(_process_task, payload)
-                   for payload in payloads]
-        for future in concurrent.futures.as_completed(futures):
-            if future.cancelled():
-                continue
-            error = future.exception()
-            if error is None:
-                outcomes.append(_decode_outcome(ctx, future.result()))
-                continue
-            first_error = _prefer(first_error, error)
-            for pending in futures:
-                pending.cancel()
+    futures: List[concurrent.futures.Future] = []
+    try:
+        for index, inputs in tasks:
+            futures.append(pool.submit(task, *arguments(index, inputs)))
+    except Exception as error:  # a dead pool, or an unshippable shard
+        first_error = error
+        for pending in futures:
+            pending.cancel()
+    # as_completed drains *every* future (cancelled ones included), so
+    # no task of this exchange is still running when we return even
+    # though the shared pool itself stays alive.
+    for future in concurrent.futures.as_completed(futures):
+        if future.cancelled():
+            # a queued morsel we cancelled after the first
+            # failure; .exception() would raise CancelledError
+            continue
+        error = future.exception()
+        if error is None:
+            if first_error is None:
+                outcomes.append(finish(future.result()))
+            continue
+        first_error = _prefer(first_error, error)
+        if parent is not None:
+            # fail fast: thread siblings observe the token at their
+            # next governor tick and stop mid-morsel (process workers
+            # run their in-flight morsel out under its own limits)
+            parent.token.cancel("parallel worker failed: "
+                                f"{type(error).__name__}")
+        for pending in futures:
+            pending.cancel()
     if first_error is not None:
+        if isinstance(first_error, BrokenExecutor):
+            _discard_pool(config, pool)
+        _uncancel(ctx, first_error)
         raise first_error
     return outcomes
+
+
+def _restate_step_verdict(parent: Optional[ResourceGovernor],
+                          verdict: BudgetExceeded) -> None:
+    """A worker trips on its *share* of the step budget (a pre-split
+    quota, or whatever the shared pool had left), so its ``limit`` /
+    ``observed`` describe the split, not the query.  Restate them as
+    a serial run reports the same verdict: the query's own budget,
+    exceeded by the tick that tripped it."""
+    if (parent is not None and parent.max_steps is not None
+            and verdict.details.get("budget") == "steps"):
+        restated = {"limit": parent.max_steps,
+                    "observed": parent.max_steps + 1}
+        verdict.details.update(restated)
+        vars(verdict).update(restated)
+
+
+def _prefer(current: Optional[BaseException],
+            candidate: BaseException) -> BaseException:
+    """Keep the most informative error: the first non-``Cancelled``
+    failure beats the secondary cancellations it caused."""
+    if current is None:
+        return candidate
+    if isinstance(current, Cancelled) and not isinstance(candidate,
+                                                        Cancelled):
+        return candidate
+    return current
+
+
+def _uncancel(ctx, error: BaseException) -> None:
+    """Reset a fail-fast cancellation so the error propagating out of
+    the exchange is the worker's own failure, not a sticky token that
+    would poison unrelated later evaluations on the same governor."""
+    governor = ctx.governor
+    if governor is None:
+        return
+    token = governor.token
+    if (token.cancelled and token.reason
+            and token.reason.startswith("parallel worker failed")
+            and not isinstance(error, Cancelled)):
+        token._cancelled = False
+        token.reason = None
 
 
 # ----------------------------------------------------------------------

@@ -53,7 +53,11 @@ vs ``engine-opt2`` — but is not in :data:`DEFAULT_BACKENDS`, since
 pass config): workers execute the compiled columnar segment closures
 through the worker-resident segment cache, keyed by a *different*
 ``PassConfig.cache_tag()`` than ``engine-parallel``'s — CI's
-parallel-parity job fuzzes it against the oracle.
+parallel-parity job fuzzes it against the oracle.  And so is
+``engine-parallel-process``: ``engine-parallel``'s forced multi-shard
+split on the process backend, so generated shards — not only fixed
+cases — cross the shard codec (:mod:`repro.engine.parallel.codec`)
+through the resident worker pool.
 
 Three further extra backends form the **set-semantics
 tri-equivalence** (CI's semiring-parity job):
@@ -124,11 +128,13 @@ DEFAULT_BACKENDS = ("oracle", "engine", "engine-warm", "engine-parallel",
 #: Valid but non-default backends: CI's opt0-vs-opt2 fuzz leg, the
 #: parallel-parity job's fused-columnar leg (the parallel backend at
 #: opt level 3, i.e. workers executing codegen-stage plans through
-#: the worker-resident compiled-segment cache), and the semiring
+#: the worker-resident compiled-segment cache) and its process-backend
+#: leg (generated shards through the shard codec), and the semiring
 #: tri-equivalence legs (Bool-semiring engine vs the relational
 #: SetEvaluator vs δ of the N result).
 EXTRA_BACKENDS = ("engine-opt2", "engine-parallel-codegen",
-                  "engine-boolean", "ralg", "delta-bag")
+                  "engine-parallel-process", "engine-boolean", "ralg",
+                  "delta-bag")
 
 #: Backends that evaluate under set semantics: they form their own
 #: comparison group (their results legitimately differ from the N
@@ -334,6 +340,16 @@ class Harness:
                     governor=self.governor(), engine="parallel",
                     workers=2, parallel_threshold=0.0,
                     min_morsel_rows=1, opt_level=3,
+                    catalog=self.catalog)
+            elif backend == "engine-parallel-process":
+                # the same forced multi-shard split on the process
+                # backend: every shard and every result crosses the
+                # shard codec, through the resident worker pool
+                value = engine_evaluate(
+                    case.expr, case.database, cache=None,
+                    governor=self.governor(), engine="parallel",
+                    workers=2, parallel_backend="process",
+                    parallel_threshold=0.0, min_morsel_rows=1,
                     catalog=self.catalog)
             elif backend == "engine-chaos":
                 # the parallel executor with seeded worker crashes

@@ -10,12 +10,22 @@ makes decoded values cheap to rebuild.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
-from repro.core.bag import Bag, Tup
+import repro
+from repro.core.bag import Bag, Tup, canonical_key
+from repro.core.errors import BudgetExceeded
+from repro.core.eval import evaluate as tree_evaluate
 from repro.core.expr import Dedup, var
+from repro.core.semiring import Prov, Trop, resolve_semiring
 from repro.engine.codegen import FusedSegment
 from repro.engine import EngineStats, evaluate, explain_physical
 from repro.engine.parallel import (
@@ -23,7 +33,9 @@ from repro.engine.parallel import (
     clear_segment_cache, compiled_segment_for, decode_shard,
     encode_shard, execute_program, segment_cache_len,
 )
+from repro.engine.parallel import codec, exchange, shutdown_pools
 from repro.engine.parallel.exchange import MORSEL_MIN_ROWS
+from repro.testkit.generate import generate_case
 from repro.guard import ChaosPlan, Limits, ResourceGovernor
 from repro.engine.resilience import ResilienceConfig
 
@@ -117,6 +129,209 @@ class TestCodecRoundTrip:
                                protocol=pickle.HIGHEST_PROTOCOL)
         assert len(blob) * 5 <= len(pickled)
         assert decode_shard(blob) == shard
+
+
+def _assert_round_trips(shard):
+    decoded = decode_shard(encode_shard(shard))
+    assert decoded == shard
+    # canonical_key names each atom's runtime type, so True / 1 / 1.0
+    # (equal, same hash) cannot stand in for one another here
+    assert ({canonical_key(value): count
+             for value, count in decoded.items()}
+            == {canonical_key(value): count
+                for value, count in shard.items()})
+    return decoded
+
+
+_INNER = Bag.from_counts({Tup(1, "a"): 2, Tup(2, "b"): 1})
+
+#: (name, shard, takes a packed flat mode) — the shapes around the
+#: boundary between the packed columns and the tagged fallback
+_LAYOUT_EDGES = [
+    ("int-tuples", {Tup(i, i * 7): i + 1 for i in range(40)}, True),
+    ("negative-ints", {Tup(-i, i - 300): 1 for i in range(40)}, True),
+    ("wide-ints", {Tup(2 ** 40, -(2 ** 62)): 2 ** 63}, True),
+    ("str-int-mix", {Tup("x", 1): 1, Tup("y", 2): 3, Tup("x", 2): 9},
+     True),
+    ("str-vs-its-int", {Tup("1", 1): 1, Tup(1, "1"): 2}, True),
+    ("ints-beyond-64-bits", {Tup(2 ** 70, 1): 1, Tup(-(2 ** 70), 2): 2},
+     True),
+    ("bare-ints", {i * i: i + 1 for i in range(30)}, True),
+    ("bare-strs", {"x": 3, "y": 2, "": 1}, True),
+    ("true-vs-1", {Tup(True, "t"): 3, Tup(1, "i"): 5}, False),
+    ("float-next-to-int", {Tup(1.0, "f"): 3, Tup(1, "i"): 5}, False),
+    ("bare-bool-int-float", {True: 1, 2: 2, 2.5: 3}, False),
+    ("none-and-bytes", {Tup(None, b"raw"): 1, Tup(None, b""): 2}, False),
+    ("exotic-atom", {Tup(frozenset({1, 2}), "x"): 3}, False),
+    ("empty", {}, False),
+    ("arity-0", {Tup(): 4}, False),
+    ("mixed-arity", {Tup(1): 1, Tup(1, 2): 2}, False),
+    ("tuple-next-to-atom", {Tup(1): 1, 1: 2}, False),
+    ("nested-tuples", {Tup(1, Tup(2, Tup(3, "deep"))): 4}, False),
+    ("nested-bags", {Tup(2, _INNER): 7, Tup(3, Bag()): 1}, False),
+    ("bag-of-bags", {Bag([_INNER, _INNER]): 2, Bag(): 1}, False),
+    ("count-beyond-64-bits", {Tup(1, 2): 2 ** 64, Tup(3, 4): 1}, True),
+]
+
+
+class TestPackedLayout:
+    @pytest.mark.parametrize(
+        "shard,flat", [edge[1:] for edge in _LAYOUT_EDGES],
+        ids=[edge[0] for edge in _LAYOUT_EDGES])
+    def test_layout_edges_round_trip(self, shard, flat):
+        _assert_round_trips(shard)
+        blob = encode_shard(shard)
+        # the mode byte follows magic, the value count and the count
+        # column; pickled counts (CM04) are length-prefixed instead
+        _, pos = codec._read_varint(blob, 4)
+        if blob[:4] == b"CM03":
+            _, pos = codec._read_column(blob, pos)
+        else:
+            _, pos = codec._take(blob, pos)
+        assert (blob[pos] != codec._M_GENERIC) is flat
+
+    @pytest.mark.parametrize("spec", ["nat", "bool", "tropical",
+                                      "provenance"])
+    def test_generated_shards_round_trip(self, spec):
+        """Seeded property: every relation the case generator draws
+        (flat, nested, bare atoms), and the oracle's result over it,
+        survives the wire under every semiring's annotations (the N
+        result re-annotated: the shapes are what is on trial)."""
+        sr = resolve_semiring(spec)
+        shards = 0
+        for index in range(60):
+            case = generate_case(seed=1993, index=index)
+            bags = list(case.database.values())
+            try:
+                bags.append(tree_evaluate(case.expr, case.database,
+                                          powerset_budget=256))
+            except BudgetExceeded:
+                pass
+            if sr is not None:
+                bags = [sr.adapt_bag(bag) for bag in bags]
+            for bag in bags:
+                _assert_round_trips(dict(bag.items()))
+                shards += 1
+        assert shards >= 120
+
+    def test_annotated_counts_ship_as_one_pickle(self):
+        """One pickled list per shard, not one pickle per count: the
+        memo shares what the annotations have in common."""
+        shard = {Tup(i, i + 1): Prov({(f"x{i % 5}",): 2})
+                 for i in range(200)}
+        blob = encode_shard(shard)
+        per_count = sum(len(pickle.dumps(count, pickle.HIGHEST_PROTOCOL))
+                        for count in shard.values())
+        assert len(blob) * 2 < per_count
+        assert _assert_round_trips(shard) == shard
+        costs = {Tup(i): Trop(float(i)) for i in range(50)}
+        assert _assert_round_trips(costs) == costs
+
+    def test_cell_width_adapts_to_the_column(self):
+        narrow = encode_shard({Tup(i % 200, i % 7): 1
+                               for i in range(1000)})
+        wide = encode_shard({Tup(i % 200 + 70000, i % 7): 1
+                             for i in range(1000)})
+        assert len(wide) > 3 * len(narrow) / 2
+
+
+def _framing_offsets(blob):
+    """Offsets of the count column's width byte, the mode byte and the
+    value cells' width byte of a packed (CM03, flat-mode) blob."""
+    _, pos = codec._read_varint(blob, 4)
+    _, count_width = codec._read_varint(blob, pos)
+    _, mode = codec._read_column(blob, pos)
+    pos = mode + 1
+    if blob[mode] == codec._M_TUPLES:
+        _, pos = codec._read_varint(blob, pos)
+    _, pos = codec._read_atoms(blob, pos)
+    _, cell_width = codec._read_varint(blob, pos)
+    return count_width, mode, cell_width
+
+
+_HOSTILE = [
+    {Tup(i, i * 300): i + 1 for i in range(12)},
+    {Tup("x", i): 70000 for i in range(12)},
+    {"a": 1, "bb": 2, 7: 3},
+    {Tup(1, _INNER): 7, Tup(2.5, Bag()): 1},
+    {Tup("a", 1): Trop(2.0), Tup("b", 2): Trop(0.0)},
+    {Tup(Bag({Tup("p"): Trop(1.5)}), "tag"): Trop(0.5)},
+    {},
+]
+
+
+class TestCodecHostileInput:
+    """A malformed blob is a ``ValueError`` — never an ``IndexError``,
+    a ``struct.error``, or a silently shorter dict."""
+
+    @pytest.mark.parametrize("shard", _HOSTILE)
+    def test_every_truncation_is_rejected(self, shard):
+        blob = encode_shard(shard)
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                decode_shard(blob[:cut])
+
+    @pytest.mark.parametrize("shard", _HOSTILE)
+    def test_trailing_bytes_are_rejected(self, shard):
+        with pytest.raises(ValueError):
+            decode_shard(encode_shard(shard) + b"\x00")
+
+    @pytest.mark.parametrize("shard", _HOSTILE)
+    def test_every_bad_magic_byte_is_rejected(self, shard):
+        blob = encode_shard(shard)
+        for position in range(4):
+            for byte in range(256):
+                if byte == blob[position]:
+                    continue
+                mangled = bytearray(blob)
+                mangled[position] = byte
+                with pytest.raises(ValueError):
+                    decode_shard(bytes(mangled))
+
+    @pytest.mark.parametrize("shard", _HOSTILE[:3])
+    def test_every_bad_mode_byte_is_rejected(self, shard):
+        blob = encode_shard(shard)
+        _, mode, _ = _framing_offsets(blob)
+        for byte in range(256):
+            if byte == blob[mode]:
+                continue
+            mangled = bytearray(blob)
+            mangled[mode] = byte
+            with pytest.raises(ValueError):
+                decode_shard(bytes(mangled))
+
+    @pytest.mark.parametrize("shard", _HOSTILE[:3])
+    def test_every_bad_width_byte_is_rejected(self, shard):
+        blob = encode_shard(shard)
+        count_width, _, cell_width = _framing_offsets(blob)
+        for position in (count_width, cell_width):
+            size = codec._ITEMSIZE[chr(blob[position])]
+            for byte in range(256):
+                if codec._ITEMSIZE.get(chr(byte)) == size:
+                    # the same-width sibling ('B' vs 'b') frames
+                    # identically: a wrong value, not a bad byte
+                    continue
+                mangled = bytearray(blob)
+                mangled[position] = byte
+                with pytest.raises(ValueError):
+                    decode_shard(bytes(mangled))
+
+    def test_short_cell_column_is_not_a_short_dict(self):
+        blob = bytearray(encode_shard({Tup(i, i): 1 for i in range(9)}))
+        _, _, cell_width = _framing_offsets(bytes(blob))
+        # claim one cell fewer and drop its byte: still well-framed,
+        # but 17 cells cannot make 9 pairs
+        assert blob[cell_width - 1] == 18
+        blob[cell_width - 1] = 17
+        with pytest.raises(ValueError):
+            decode_shard(bytes(blob[:-1]))
+
+    def test_duplicate_values_are_rejected(self):
+        blob = bytearray(encode_shard({Tup(1, 2): 1, Tup(3, 4): 1}))
+        assert blob[-4:] == bytes([1, 2, 3, 4])
+        blob[-2:] = bytes([1, 2])
+        with pytest.raises(ValueError):
+            decode_shard(bytes(blob))
 
 
 # ----------------------------------------------------------------------
@@ -397,6 +612,25 @@ class TestTupHashCache:
         assert joined == Tup(1, 2, 3)
         assert hash(joined) == hash(Tup(1, 2, 3))
 
+    def test_trusted_constructor_matches_the_checked_one(self):
+        fresh = Tup(1, "a", Tup(2))
+        trusted = Tup.trusted((1, "a", Tup(2)))
+        assert trusted._hash is None and trusted._shape is None
+        assert trusted == fresh
+        assert hash(trusted) == hash(fresh)
+        # the lazy shape resolves to the checked one's
+        assert Bag([fresh, trusted]).multiplicity(fresh) == 2
+        assert trusted.concat(Tup(3)) == Tup(1, "a", Tup(2), 3)
+
+    def test_bulk_decoded_tup_is_a_fresh_one(self):
+        # the packed path builds every row through Tup.trusted
+        shard = {Tup(i, "x"): i + 1 for i in range(5)}
+        for decoded in decode_shard(encode_shard(shard)):
+            twin = Tup(*decoded.items())
+            assert decoded == twin
+            assert hash(decoded) == hash(twin)
+            assert Bag([decoded, twin]).multiplicity(twin) == 2
+
     def test_pickle_round_trip_before_and_after_hashing(self):
         cold = Tup(1, Bag.from_counts({Tup(2, "y"): 3}))
         thawed_cold = pickle.loads(pickle.dumps(cold))
@@ -428,3 +662,204 @@ class TestTupHashCache:
                           workers=2, parallel_threshold=0.0,
                           governor=governor)
         assert result == evaluate(_expr(), db, cache=None)
+
+
+# ----------------------------------------------------------------------
+# The resident process pool
+# ----------------------------------------------------------------------
+
+
+def _process_query(stats=None, **options):
+    return evaluate(_expr(), _db(), cache=None, engine="parallel",
+                    workers=2, parallel_backend="process",
+                    parallel_threshold=0.0, min_morsel_rows=1,
+                    stats=stats, **options)
+
+
+def _resident_process_pool():
+    return exchange._POOLS[("process", os.getpid(), 2)]
+
+
+def _query_in_forked_child(conn):
+    inherited = set(exchange._POOLS)
+    ok = _process_query() == evaluate(_expr(), _db(), cache=None)
+    conn.send((ok, os.getpid(),
+               sorted(set(exchange._POOLS) - inherited)))
+
+
+@fork_only
+class TestResidentProcessPool:
+    def test_pool_and_workers_outlive_the_query(self):
+        _process_query()
+        pool = _resident_process_pool()
+        workers = set(pool._processes)
+        for _ in range(3):
+            _process_query()
+        assert _resident_process_pool() is pool
+        assert set(pool._processes) == workers
+
+    def test_killed_worker_fails_one_query_then_a_fresh_pool(self):
+        """SIGKILL a resident worker between two queries: the next
+        query fails fast (no silent respawn on the non-resilient
+        path), the one after runs on a new pool."""
+        reference = evaluate(_expr(), _db(), cache=None)
+        assert _process_query() == reference
+        pool = _resident_process_pool()
+        victim = next(iter(pool._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(10)
+        assert not victim.is_alive()
+        stats = EngineStats()
+        with pytest.raises(BrokenExecutor):
+            _process_query(stats=stats)
+        assert stats.pool_respawns == 0
+        assert stats.demotions == []
+        assert _process_query() == reference
+        assert _resident_process_pool() is not pool
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_governed_failure_leaves_no_task_running(self, backend,
+                                                     monkeypatch):
+        submitted = []
+        resident = exchange._resident_pool
+
+        class Recording:
+            def __init__(self, pool):
+                self.pool = pool
+
+            def submit(self, *args):
+                future = self.pool.submit(*args)
+                submitted.append(future)
+                return future
+
+        monkeypatch.setattr(
+            exchange, "_resident_pool",
+            lambda *args: Recording(resident(*args)))
+        with pytest.raises(BudgetExceeded):
+            evaluate(_expr(), _db(), cache=None, engine="parallel",
+                     workers=2, parallel_backend=backend,
+                     parallel_threshold=0.0, min_morsel_rows=1,
+                     limits=Limits(max_steps=5))
+        assert len(submitted) > 1
+        assert all(future.done() for future in submitted)
+        # and the pool is still good for the next query
+        monkeypatch.undo()
+        assert (evaluate(_expr(), _db(), cache=None, engine="parallel",
+                         workers=2, parallel_backend=backend,
+                         parallel_threshold=0.0, min_morsel_rows=1)
+                == evaluate(_expr(), _db(), cache=None))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="reads worker RSS from /proc")
+    def test_worker_rss_stays_flat_over_200_queries(self):
+        """Workers keep compiled segments (a bounded cache), never
+        shards: 200 queries of 1500-row shards would show as tens of
+        MB if a worker held on to what it decoded."""
+        page = os.sysconf("SC_PAGE_SIZE")
+
+        def rss(pid):
+            with open(f"/proc/{pid}/statm") as handle:
+                return int(handle.read().split()[1]) * page
+
+        db = {"R": Bag.from_counts(
+            {Tup(i, i % 97): (i % 3) + 1 for i in range(1500)})}
+        exprs = [_expr(), Dedup(var("R") + var("R")),
+                 var("R") + (var("R") - var("R"))]
+        references = [evaluate(expr, db, cache=None) for expr in exprs]
+
+        def run(rounds):
+            for index in range(rounds):
+                which = index % len(exprs)
+                assert evaluate(
+                    exprs[which], db, cache=None, engine="parallel",
+                    workers=2, parallel_backend="process",
+                    parallel_threshold=0.0) == references[which]
+
+        run(30)  # warm: segments compiled, allocator arenas grown
+        pool = _resident_process_pool()
+        before = {pid: rss(pid) for pid in pool._processes}
+        run(200)
+        assert _resident_process_pool() is pool
+        assert set(pool._processes) == set(before)
+        for pid, start in before.items():
+            assert rss(pid) - start < 8 * 2 ** 20
+
+    def test_forked_child_creates_its_own_pool(self):
+        """A child forked from a parent that owns a pool inherits the
+        registry but none of the pool's threads or pipes."""
+        _process_query()
+        parent_key = ("process", os.getpid(), 2)
+        assert parent_key in exchange._POOLS
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_query_in_forked_child,
+                                args=(sender,))
+        child.start()
+        try:
+            assert receiver.poll(30)
+            ok, pid, created = receiver.recv()
+        finally:
+            child.join(30)
+        # the child exited on its own: its pool's workers were
+        # stopped by the exit finalizer, not left to hang the join
+        assert child.exitcode == 0
+        assert ok
+        assert created == [("process", pid, 2)]
+        assert pid != os.getpid()
+        assert _process_query() == evaluate(_expr(), _db(), cache=None)
+
+    def test_workers_die_with_a_killed_parent(self, tmp_path):
+        """A SIGKILLed parent sends no stop message; the resident
+        workers notice it is gone instead of idling forever."""
+        script = tmp_path / "parent.py"
+        script.write_text(
+            "import os, signal\n"
+            "from repro.core.bag import Bag, Tup\n"
+            "from repro.core.expr import Dedup, var\n"
+            "from repro.engine import evaluate\n"
+            "from repro.engine.parallel import exchange\n"
+            "db = {'R': Bag.from_counts("
+            "{Tup(i % 13, i % 7): 1 for i in range(240)})}\n"
+            "evaluate(Dedup(var('R') + var('R')), db, cache=None,\n"
+            "         engine='parallel', workers=2,\n"
+            "         parallel_backend='process',\n"
+            "         parallel_threshold=0.0, min_morsel_rows=1)\n"
+            "pool = exchange._POOLS[('process', os.getpid(), 2)]\n"
+            "print(*pool._processes, flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n")
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=source)
+        done = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        workers = [int(pid) for pid in done.stdout.split()]
+        assert len(workers) == 2
+
+        def gone(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return True
+            try:  # dead but not yet reaped by whoever adopted it
+                with open(f"/proc/{pid}/stat") as handle:
+                    state = handle.read().rsplit(")", 1)[1].split()[0]
+                return state == "Z"
+            except OSError:
+                return True
+
+        deadline = time.monotonic() + 20
+        while (not all(gone(pid) for pid in workers)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert all(gone(pid) for pid in workers)
+
+    def test_shutdown_pools_stops_the_workers(self):
+        _process_query()
+        workers = list(_resident_process_pool()._processes.values())
+        shutdown_pools()
+        assert ("process", os.getpid(), 2) not in exchange._POOLS
+        for worker in workers:
+            worker.join(10)
+            assert not worker.is_alive()
+        assert _process_query() == evaluate(_expr(), _db(), cache=None)

@@ -18,7 +18,9 @@ import pytest
 from repro.core.bag import Bag, Tup
 from repro.core.errors import (
     BudgetExceeded, Cancelled, DeadlineExceeded, GovernedError,
+    IfpDivergenceError, RecursionDepthExceeded,
 )
+from repro.core.eval import EvalStats
 from repro.core.eval import evaluate as core_evaluate
 from repro.core.expr import (
     Attribute, Cartesian, Dedup, Lam, Map, Powerset, Select, Tupling,
@@ -409,6 +411,63 @@ class TestParallelGovernance:
             assert serial_error is not None
             assert parallel_error is serial_error
 
+    @pytest.mark.parametrize("error_type", [
+        GovernedError, BudgetExceeded, DeadlineExceeded, Cancelled,
+        RecursionDepthExceeded, IfpDivergenceError])
+    def test_governed_errors_pickle_whole(self, error_type):
+        """What a process worker raises is what the parent catches:
+        subtype, message, partial stats and every keyword detail."""
+        stats = EvalStats(nodes_evaluated=7)
+        error = error_type("the verdict", stats=stats, budget="steps",
+                           limit=5, observed=6)
+        thawed = pickle.loads(pickle.dumps(error))
+        assert type(thawed) is error_type
+        assert str(thawed) == "the verdict"
+        assert thawed.stats == stats
+        assert thawed.details == error.details
+        assert (thawed.budget, thawed.limit, thawed.observed) == (
+            "steps", 5, 6)
+
+    @pytest.mark.parametrize("expr,limits,morsel_rows,in_worker", [
+        (_GOVERNED_EXPR, Limits(max_steps=5), None, True),
+        (_GOVERNED_EXPR, Limits(max_steps=5), 1, True),
+        (Dedup((var("R") + var("R")) - var("R")),
+         Limits(max_size=800), None, True),
+        (var("R") + var("R"), Limits(max_size=800), 1, False),
+    ], ids=["steps-one-morsel", "steps-many-morsels",
+            "size-in-the-worker", "size-at-the-gather"])
+    def test_same_verdict_serial_thread_process(self, expr, limits,
+                                                morsel_rows, in_worker):
+        """One budget, one verdict: the subtype and the structured
+        ``.details`` do not depend on where the budget tripped — in a
+        serial run, in a thread worker drawing on the shared pool, or
+        in a process worker holding a pre-split share."""
+        db = {"R": _bag_r()}
+        verdicts = {}
+        for name, options in (
+                ("serial", {"engine": "codegen"}),
+                ("thread", {"engine": "parallel", "workers": 2,
+                            "parallel_threshold": 0.0,
+                            "min_morsel_rows": morsel_rows}),
+                ("process", {"engine": "parallel", "workers": 2,
+                             "parallel_backend": "process",
+                             "parallel_threshold": 0.0,
+                             "min_morsel_rows": morsel_rows})):
+            with pytest.raises(GovernedError) as info:
+                evaluate(expr, db, cache=None, limits=limits, **options)
+            verdicts[name] = info.value
+        serial = verdicts["serial"]
+        assert serial.details["limit"] in (5, 800)
+        for name in ("thread", "process"):
+            assert type(verdicts[name]) is type(serial), name
+            assert verdicts[name].details == serial.details, name
+            assert verdicts[name].stats == serial.stats, name
+            assert verdicts[name].limit == serial.limit, name
+        # the process verdict really crossed the boundary (the pool
+        # chains the worker's traceback onto what it re-raises)
+        crossed = verdicts["process"].__cause__ is not None
+        assert crossed is in_worker
+
     def test_parent_steps_absorb_worker_work(self):
         governor = ResourceGovernor(Limits(max_steps=10**6))
         evaluate(_GOVERNED_EXPR, {"R": _BIG}, engine="parallel",
@@ -691,8 +750,16 @@ class TestFailFastEdges:
 
         monkeypatch.setattr(exchange_mod, "execute_program",
                             fake_execute)
-        with pytest.raises(BudgetExceeded):
-            evaluate(_GOVERNED_EXPR, {"R": _BIG}, engine="parallel",
-                     workers=1, parallel_backend=backend,
-                     parallel_threshold=0.0, cache=None,
-                     limits=Limits(max_steps=10**6))
+        # resident process workers are forked once: start from no
+        # pool so they fork *with* the patch, and leave none behind
+        # that would carry it into later tests
+        exchange_mod.shutdown_pools()
+        try:
+            with pytest.raises(BudgetExceeded):
+                evaluate(_GOVERNED_EXPR, {"R": _BIG},
+                         engine="parallel", workers=1,
+                         parallel_backend=backend,
+                         parallel_threshold=0.0, cache=None,
+                         limits=Limits(max_steps=10**6))
+        finally:
+            exchange_mod.shutdown_pools()

@@ -6,7 +6,7 @@ Five concerns, one file:
   order, count codec round-trips);
 * cross-engine agreement — tree oracle, physical, codegen, and the
   morsel-parallel executor must compute the same annotated bag under
-  every semiring, with the process backend exercising the CM02 shard
+  every semiring, with the process backend exercising the CM04 shard
   codec end to end;
 * the semiring-parameterized metamorphic law catalogue
   (:func:`repro.testkit.metamorphic.laws_for_semiring`) on seeded
@@ -223,7 +223,7 @@ class TestCrossEngineAgreement:
 
 
 class TestParallelSemiring:
-    """Forced multi-shard execution: shard merge and the CM02 codec."""
+    """Forced multi-shard execution: shard merge and the CM04 codec."""
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_thread_backend_multi_shard(self, spec):
@@ -245,9 +245,9 @@ class TestParallelSemiring:
 
 
 class TestShardCodec:
-    def test_int_shards_keep_the_varint_format(self):
+    def test_int_shards_keep_the_packed_int_format(self):
         blob = encode_shard({Tup("a", 1): 3, Tup("b", 2): 1})
-        assert blob[:4] == b"CM01"
+        assert blob[:4] == b"CM03"
         assert decode_shard(blob) == {Tup("a", 1): 3, Tup("b", 2): 1}
 
     @pytest.mark.parametrize(
@@ -257,14 +257,14 @@ class TestShardCodec:
         ids=("tropical", "provenance"))
     def test_annotated_shards_use_v2_and_round_trip(self, counts):
         blob = encode_shard(counts)
-        assert blob[:4] == b"CM02"
+        assert blob[:4] == b"CM04"
         assert decode_shard(blob) == counts
 
     def test_nested_bag_with_annotated_inner_counts(self):
         inner = Bag({Tup("p",): Trop(1.5)})
         counts = {Tup(inner, "tag"): Trop(0.5)}
         blob = encode_shard(counts)
-        assert blob[:4] == b"CM02"
+        assert blob[:4] == b"CM04"
         assert decode_shard(blob) == counts
 
 
