@@ -333,14 +333,17 @@ def canonical_key(value: Any) -> Tuple:
     order is lexicographic.  Atoms order naturally within one Python
     type (so integers compare numerically) and by type name across
     types, which yields the linear order on the domain that Section 4's
-    order-enriched results assume.
+    order-enriched results assume.  A bag's multiplicities are keyed
+    the way atoms are: source adaptation is shallow under the tropical
+    and provenance semirings, so an ``int``-counted nested bag can meet
+    an annotated one, and annotations have no ``<`` of their own.
     """
     if isinstance(value, Tup):
         return (1, tuple(canonical_key(item) for item in value.items()))
     if isinstance(value, Bag):
         ordered = sorted(value.counts().items(),
                          key=lambda pair: canonical_key(pair[0]))
-        return (2, tuple((canonical_key(element), count)
+        return (2, tuple((canonical_key(element), canonical_key(count))
                          for element, count in ordered))
     if isinstance(value, (bool, int, float, str, bytes)):
         return (0, (type(value).__name__, value))

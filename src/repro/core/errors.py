@@ -9,6 +9,7 @@ The hierarchy mirrors the phases of query processing:
 * evaluation                           -> :class:`EvaluationError`
 * resource governance                  -> :class:`GovernedError` family
 * parsing of the surface syntax / SQL  -> :class:`ParseError`
+* decoding a shard-codec wire blob     -> :class:`CodecError`
 
 The governed family (:class:`BudgetExceeded`, :class:`DeadlineExceeded`,
 :class:`Cancelled`, :class:`RecursionDepthExceeded`,
@@ -161,3 +162,11 @@ class ParseError(ReproError):
         if self.position is None:
             return base
         return f"{base} (at offset {self.position})"
+
+
+class CodecError(ReproError, ValueError):
+    """A shard-codec blob is truncated or malformed.
+
+    Not a transient fault: a corrupt blob decodes the same way on
+    every attempt, so the resilient exchange does not retry it.
+    """

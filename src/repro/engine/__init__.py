@@ -196,7 +196,7 @@ def evaluate(expr: Expr,
     the minimum estimated cardinality below which the lowering pass
     refuses to insert exchanges (0 forces them everywhere), and
     ``min_morsel_rows`` overrides the adaptive morsel-granularity
-    floor (1 forces the full ``workers x morsel_factor`` split even
+    floor (1 forces the full ``workers x MORSEL_FACTOR`` split even
     on tiny inputs — what the differential harness does).
     ``engine="codegen"`` compiles the lowered plan one step further —
     every pipeline segment fuses into a columnar Python closure

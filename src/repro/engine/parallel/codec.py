@@ -44,9 +44,9 @@ nothing reads them.)
 Decoding trusts the *values* (the parent validated the shard it
 split, so no constructor re-validates) but not the *framing*: every
 length is checked before ``frombytes``, and a truncated or malformed
-blob raises :class:`ValueError`, never ``IndexError`` or a silently
-short dict.  Embedded pickles mean blobs must only come from this
-program's own workers.
+blob raises :class:`~repro.core.errors.CodecError`, never
+``IndexError`` or a silently short dict.  Embedded pickles mean blobs
+must only come from this program's own workers.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.core.bag import Bag, Tup, _check_homogeneous
+from repro.core.errors import CodecError
 
 __all__ = ["encode_shard", "decode_shard"]
 
@@ -148,7 +149,7 @@ def _take(data: bytes, pos: int) -> Tuple[bytes, int]:
     length, pos = _read_varint(data, pos)
     end = pos + length
     if end > len(data):
-        raise ValueError("truncated columnar-morsel blob")
+        raise CodecError("truncated columnar-morsel blob")
     return data[pos:end], end
 
 
@@ -156,7 +157,7 @@ def _unpickle(raw: bytes) -> Any:
     try:
         return pickle.loads(raw)
     except Exception as exc:  # garbage can make pickle raise anything
-        raise ValueError("bad embedded pickle") from exc
+        raise CodecError("bad embedded pickle") from exc
 
 
 # ----------------------------------------------------------------------
@@ -182,11 +183,11 @@ def _read_column(data: bytes, pos: int) -> Tuple[array, int]:
     code = chr(data[pos])
     itemsize = _ITEMSIZE.get(code)
     if itemsize is None:
-        raise ValueError(f"bad cell width {code!r}")
+        raise CodecError(f"bad cell width {code!r}")
     pos += 1
     end = pos + length * itemsize
     if end > len(data):
-        raise ValueError("truncated columnar-morsel blob")
+        raise CodecError("truncated columnar-morsel blob")
     cells = array(code)
     cells.frombytes(memoryview(data)[pos:end])
     return cells, end
@@ -243,7 +244,7 @@ def _read_atoms(data: bytes, pos: int) -> Tuple[List[Any], int]:
             append(raw.decode("utf-8"))
         elif tag == _A_FLOAT:
             if pos + 8 > len(data):
-                raise ValueError("truncated columnar-morsel blob")
+                raise CodecError("truncated columnar-morsel blob")
             append(_unpack_double(data, pos)[0])
             pos += 8
         elif tag == _A_BYTES:
@@ -253,7 +254,7 @@ def _read_atoms(data: bytes, pos: int) -> Tuple[List[Any], int]:
             raw, pos = _take(data, pos)
             append(_unpickle(raw))
         else:
-            raise ValueError(f"bad atom tag {tag}")
+            raise CodecError(f"bad atom tag {tag}")
     return atoms, pos
 
 
@@ -404,7 +405,7 @@ def _decode_value(data: bytes, pos: int, atoms: List[Any],
         ndistinct, pos = _read_varint(data, pos)
         inner_counts = list(islice(column, ndistinct))
         if len(inner_counts) != ndistinct:
-            raise ValueError("count column runs short")
+            raise CodecError("count column runs short")
         inner: Dict[Any, Any] = {}
         for count in inner_counts:
             element, pos = _decode_value(data, pos, atoms, column)
@@ -418,13 +419,13 @@ def _decode_value(data: bytes, pos: int, atoms: List[Any],
             bag._cardinality = len(inner)
         bag._hash = None
         return bag, pos
-    raise ValueError(f"bad value tag {tag}")
+    raise CodecError(f"bad value tag {tag}")
 
 
 def _decode(data: bytes) -> Dict[Any, Any]:
     magic = data[:4]
     if magic not in (_MAGIC, _MAGIC_ANNOTATED):
-        raise ValueError("not a columnar-morsel blob")
+        raise CodecError("not a columnar-morsel blob")
     nvalues, pos = _read_varint(data, 4)
     if magic == _MAGIC:
         column, pos = _read_column(data, pos)
@@ -432,7 +433,7 @@ def _decode(data: bytes) -> Dict[Any, Any]:
         raw, pos = _take(data, pos)
         column = _unpickle(raw)
         if type(column) is not list:
-            raise ValueError("count column is not a list")
+            raise CodecError("count column is not a list")
     mode = data[pos]
     pos += 1
     if mode == _M_GENERIC:
@@ -440,13 +441,13 @@ def _decode(data: bytes) -> Dict[Any, Any]:
         counts = iter(column)
         top = list(islice(counts, nvalues))
         if len(top) != nvalues:
-            raise ValueError("count column runs short")
+            raise CodecError("count column runs short")
         keys = []
         for _ in top:
             value, pos = _decode_value(data, pos, atoms, counts)
             keys.append(value)
         if next(counts, _EXHAUSTED) is not _EXHAUSTED:
-            raise ValueError("count column runs long")
+            raise CodecError("count column runs long")
         out = dict(zip(keys, top))
     elif mode in (_M_TUPLES, _M_ATOMS):
         arity = 1
@@ -456,27 +457,27 @@ def _decode(data: bytes) -> Dict[Any, Any]:
         cells, pos = _read_column(data, pos)
         if (arity < 1 or len(cells) != nvalues * arity
                 or len(column) != nvalues):
-            raise ValueError("column lengths disagree")
+            raise CodecError("column lengths disagree")
         keys = map(table.__getitem__, cells) if table else cells
         if mode == _M_TUPLES:
             keys = map(Tup.trusted, zip(*[iter(keys)] * arity))
         out = dict(zip(keys, column))
     else:
-        raise ValueError(f"bad value mode {mode}")
+        raise CodecError(f"bad value mode {mode}")
     if pos != len(data):
-        raise ValueError("trailing bytes after columnar-morsel blob")
+        raise CodecError("trailing bytes after columnar-morsel blob")
     if len(out) != nvalues:
-        raise ValueError("duplicate values in columnar-morsel blob")
+        raise CodecError("duplicate values in columnar-morsel blob")
     return out
 
 
 def decode_shard(data: bytes) -> Dict[Any, Any]:
     """Decode :func:`encode_shard` output back into a count dict.
 
-    Raises :class:`ValueError` on anything that is not a complete,
-    well-framed blob."""
+    Raises :class:`~repro.core.errors.CodecError` on anything that is
+    not a complete, well-framed blob."""
     try:
         return _decode(data)
     except IndexError as exc:
         # a read past the end, or a cell past its table
-        raise ValueError("truncated columnar-morsel blob") from exc
+        raise CodecError("truncated columnar-morsel blob") from exc

@@ -11,7 +11,7 @@ subtree into::
 :class:`Partition` materialises one leaf serially (the leaf plan is an
 arbitrary physical plan — it may itself contain joins, oracles, or
 powersets) and declares the partition key its slot must be sharded on.
-:class:`Exchange` splits every input into ``workers x morsel_factor``
+:class:`Exchange` splits every input into ``workers x MORSEL_FACTOR``
 shards, runs the segment program shard-by-shard on a
 ``concurrent.futures`` pool, and sum-merges the shard results *in
 shard order* — the merge is deterministic regardless of completion
@@ -19,7 +19,7 @@ order.  :class:`Gather` is the explicit barrier marker above the
 exchange (it is where value-disjointness ends and serial execution
 resumes).
 
-Morsels: over-partitioning by ``morsel_factor`` (default 2) gives the
+Morsels: over-partitioning by :data:`MORSEL_FACTOR` (2) gives the
 pool more tasks than workers, so a skewed shard does not leave the
 other workers idle — the classic morsel-driven load-balancing shape.
 The shard count additionally adapts downward to the input cardinality
@@ -40,28 +40,30 @@ worker lowers and fuses each distinct ``(pass tag, program)`` once and
 every later morsel — of this query or a later one — reuses the
 resident fused segment.
 
-Error handling is fail-fast by default: the first worker failure
-cancels the shared fail-fast token (thread backend), so sibling
-workers stop at their next governor tick; queued morsels are cancelled
-outright.  A governed failure in any worker surfaces as the same
+One scheduler (:func:`_run_rung`) runs every exchange on its
+backend's resident pool; what varies is the *recovery budget*.  By
+default there is none and every failure is fatal: the first one
+cancels the shared fail-fast token (thread siblings stop at their next
+governor tick), queued morsels are cancelled outright, and every
+future is drained before the error surfaces.  A governed failure in
+any worker surfaces as the same
 :class:`~repro.core.errors.GovernedError` subclass a serial run would
 raise.  Non-``Cancelled`` errors win over the secondary ``Cancelled``
 errors they provoke.
 
-With a :class:`~repro.engine.resilience.ResilienceConfig` attached to
-the :class:`ParallelConfig`, *transient* failures stop being fatal:
-crashed morsels are retried from their immutable input shards,
-a broken process pool is respawned once (rescheduling only the
-unfinished shards), and when recovery is exhausted the exchange
+A :class:`~repro.engine.resilience.ResilienceConfig` on the
+:class:`ParallelConfig` is that budget: a *transient* failure
+resubmits its morsel from the immutable input shards, a broken
+process pool is discarded and re-obtained once (only the unfinished
+shards are resubmitted), and when the budget is spent the exchange
 descends the degradation ladder — process → thread → serial — with
 every demotion recorded in :class:`~repro.engine.physical.EngineStats`.
-Governed errors keep the fail-fast contract either way: budgets are
-deterministic verdicts, not infrastructure noise.
+Governed errors are fatal under any budget: they are deterministic
+verdicts, not infrastructure noise.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import multiprocessing
 import multiprocessing.connection
 import multiprocessing.util
@@ -69,7 +71,10 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED, BrokenExecutor, Executor, Future,
+    ProcessPoolExecutor, ThreadPoolExecutor, wait,
+)
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -92,7 +97,7 @@ from repro.guard.retry import classify_governed_error
 __all__ = ["ParallelConfig", "Partition", "Exchange", "Gather",
            "adaptive_shards", "shutdown_pools"]
 
-#: Default shards-per-worker over-partitioning factor.  2, not 4: a
+#: Shards-per-worker over-partitioning factor.  2, not 4: a
 #: compiled columnar step costs microseconds per morsel, so dispatch
 #: overhead — not load imbalance — dominates at high shard counts.
 MORSEL_FACTOR = 2
@@ -114,19 +119,18 @@ class ParallelConfig:
 
     ``resilience`` (a :class:`~repro.engine.resilience.
     ResilienceConfig`, or ``None``) opts the exchange into per-morsel
-    retry, pool respawn, and the degradation ladder; ``None`` keeps
-    the original fail-fast scheduler.
+    retry, pool respawn, and the degradation ladder; ``None`` makes
+    every worker failure fatal.
 
     ``min_morsel_rows`` is the adaptive-granularity floor (see
     :func:`adaptive_shards`); ``1`` splits as finely as the input
-    cardinality allows, up to ``workers x morsel_factor`` shards —
+    cardinality allows, up to ``workers x MORSEL_FACTOR`` shards —
     the differential harness uses that to fuzz the multi-shard merge
     on tiny bags.
     """
 
     workers: int = 2
     backend: str = "thread"
-    morsel_factor: int = MORSEL_FACTOR
     resilience: Optional[ResilienceConfig] = None
     min_morsel_rows: int = MORSEL_MIN_ROWS
 
@@ -139,14 +143,14 @@ class ParallelConfig:
 
     @property
     def num_shards(self) -> int:
-        return self.workers * self.morsel_factor
+        return self.workers * MORSEL_FACTOR
 
 
 def adaptive_shards(config: ParallelConfig,
                     inputs: Sequence[Dict[Any, int]]) -> int:
     """Shard count adapted to the exchange's input cardinality.
 
-    ``workers x morsel_factor`` is the ceiling (enough morsels to
+    ``workers x MORSEL_FACTOR`` is the ceiling (enough morsels to
     steal work across skewed shards); below it the count shrinks so
     every morsel routes at least ~:data:`MORSEL_MIN_ROWS` distinct
     rows — per-morsel dispatch (task submit, governor arming, and
@@ -263,13 +267,8 @@ class Exchange(PhysicalNode):
         if not tasks:
             return {}
         try:
-            if config.resilience is not None:
-                outcomes = _run_resilient(ctx, config, self.program,
-                                          tasks, config.resilience,
-                                          self.tag, sr)
-            else:
-                outcomes = _run_fail_fast(ctx, config, self.program,
-                                          tasks, self.tag, sr)
+            outcomes = _run_ladder(ctx, config, self.program, tasks,
+                                   self.tag, sr)
         except BudgetExceeded as verdict:
             _restate_step_verdict(ctx.governor, verdict)
             raise
@@ -308,7 +307,7 @@ class Gather(PhysicalNode):
 
 
 # ----------------------------------------------------------------------
-# Resident pools and the fail-fast scheduler
+# Resident pools and morsel tasks
 # ----------------------------------------------------------------------
 
 #: Long-lived pools shared by every exchange, one per ``(backend,
@@ -318,26 +317,21 @@ class Gather(PhysicalNode):
 #: process workers alive is also what makes their compiled-segment
 #: cache resident across queries.  The pid is part of the key because
 #: a forked child inherits this dict but none of the pools' threads
-#: or pipes: it must create its own.  The resilient rungs still spawn
-#: private pools: their worker-loss recovery condemns and respawns
-#: them.
-_POOLS: Dict[Tuple[str, int, int], concurrent.futures.Executor] = {}
+#: or pipes: it must create its own.
+_POOLS: Dict[Tuple[str, int, int], Executor] = {}
 _POOLS_LOCK = threading.Lock()
 
 
-def _pool_key(config: ParallelConfig) -> Tuple[str, int, int]:
-    return config.backend, os.getpid(), config.workers
-
-
-def _resident_pool(config: ParallelConfig
-                   ) -> concurrent.futures.Executor:
-    key = _pool_key(config)
+def _resident_pool(backend: str, workers: int) -> Executor:
+    """The pool every exchange of this ``(backend, workers)`` shares —
+    the only place an executor is created."""
+    key = backend, os.getpid(), workers
     with _POOLS_LOCK:
         pool = _POOLS.get(key)
         if pool is None:
-            if config.backend == "process":
-                pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=config.workers,
+            if backend == "process":
+                pool = ProcessPoolExecutor(
+                    max_workers=workers,
                     mp_context=_process_context(),
                     initializer=_exit_with_parent)
                 # a multiprocessing child joins its own children
@@ -348,9 +342,9 @@ def _resident_pool(config: ParallelConfig
                 multiprocessing.util.Finalize(None, shutdown_pools,
                                               exitpriority=20)
             else:
-                pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=config.workers,
-                    thread_name_prefix=f"exchange-{config.workers}w")
+                pool = ThreadPoolExecutor(
+                    max_workers=workers,
+                    thread_name_prefix=f"exchange-{workers}w")
             _POOLS[key] = pool
         return pool
 
@@ -366,23 +360,25 @@ def shutdown_pools() -> None:
         pool.shutdown()
 
 
-def _discard_pool(config: ParallelConfig,
-                  pool: concurrent.futures.Executor) -> None:
+def _discard_pool(backend: str, workers: int, pool: Executor) -> None:
     """Forget a broken resident pool (it cannot run another task) so
-    the next exchange creates a fresh one."""
-    key = _pool_key(config)
+    the next :func:`_resident_pool` call creates a fresh one."""
+    key = backend, os.getpid(), workers
     with _POOLS_LOCK:
         if _POOLS.get(key) is pool:
             del _POOLS[key]
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _thread_task(ctx, program, tag: Optional[Tuple], sr, chaos=None):
-    """The task both thread schedulers submit per morsel: one shard
+Outcome = Tuple[int, Dict[Any, int], int, EngineStats]
+Tasks = List[Tuple[int, List[Dict[Any, int]]]]
+
+
+def _thread_task(ctx, program, tag: Optional[Tuple], sr, chaos):
+    """The task the thread backend submits per morsel: one shard
     through :func:`execute_program`, under a :class:`WorkerGovernor`
     drawing on the parent's remaining step budget when the run is
-    governed (and under the resilient scheduler's chaos plan, if
-    any)."""
+    governed (and under the chaos plan, if any)."""
     parent = ctx.governor
     shared: Optional[SharedBudget] = None
     if parent is not None:
@@ -393,7 +389,7 @@ def _thread_task(ctx, program, tag: Optional[Tuple], sr, chaos=None):
         shared = SharedBudget(remaining)
 
     def run_task(index: int, inputs: List[Dict[Any, int]],
-                 attempt: int = 1):
+                 attempt: int) -> Outcome:
         stats = _task_stats(chaos, index, attempt, program, tag, sr,
                             in_process_worker=False)
         worker = (None if parent is None
@@ -468,98 +464,48 @@ def _process_context():
     return multiprocessing.get_context()
 
 
-def _encode_task(ctx, inputs: List[Dict[Any, int]]) -> List[bytes]:
-    """Codec-encode one task's shard inputs, counting the outbound
-    bytes (what actually crosses the process boundary)."""
-    blobs = [encode_shard(counts) for counts in inputs]
-    ctx.stats.bytes_shipped += sum(len(blob) for blob in blobs)
-    return blobs
+def _morsel_io(ctx, backend: str, program, tasks: Tasks, chaos,
+               tag: Optional[Tuple], sr):
+    """Everything the two backends differ in: ``submit(pool, index,
+    inputs, attempt)`` hands one morsel to the pool and ``finish``
+    reads a worker's outcome back.  Thread workers take the shard
+    dicts by reference and return a dict; process workers take a codec
+    payload — encoded *as it is submitted*, so worker 1 decodes while
+    the parent encodes morsel 2 — and hand back a blob to decode."""
+    if backend == "thread":
+        run_task = _thread_task(ctx, program, tag, sr, chaos)
 
+        def submit(pool, index, inputs, attempt) -> Future:
+            return pool.submit(run_task, index, inputs, attempt)
 
-def _decode_outcome(ctx, outcome) -> Tuple[int, Dict[Any, int], int,
-                                           EngineStats]:
-    """Decode a worker's result blob, counting the inbound bytes."""
-    index, blob, steps, stats = outcome
-    ctx.stats.bytes_shipped += len(blob)
-    return index, decode_shard(blob), steps, stats
+        return submit, lambda outcome: outcome
 
+    # pre-split once per rung: a retried or respawned shard runs
+    # under exactly the budget its first attempt had
+    limits_spec = presplit_spec(ctx.governor, len(tasks))
+    sr_name = None if sr is None else sr.name
+    blobs_of: Dict[int, List[bytes]] = {}
 
-def _run_fail_fast(ctx, config: ParallelConfig, program,
-                   tasks: List[Tuple[int, List[Dict[Any, int]]]],
-                   tag: Optional[Tuple] = None,
-                   sr=None
-                   ) -> List[Tuple[int, Dict[Any, int], int,
-                                   EngineStats]]:
-    """One morsel per task on the backend's resident pool; the first
-    failure cancels everything still queued and is what surfaces.
+    def submit(pool, index, inputs, attempt) -> Future:
+        # encode once per shard (the blob is immutable, like the shard
+        # dict it encodes) but count bytes per submission — a retried
+        # or respawned morsel crosses the boundary again
+        blobs = blobs_of.get(index)
+        if blobs is None:
+            blobs = blobs_of[index] = [encode_shard(counts)
+                                       for counts in inputs]
+        ctx.stats.bytes_shipped += sum(len(blob) for blob in blobs)
+        return pool.submit(_process_task, (
+            index, program, blobs, limits_spec, ctx.tick_interval,
+            chaos, attempt, tag, sr_name))
 
-    The two backends differ only in the submitted function and its
-    arguments: thread workers take the shard dicts by reference,
-    process workers take a codec payload — encoded *as it is
-    submitted*, so worker 1 decodes while the parent encodes morsel 2
-    — and hand back a blob to decode.
-    """
-    parent = ctx.governor
-    pool = _resident_pool(config)
-    if config.backend == "process":
-        limits_spec = presplit_spec(parent, len(tasks))
-        sr_name = None if sr is None else sr.name
-        task = _process_task
+    def finish(outcome) -> Outcome:
+        index, blob, steps, stats = outcome
+        del blobs_of[index]  # a finished shard is never resubmitted
+        ctx.stats.bytes_shipped += len(blob)
+        return index, decode_shard(blob), steps, stats
 
-        def arguments(index, inputs):
-            return ((index, program, _encode_task(ctx, inputs),
-                     limits_spec, ctx.tick_interval, None, 1, tag,
-                     sr_name),)
-
-        def finish(outcome):
-            return _decode_outcome(ctx, outcome)
-    else:
-        task = _thread_task(ctx, program, tag, sr)
-
-        def arguments(index, inputs):
-            return index, inputs
-
-        def finish(outcome):
-            return outcome
-
-    outcomes: List[Tuple[int, Dict[Any, int], int, EngineStats]] = []
-    first_error: Optional[BaseException] = None
-    futures: List[concurrent.futures.Future] = []
-    try:
-        for index, inputs in tasks:
-            futures.append(pool.submit(task, *arguments(index, inputs)))
-    except Exception as error:  # a dead pool, or an unshippable shard
-        first_error = error
-        for pending in futures:
-            pending.cancel()
-    # as_completed drains *every* future (cancelled ones included), so
-    # no task of this exchange is still running when we return even
-    # though the shared pool itself stays alive.
-    for future in concurrent.futures.as_completed(futures):
-        if future.cancelled():
-            # a queued morsel we cancelled after the first
-            # failure; .exception() would raise CancelledError
-            continue
-        error = future.exception()
-        if error is None:
-            if first_error is None:
-                outcomes.append(finish(future.result()))
-            continue
-        first_error = _prefer(first_error, error)
-        if parent is not None:
-            # fail fast: thread siblings observe the token at their
-            # next governor tick and stop mid-morsel (process workers
-            # run their in-flight morsel out under its own limits)
-            parent.token.cancel("parallel worker failed: "
-                                f"{type(error).__name__}")
-        for pending in futures:
-            pending.cancel()
-    if first_error is not None:
-        if isinstance(first_error, BrokenExecutor):
-            _discard_pool(config, pool)
-        _uncancel(ctx, first_error)
-        raise first_error
-    return outcomes
+    return submit, finish
 
 
 def _restate_step_verdict(parent: Optional[ResourceGovernor],
@@ -605,7 +551,7 @@ def _uncancel(ctx, error: BaseException) -> None:
 
 
 # ----------------------------------------------------------------------
-# Resilient scheduling: retry, respawn, degradation ladder
+# The morsel scheduler: one completion loop, one ladder driver
 # ----------------------------------------------------------------------
 
 class _LadderFault(Exception):
@@ -616,8 +562,8 @@ class _LadderFault(Exception):
     and the unfinished tasks for the next rung.
     """
 
-    def __init__(self, error: BaseException, outcomes, remaining,
-                 reason: str):
+    def __init__(self, error: BaseException, outcomes: List[Outcome],
+                 remaining: Tasks, reason: str):
         super().__init__(reason)
         self.error = error
         self.outcomes = outcomes
@@ -665,64 +611,34 @@ def _fault_reason(error: BaseException, attempts: int) -> str:
             f"({type(error).__name__}) after {attempts} attempt(s)")
 
 
-def _run_resilient(ctx, config: ParallelConfig, program,
-                   tasks: List[Tuple[int, List[Dict[Any, int]]]],
-                   res: ResilienceConfig,
-                   tag: Optional[Tuple] = None,
-                   sr=None
-                   ) -> List[Tuple[int, Dict[Any, int], int,
-                                   EngineStats]]:
-    """Run the shard tasks with retry/respawn, descending the
-    degradation ladder on repeated transient failure.
-
-    Completed shard outcomes survive a demotion — only the unfinished
-    tasks are re-run on the lower rung.  Governed errors (and genuine
-    bugs) are *not* caught here: they propagate fail-fast exactly as
-    the non-resilient scheduler would raise them.
-    """
-    rng = random.Random(res.seed)
+def _run_ladder(ctx, config: ParallelConfig, program, tasks: Tasks,
+                tag: Optional[Tuple], sr) -> List[Outcome]:
+    """Run the shard tasks on the configured backend and, when a rung
+    gives up (:class:`_LadderFault` — only ever raised under a
+    :class:`ResilienceConfig`), re-run its unfinished tasks one rung
+    down.  Completed shard outcomes survive a demotion."""
+    res = config.resilience
+    rng = None if res is None else random.Random(res.seed)
     mode = config.backend
-    remaining = list(tasks)
-    outcomes: List[Tuple[int, Dict[Any, int], int, EngineStats]] = []
+    outcomes: List[Outcome] = []
     demotions = 0
-    while True:
+    while mode != "serial":
         try:
-            if mode == "serial":
-                chunk = _run_serial_inline(ctx, program, remaining,
-                                           tag, sr)
-            elif mode == "process":
-                chunk = _run_process_pool_resilient(
-                    ctx, config, program, remaining, res, rng, tag,
-                    sr)
-            else:
-                chunk = _run_thread_pool_resilient(
-                    ctx, config, program, remaining, res, rng, tag,
-                    sr)
-            outcomes.extend(chunk)
-            return outcomes
+            return outcomes + _run_rung(ctx, mode, config.workers,
+                                        program, tasks, res, rng, tag,
+                                        sr)
         except _LadderFault as fault:
-            outcomes.extend(fault.outcomes)
-            rung = next_rung(mode)
-            if rung is None or demotions >= res.max_demotions:
+            outcomes += fault.outcomes
+            if demotions >= res.max_demotions:
                 raise fault.error
             demotions += 1
+            rung = next_rung(mode)
             ctx.stats.demotions.append(f"{mode}->{rung}: "
                                        f"{fault.reason}")
-            mode = rung
-            remaining = fault.remaining
-
-
-def _run_serial_inline(ctx, program,
-                       tasks: List[Tuple[int, List[Dict[Any, int]]]],
-                       tag: Optional[Tuple] = None,
-                       sr=None
-                       ) -> List[Tuple[int, Dict[Any, int], int,
-                                       EngineStats]]:
-    """The ladder floor: run the remaining shards inline under the
-    parent governor.  No workers → no worker loss; chaos plans target
-    workers, so they never fire here and termination is guaranteed
-    (governed verdicts aside)."""
-    outcomes = []
+            mode, tasks = rung, fault.remaining
+    # the floor: inline under the parent governor.  No workers → no
+    # worker loss; chaos plans target workers, so they never fire here
+    # and termination is guaranteed (governed verdicts aside)
     for index, inputs in tasks:
         stats = EngineStats()
         counts = execute_program(program, inputs,
@@ -734,197 +650,127 @@ def _run_serial_inline(ctx, program,
     return outcomes
 
 
-def _run_thread_pool_resilient(
-        ctx, config: ParallelConfig, program,
-        tasks: List[Tuple[int, List[Dict[Any, int]]]],
-        res: ResilienceConfig, rng: random.Random,
-        tag: Optional[Tuple] = None, sr=None
-) -> List[Tuple[int, Dict[Any, int], int, EngineStats]]:
-    """The thread rung: fail-fast semantics for governed errors, plus
-    per-morsel retry for transient faults.
+def _run_rung(ctx, backend: str, workers: int, program, tasks: Tasks,
+              res: Optional[ResilienceConfig],
+              rng: Optional[random.Random], tag: Optional[Tuple],
+              sr) -> List[Outcome]:
+    """One morsel per task on the backend's resident pool, until every
+    task has an outcome or the rung's recovery budget is spent.
 
-    Each morsel gets ``res.retry.attempts`` tries (with seeded
-    backoff/jitter); resubmission lands on whichever worker is free —
-    "a new worker" in the thread sense.  When one morsel exhausts its
-    retries the rung stops retrying, drains in-flight work (keeping
-    every completed result), and raises :class:`_LadderFault` with
-    the unfinished tasks.
+    ``res=None`` is the empty budget — one attempt, no respawn, no
+    ladder — so every failure is fatal: it cancels everything still
+    queued and is what surfaces.  Under a :class:`ResilienceConfig`
+    only governed errors and genuine bugs are fatal; a *transient*
+    fault resubmits its morsel (``res.retry.attempts`` tries, seeded
+    backoff/jitter, landing on whichever worker is free), and a dead
+    process worker — which condemns the whole pool — gets the pool
+    discarded and re-obtained once, with only the unfinished shards
+    resubmitted.  When a morsel runs out of tries or the pool breaks
+    again the rung stops feeding, drains in-flight work (keeping
+    every completed result) and raises :class:`_LadderFault`.
     """
     parent = ctx.governor
-    run_task = _thread_task(ctx, program, tag, sr, res.chaos)
+    submit, finish = _morsel_io(ctx, backend, program, tasks,
+                                None if res is None else res.chaos,
+                                tag, sr)
     inputs_of = dict(tasks)
-    outcomes: List[Tuple[int, Dict[Any, int], int, EngineStats]] = []
-    unfinished = {index for index, _ in tasks}
-    first_error: Optional[BaseException] = None
-    exhausted: Optional[BaseException] = None
-    exhausted_attempts = 0
-    with concurrent.futures.ThreadPoolExecutor(
-            max_workers=config.workers) as pool:
-        pending = {pool.submit(run_task, index, inputs, 1):
-                   (index, 1) for index, inputs in tasks}
-        while pending:
-            done, _ = concurrent.futures.wait(
-                pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                index, attempt = pending.pop(future)
+    attempts = dict.fromkeys(inputs_of, 1)
+    respawns_left = int(res is not None and backend == "process")
+    outcomes: List[Outcome] = []
+    fatal: Optional[BaseException] = None
+    broken: Optional[BaseException] = None
+    gave_up: Optional[Tuple[BaseException, str]] = None
+    pool = _resident_pool(backend, workers)
+    ready = sorted(inputs_of)
+    pending: Dict[Future, int] = {}
+
+    def stop_feeding() -> None:
+        ready.clear()
+        for queued in pending:
+            queued.cancel()
+
+    # the loop ends with ``pending`` empty: every future of this
+    # exchange (cancelled ones included) is drained, so no task of it
+    # is still running when we return even though the pool lives on
+    while ready or pending:
+        failed: List[Tuple[int, BaseException]] = []
+        while ready and not failed:
+            index = ready.pop(0)
+            try:
+                pending[submit(pool, index, inputs_of[index],
+                               attempts[index])] = index
+            except Exception as error:
+                # a dead pool, or an unshippable shard
+                failed.append((index, error))
+        if not failed:
+            for future in wait(pending,
+                               return_when=FIRST_COMPLETED).done:
+                index = pending.pop(future)
                 if future.cancelled():
+                    # a queued morsel we cancelled; .exception()
+                    # would raise CancelledError
                     continue
                 error = future.exception()
-                if error is None:
-                    outcomes.append(future.result())
-                    unfinished.discard(index)
-                    continue
-                if is_transient_fault(error):
-                    if (first_error is None and exhausted is None
-                            and attempt < res.retry.attempts):
-                        delay = res.retry.delay_for(attempt, rng)
-                        if delay > 0:
-                            time.sleep(delay)
-                        ctx.stats.morsel_retries += 1
-                        handle = pool.submit(run_task, index,
-                                             inputs_of[index],
-                                             attempt + 1)
-                        pending[handle] = (index, attempt + 1)
-                    elif exhausted is None and first_error is None:
-                        # retries dry: stop feeding this rung, keep
-                        # draining so in-flight results are not lost
-                        exhausted = error
-                        exhausted_attempts = attempt
-                        for other in pending:
-                            other.cancel()
-                    continue
-                # governed error or genuine bug: original fail-fast
-                first_error = _prefer(first_error, error)
+                if error is not None:
+                    failed.append((index, error))
+                elif fatal is None:
+                    outcomes.append(finish(future.result()))
+                    del inputs_of[index]
+        for index, error in failed:
+            winding_down = not (fatal is None and broken is None
+                                and gave_up is None)
+            if isinstance(error, BrokenExecutor):
+                # the pool is condemned: every sibling future fails
+                # the same way, nothing more can be submitted to it
+                broken = error
+            if res is None or not is_transient_fault(error):
+                fatal = _prefer(fatal, error)
                 if parent is not None:
+                    # fail fast: thread siblings observe the token at
+                    # their next governor tick and stop mid-morsel
+                    # (process workers run their in-flight morsel out
+                    # under its own limits)
                     parent.token.cancel("parallel worker failed: "
                                         f"{type(error).__name__}")
-                for other in pending:
-                    other.cancel()
-    if first_error is not None:
-        _uncancel(ctx, first_error)
-        raise first_error
-    if exhausted is not None:
-        left = [(index, inputs_of[index])
-                for index in sorted(unfinished)]
-        raise _LadderFault(exhausted, outcomes, left,
-                           _fault_reason(exhausted,
-                                         exhausted_attempts))
-    return outcomes
-
-
-def _run_process_pool_resilient(
-        ctx, config: ParallelConfig, program,
-        tasks: List[Tuple[int, List[Dict[Any, int]]]],
-        res: ResilienceConfig, rng: random.Random,
-        tag: Optional[Tuple] = None, sr=None
-) -> List[Tuple[int, Dict[Any, int], int, EngineStats]]:
-    """The process rung: per-morsel retry plus worker-loss recovery.
-
-    A :class:`WorkerCrash` pickled back from a child retries just that
-    morsel in the still-healthy pool.  A dead child condemns the whole
-    ``ProcessPoolExecutor`` (``BrokenExecutor``): the pool is rebuilt
-    once (``res.respawn_pool``) and only the unfinished shards are
-    resubmitted — completed results are kept, and the pre-split limits
-    are reused verbatim so a retried shard runs under exactly the
-    budget its first attempt had.
-    """
-    limits_spec = presplit_spec(ctx.governor, len(tasks))
-    chaos = res.chaos
-    sr_name = None if sr is None else sr.name
-    inputs_of = dict(tasks)
-    attempts = {index: 1 for index, _ in tasks}
-    unfinished = {index for index, _ in tasks}
-    outcomes: List[Tuple[int, Dict[Any, int], int, EngineStats]] = []
-    respawns_left = 1 if res.respawn_pool else 0
-    blobs_of: Dict[int, List[bytes]] = {}
-
-    def payload_for(index: int):
-        # encode once per shard (the blob is immutable, like the shard
-        # dict it encodes) but count bytes per submission — a retried
-        # or respawned morsel crosses the boundary again
-        blobs = blobs_of.get(index)
-        if blobs is None:
-            blobs = [encode_shard(counts)
-                     for counts in inputs_of[index]]
-            blobs_of[index] = blobs
-        ctx.stats.bytes_shipped += sum(len(blob) for blob in blobs)
-        return (index, program, blobs, limits_spec,
-                ctx.tick_interval, chaos, attempts[index], tag,
-                sr_name)
-
-    while unfinished:
-        broken: Optional[BaseException] = None
-        first_error: Optional[BaseException] = None
-        exhausted: Optional[BaseException] = None
-        exhausted_attempts = 0
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=config.workers,
-                mp_context=_process_context()) as pool:
-            pending = {pool.submit(_process_task, payload_for(index)):
-                       index for index in sorted(unfinished)}
-            while pending:
-                done, _ = concurrent.futures.wait(
-                    pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = pending.pop(future)
-                    if future.cancelled():
-                        continue
-                    error = future.exception()
-                    if error is None:
-                        outcomes.append(
-                            _decode_outcome(ctx, future.result()))
-                        unfinished.discard(index)
-                        continue
-                    if isinstance(error, BrokenExecutor):
-                        # the pool is condemned: every sibling future
-                        # fails the same way; stop consuming them
-                        broken = error
-                        break
-                    if is_transient_fault(error):
-                        attempt = attempts[index]
-                        if (first_error is None and exhausted is None
-                                and attempt < res.retry.attempts):
-                            delay = res.retry.delay_for(attempt, rng)
-                            if delay > 0:
-                                time.sleep(delay)
-                            attempts[index] = attempt + 1
-                            ctx.stats.morsel_retries += 1
-                            handle = pool.submit(_process_task,
-                                                 payload_for(index))
-                            pending[handle] = index
-                        elif exhausted is None and first_error is None:
-                            exhausted = error
-                            exhausted_attempts = attempt
-                            for other in pending:
-                                other.cancel()
-                        continue
-                    # governed error or genuine bug: fail fast
-                    first_error = _prefer(first_error, error)
-                    for other in pending:
-                        other.cancel()
-                if broken is not None:
-                    break
-        if first_error is not None:
-            raise first_error
-        if broken is not None:
-            if respawns_left > 0:
-                respawns_left -= 1
-                ctx.stats.pool_respawns += 1
-                # the crashing shard is indistinguishable from its
-                # cancelled siblings, so every unfinished shard's
-                # attempt advances — chaos re-rolls for all of them
-                for index in unfinished:
-                    attempts[index] = attempts[index] + 1
-                continue
-            left = [(index, inputs_of[index])
-                    for index in sorted(unfinished)]
-            raise _LadderFault(broken, outcomes, left,
-                               "worker-lost (pool broke after "
-                               "respawn)")
-        if exhausted is not None:
-            left = [(index, inputs_of[index])
-                    for index in sorted(unfinished)]
-            raise _LadderFault(exhausted, outcomes, left,
-                               _fault_reason(exhausted,
-                                             exhausted_attempts))
+                stop_feeding()
+            elif winding_down:
+                pass  # nothing is resubmitted any more
+            elif broken is not None:
+                stop_feeding()
+            elif attempts[index] < res.retry.attempts:
+                delay = res.retry.delay_for(attempts[index], rng)
+                if delay > 0:
+                    time.sleep(delay)
+                attempts[index] += 1
+                ctx.stats.morsel_retries += 1
+                ready.append(index)
+            else:
+                # retries dry: stop feeding this rung, keep draining
+                # so in-flight results are not lost
+                gave_up = error, _fault_reason(error, attempts[index])
+                stop_feeding()
+        if broken is None or pending:
+            continue
+        _discard_pool(backend, workers, pool)
+        if fatal is not None or gave_up is not None:
+            break  # the rung was already winding down
+        if respawns_left:
+            respawns_left -= 1
+            ctx.stats.pool_respawns += 1
+            pool = _resident_pool(backend, workers)
+            # the crashing shard is indistinguishable from its
+            # cancelled siblings, so every unfinished shard's attempt
+            # advances — chaos re-rolls for all of them
+            for index in inputs_of:
+                attempts[index] += 1
+            ready = sorted(inputs_of)
+        else:
+            gave_up = broken, "worker-lost (pool broke after respawn)"
+        broken = None
+    if fatal is not None:
+        _uncancel(ctx, fatal)
+        raise fatal
+    if gave_up is not None:
+        raise _LadderFault(gave_up[0], outcomes,
+                           sorted(inputs_of.items()), gave_up[1])
     return outcomes

@@ -24,7 +24,7 @@ execution (``actual_rows``) next to the lowering-time estimate
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple,
 )
@@ -121,35 +121,20 @@ class EngineStats:
         self.kernel_counts[name] = self.kernel_counts.get(name, 0) + 1
 
     def merge_from(self, other: "EngineStats") -> None:
-        """Fold another stats object into this one, in place."""
-        for name, count in other.kernel_counts.items():
-            self.kernel_counts[name] = (
-                self.kernel_counts.get(name, 0) + count)
-        self.rows_emitted += other.rows_emitted
-        self.lowerings += other.lowerings
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.shared_materialized += other.shared_materialized
-        self.shared_reused += other.shared_reused
-        self.oracle_fallbacks += other.oracle_fallbacks
-        self.partitions_created += other.partitions_created
-        self.morsels_executed += other.morsels_executed
-        self.gather_barriers += other.gather_barriers
-        self.worker_steps.extend(other.worker_steps)
-        self.morsel_retries += other.morsel_retries
-        self.pool_respawns += other.pool_respawns
-        self.demotions.extend(other.demotions)
-        self.bytes_shipped += other.bytes_shipped
-        self.segment_cache_hits += other.segment_cache_hits
-        self.segment_cache_misses += other.segment_cache_misses
-        self.fused_segments += other.fused_segments
-        self.barrier_fallbacks += other.barrier_fallbacks
-        for name, total in other.observed_cardinalities.items():
-            self.observed_cardinalities[name] = (
-                self.observed_cardinalities.get(name, 0) + total)
-        for name, scans in other.observed_scans.items():
-            self.observed_scans[name] = (
-                self.observed_scans.get(name, 0) + scans)
+        """Fold another stats object into this one, in place.  How a
+        field merges follows from its value — int: sum, list:
+        concatenation, dict: pointwise sum — so a new counter merges
+        without being listed here."""
+        for spec in fields(EngineStats):
+            mine = getattr(self, spec.name)
+            theirs = getattr(other, spec.name)
+            if isinstance(mine, dict):
+                for name, count in theirs.items():
+                    mine[name] = mine.get(name, 0) + count
+            elif isinstance(mine, list):
+                mine.extend(theirs)
+            else:
+                setattr(self, spec.name, mine + theirs)
 
     def merged_with(self, other: "EngineStats") -> "EngineStats":
         """A new stats object combining both operands.
@@ -159,30 +144,8 @@ class EngineStats:
         in any grouping yields the same totals —
         ``tests/test_parallel.py`` pins this down.
         """
-        merged = EngineStats(
-            kernel_counts=dict(self.kernel_counts),
-            rows_emitted=self.rows_emitted,
-            lowerings=self.lowerings,
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
-            shared_materialized=self.shared_materialized,
-            shared_reused=self.shared_reused,
-            oracle_fallbacks=self.oracle_fallbacks,
-            partitions_created=self.partitions_created,
-            morsels_executed=self.morsels_executed,
-            gather_barriers=self.gather_barriers,
-            worker_steps=list(self.worker_steps),
-            morsel_retries=self.morsel_retries,
-            pool_respawns=self.pool_respawns,
-            demotions=list(self.demotions),
-            bytes_shipped=self.bytes_shipped,
-            segment_cache_hits=self.segment_cache_hits,
-            segment_cache_misses=self.segment_cache_misses,
-            fused_segments=self.fused_segments,
-            barrier_fallbacks=self.barrier_fallbacks,
-            observed_cardinalities=dict(self.observed_cardinalities),
-            observed_scans=dict(self.observed_scans),
-        )
+        merged = EngineStats()
+        merged.merge_from(self)
         merged.merge_from(other)
         return merged
 

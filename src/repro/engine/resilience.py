@@ -1,12 +1,12 @@
 """Fault tolerance for the morsel-driven parallel executor.
 
-PR 4's exchange is strictly fail-fast: one worker failure cancels the
-shared token and the whole query dies.  That is the right contract for
-*governed* failures — a step budget is deterministic, retrying it is
-wasted work — but the wrong one for infrastructure failures: a worker
-process being OOM-killed says nothing about the query.  This module is
-the policy layer that tells those apart and decides what the exchange
-does next:
+By default the exchange is strictly fail-fast: one worker failure
+cancels the shared token and the whole query dies.  That is the right
+contract for *governed* failures — a step budget is deterministic,
+retrying it is wasted work — but the wrong one for infrastructure
+failures: a worker process being OOM-killed says nothing about the
+query.  This module is the policy layer that tells those apart and
+says how much recovery the exchange's scheduler may spend:
 
 1. **Per-morsel retry** — a morsel that died from a transient fault
    (:class:`~repro.guard.WorkerCrash`, a broken pool) is resubmitted
@@ -17,8 +17,9 @@ does next:
    and codegen's in-place dedup-union merges touch only dicts the
    same run produced), so re-running it cannot double-count.
 2. **Worker-loss recovery** — under the process backend a dead child
-   condemns the whole ``ProcessPoolExecutor``; the exchange respawns
-   the pool once and reschedules only the unfinished shards.
+   condemns the whole resident ``ProcessPoolExecutor``; the exchange
+   discards it, obtains a fresh one (once per exchange) and
+   reschedules only the unfinished shards.
 3. **The degradation ladder** — when retries and respawns are
    exhausted the exchange *demotes* instead of dying:
    process → thread → serial inline execution (which cannot suffer
@@ -29,8 +30,10 @@ does next:
    :class:`~repro.engine.physical.EngineStats` and surfaced by
    ``:explain`` — degraded answers are visible, never silent.
 
-The whole layer is opt-in: with ``resilience=None`` (the default) the
-exchange keeps its original fail-fast code path, byte for byte.
+The whole layer is opt-in, and it is a budget, not a second code
+path: with ``resilience=None`` (the default) the same scheduler runs
+with one attempt per morsel, no respawn and no ladder, so every
+failure is fatal.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ class ResilienceConfig:
     ``retry`` drives per-morsel retry: ``attempts`` is the total
     tries per morsel, ``backoff``/``multiplier``/``jitter`` shape the
     delay between them (jitter drawn from an RNG seeded with
-    ``seed``, so runs replay).  ``respawn_pool`` allows one process
-    pool respawn after worker loss; ``max_demotions`` caps ladder
+    ``seed``, so runs replay).  A process rung always gets one pool
+    respawn after worker loss; ``max_demotions`` caps ladder
     descent (2 covers process → thread → serial).  ``replan`` adds
     the engine-level final rung — recompile at opt level 1 and run
     serially when even the ladder failed.  ``chaos`` attaches a
@@ -86,7 +89,6 @@ class ResilienceConfig:
     retry: RetryPolicy = RetryPolicy(attempts=3, backoff=0.0,
                                      jitter=0.5)
     seed: int = 0
-    respawn_pool: bool = True
     max_demotions: int = 2
     replan: bool = False
     chaos: Optional[ChaosPlan] = None

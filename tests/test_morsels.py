@@ -22,7 +22,7 @@ import pytest
 
 import repro
 from repro.core.bag import Bag, Tup, canonical_key
-from repro.core.errors import BudgetExceeded
+from repro.core.errors import BudgetExceeded, CodecError, ReproError
 from repro.core.eval import evaluate as tree_evaluate
 from repro.core.expr import Dedup, var
 from repro.core.semiring import Prov, Trop, resolve_semiring
@@ -37,7 +37,7 @@ from repro.engine.parallel import codec, exchange, shutdown_pools
 from repro.engine.parallel.exchange import MORSEL_MIN_ROWS
 from repro.testkit.generate import generate_case
 from repro.guard import ChaosPlan, Limits, ResourceGovernor
-from repro.engine.resilience import ResilienceConfig
+from repro.engine.resilience import ResilienceConfig, is_transient_fault
 
 _FORK = "fork" in multiprocessing.get_all_start_methods()
 fork_only = pytest.mark.skipif(not _FORK,
@@ -115,7 +115,7 @@ class TestCodecRoundTrip:
         assert decode_shard(encode_shard(shard)) == shard
 
     def test_rejects_non_codec_blob(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CodecError):
             decode_shard(b"PKL\x00garbage")
 
     def test_atom_interning_amortises_join_output(self):
@@ -261,19 +261,19 @@ _HOSTILE = [
 
 
 class TestCodecHostileInput:
-    """A malformed blob is a ``ValueError`` — never an ``IndexError``,
+    """A malformed blob is a typed ``CodecError`` — never an ``IndexError``,
     a ``struct.error``, or a silently shorter dict."""
 
     @pytest.mark.parametrize("shard", _HOSTILE)
     def test_every_truncation_is_rejected(self, shard):
         blob = encode_shard(shard)
         for cut in range(len(blob)):
-            with pytest.raises(ValueError):
+            with pytest.raises(CodecError):
                 decode_shard(blob[:cut])
 
     @pytest.mark.parametrize("shard", _HOSTILE)
     def test_trailing_bytes_are_rejected(self, shard):
-        with pytest.raises(ValueError):
+        with pytest.raises(CodecError):
             decode_shard(encode_shard(shard) + b"\x00")
 
     @pytest.mark.parametrize("shard", _HOSTILE)
@@ -285,7 +285,7 @@ class TestCodecHostileInput:
                     continue
                 mangled = bytearray(blob)
                 mangled[position] = byte
-                with pytest.raises(ValueError):
+                with pytest.raises(CodecError):
                     decode_shard(bytes(mangled))
 
     @pytest.mark.parametrize("shard", _HOSTILE[:3])
@@ -297,7 +297,7 @@ class TestCodecHostileInput:
                 continue
             mangled = bytearray(blob)
             mangled[mode] = byte
-            with pytest.raises(ValueError):
+            with pytest.raises(CodecError):
                 decode_shard(bytes(mangled))
 
     @pytest.mark.parametrize("shard", _HOSTILE[:3])
@@ -313,7 +313,7 @@ class TestCodecHostileInput:
                     continue
                 mangled = bytearray(blob)
                 mangled[position] = byte
-                with pytest.raises(ValueError):
+                with pytest.raises(CodecError):
                     decode_shard(bytes(mangled))
 
     def test_short_cell_column_is_not_a_short_dict(self):
@@ -323,15 +323,23 @@ class TestCodecHostileInput:
         # but 17 cells cannot make 9 pairs
         assert blob[cell_width - 1] == 18
         blob[cell_width - 1] = 17
-        with pytest.raises(ValueError):
+        with pytest.raises(CodecError):
             decode_shard(bytes(blob[:-1]))
 
     def test_duplicate_values_are_rejected(self):
         blob = bytearray(encode_shard({Tup(1, 2): 1, Tup(3, 4): 1}))
         assert blob[-4:] == bytes([1, 2, 3, 4])
         blob[-2:] = bytes([1, 2])
-        with pytest.raises(ValueError):
+        with pytest.raises(CodecError):
             decode_shard(bytes(blob))
+
+    def test_codec_error_is_a_library_error_and_never_retried(self):
+        with pytest.raises(CodecError) as caught:
+            decode_shard(b"CM03")
+        assert isinstance(caught.value, ReproError)
+        assert isinstance(caught.value, ValueError)
+        # a corrupt blob decodes the same way on every attempt
+        assert not is_transient_fault(caught.value)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -562,6 +563,37 @@ class TestStatsMerge:
         expected = a.merged_with(b)
         a.merge_from(b)
         assert a == expected
+
+    def test_every_field_is_merged(self):
+        """Both merges are driven by ``fields(EngineStats)``: set every
+        field on both operands, so a counter added later cannot be
+        summed by one and dropped by the other."""
+        def filled(base):
+            stats = EngineStats()
+            for index, spec in enumerate(fields(EngineStats)):
+                default = getattr(stats, spec.name)
+                value = base + index
+                if isinstance(default, dict):
+                    value = {"shared": value, f"only-{base}": 1}
+                elif isinstance(default, list):
+                    value = [value]
+                setattr(stats, spec.name, value)
+            return stats
+
+        a, b = filled(100), filled(2000)
+        merged = a.merged_with(b)
+        assert a == filled(100) and b == filled(2000)
+        a.merge_from(b)
+        assert a == merged
+        for index, spec in enumerate(fields(EngineStats)):
+            got = getattr(merged, spec.name)
+            if isinstance(got, dict):
+                assert got == {"shared": 2100 + 2 * index,
+                               "only-100": 1, "only-2000": 1}
+            elif isinstance(got, list):
+                assert got == [100 + index, 2000 + index]
+            else:
+                assert got == 2100 + 2 * index
 
 
 # ----------------------------------------------------------------------

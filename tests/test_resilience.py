@@ -11,8 +11,10 @@ backend, and the ``:explain`` / CLI surfaces.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import random
+import sys
 from concurrent.futures import BrokenExecutor
 
 import pytest
@@ -21,6 +23,7 @@ from repro.core.bag import Bag, Tup
 from repro.core.errors import BudgetExceeded, Cancelled, DeadlineExceeded
 from repro.core.expr import Dedup, var
 from repro.engine import EngineStats, evaluate, explain_physical
+from repro.engine.parallel import exchange, shutdown_pools
 from repro.engine.resilience import (
     DEFAULT_RESILIENCE, LADDER, ResilienceConfig, is_transient_fault,
     next_rung, resolve_resilience,
@@ -393,6 +396,102 @@ class TestReplanRung:
             evaluate(_expr(), _db(), cache=None, engine="parallel",
                      workers=2, parallel_threshold=0.0,
                      resilience=config)
+
+
+# ----------------------------------------------------------------------
+# One scheduler, one pool policy: every rung runs on the resident pools
+# ----------------------------------------------------------------------
+
+
+def _process_pool():
+    return exchange._POOLS[("process", os.getpid(), 2)]
+
+
+@fork_only
+class TestResilientRungsUseTheResidentPools:
+    def test_resilient_process_queries_share_workers_and_segments(self):
+        """Residency is a property of the exchange, not of fail-fast:
+        consecutive resilient process queries reuse the same worker
+        processes, so the second compiles nothing."""
+        db = {"R": Bag.from_counts(
+            {Tup(i, i % 97): (i % 3) + 1 for i in range(20000)})}
+        expected = evaluate(_expr(), db, cache=None)
+
+        def query():
+            stats = EngineStats()
+            assert evaluate(_expr(), db, cache=None, engine="parallel",
+                            workers=2, parallel_backend="process",
+                            parallel_threshold=0.0, resilience=True,
+                            stats=stats) == expected
+            assert stats.morsels_executed > 1
+            return stats
+
+        shutdown_pools()
+        for _ in range(3):  # both workers get to compile the segment
+            query()
+        pool, workers = _process_pool(), set(_process_pool()._processes)
+        stats = query()
+        assert _process_pool() is pool
+        assert set(pool._processes) == workers
+        assert stats.segment_cache_misses == 0
+        assert stats.segment_cache_hits == stats.morsels_executed
+        assert stats.pool_respawns == 0
+
+    def test_fail_fast_query_after_a_respawn_finds_a_healthy_pool(self):
+        """A worker death under resilience breaks *the* resident pool;
+        the respawn replaces it in the registry, so the next fail-fast
+        query on the same ``(backend, workers)`` just runs."""
+        def fail_fast():
+            stats = EngineStats()
+            assert evaluate(_expr(), _db(), cache=None,
+                            engine="parallel", workers=2,
+                            parallel_backend="process",
+                            parallel_threshold=0.0,
+                            stats=stats) == _reference()
+            return stats
+
+        fail_fast()
+        broken = _process_pool()
+        stats = EngineStats()
+        config = ResilienceConfig(chaos=ChaosPlan(
+            kind="worker-crash", probability=1.0, shards=(0,),
+            max_attempt=1))
+        assert evaluate(_expr(), _db(), cache=None, engine="parallel",
+                        workers=2, parallel_backend="process",
+                        parallel_threshold=0.0, resilience=config,
+                        stats=stats) == _reference()
+        assert stats.pool_respawns == 1
+        assert stats.demotions == []
+        respawned = _process_pool()
+        assert respawned is not broken
+        after = fail_fast()
+        assert after.pool_respawns == 0
+        assert after.demotions == []
+        assert _process_pool() is respawned
+
+    def test_executors_are_only_created_by_the_resident_pool(
+            self, monkeypatch):
+        created = []
+
+        def recording(cls):
+            def construct(*args, **kwargs):
+                created.append((cls.__name__,
+                                sys._getframe(1).f_code.co_name))
+                return cls(*args, **kwargs)
+            return construct
+
+        for name in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
+            monkeypatch.setattr(exchange, name,
+                                recording(getattr(exchange, name)))
+        shutdown_pools()
+        for suite in (TestThreadResilience(), TestProcessResilience()):
+            for name in sorted(vars(type(suite))):
+                if name.startswith("test_"):
+                    getattr(suite, name)()
+        assert {cls for cls, _ in created} == {
+            "ThreadPoolExecutor", "ProcessPoolExecutor"}
+        assert {caller for _, caller in created} == {"_resident_pool"}
+        shutdown_pools()  # drop the pools built from the patched names
 
 
 # ----------------------------------------------------------------------

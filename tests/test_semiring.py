@@ -21,6 +21,8 @@ Five concerns, one file:
 from __future__ import annotations
 
 import io
+import json
+import os
 import pickle
 import random
 
@@ -28,6 +30,7 @@ import pytest
 
 from repro.cli import Session
 from repro.core.bag import Bag, Tup
+from repro.core.errors import ReproError
 from repro.core.eval import evaluate as tree_evaluate
 from repro.core.expr import (
     AdditiveUnion, Dedup, Intersection, MaxUnion, Subtraction, var,
@@ -44,6 +47,7 @@ from repro.engine.parallel.codec import decode_shard, encode_shard
 from repro.planner import PassConfig
 from repro.relational import deep_dedup
 from repro.testkit import Harness, generate_case
+from repro.testkit.corpus import case_from_json
 from repro.testkit.differential import SET_BACKENDS, delta_commutes
 from repro.testkit.metamorphic import (
     LAWS, check_laws, laws_for_semiring,
@@ -210,6 +214,41 @@ class TestCrossEngineAgreement:
                     case.expr, case.database, engine=engine,
                     cache=None, powerset_budget=512, semiring=spec)
                 assert actual == expected, (seed, engine)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("engine",
+                             ("tree", "physical", "codegen", "parallel"))
+    def test_order_comparison_is_total_over_annotated_values(
+            self, spec, engine):
+        """``generate_case(1993, 55)`` and its shrunk corpus form:
+        source adaptation is shallow under tropical/provenance, so
+        ``<=`` meets an int-counted nested bag and an annotated
+        constant — once a bare ``TypeError`` out of ``canonical_key``.
+        Every engine must reach the tree walker's outcome (the full
+        case ends in a typed powerset error off N and Bool)."""
+        options = {}
+        if engine == "parallel":
+            options = dict(workers=2, parallel_threshold=0.0,
+                           min_morsel_rows=1)
+
+        def outcome(run):
+            try:
+                return run()
+            except ReproError as error:
+                return type(error)
+
+        with open(os.path.join(
+                os.path.dirname(__file__), "corpus",
+                "select_order_annotated_nested.json")) as handle:
+            shrunk = case_from_json(json.load(handle))
+        for case in (shrunk, generate_case(seed=1993, index=55)):
+            expected = outcome(lambda: tree_evaluate(
+                case.expr, case.database, semiring=spec))
+            actual = outcome(lambda: engine_evaluate(
+                case.expr, case.database, engine=engine, cache=None,
+                semiring=spec, **options))
+            assert actual == expected
+        assert isinstance(tree_evaluate(shrunk.expr, semiring=spec), Bag)
 
     def test_nat_spec_is_bit_identical_to_default(self):
         for seed in range(41, 45):
