@@ -38,7 +38,7 @@ from repro.core.errors import (
 from repro.core.expr import Expr
 from repro.guard.governor import CancellationToken, Limits, ResourceGovernor
 
-__all__ = ["EvalStats", "Evaluator", "evaluate"]
+__all__ = ["EvalStats", "Evaluator", "bindings_of", "evaluate"]
 
 
 @dataclass
@@ -90,6 +90,20 @@ class EvalStats:
 
 #: Environment frames: None (empty) or (name, value, parent_frame).
 _Frame = Optional[Tuple[str, Any, Any]]
+
+
+def bindings_of(database: Optional[Mapping[str, Any]],
+                named_bags: Mapping[str, Any]) -> Dict[str, Any]:
+    """One fresh dict from a mapping or
+    :class:`~repro.core.database.Instance` plus keyword bags (which
+    add or override)."""
+    bindings: Dict[str, Any] = {}
+    if isinstance(database, Instance):
+        bindings.update(database.bags())
+    elif database is not None:
+        bindings.update(database)
+    bindings.update(named_bags)
+    return bindings
 
 
 class Evaluator:
@@ -197,23 +211,15 @@ class Evaluator:
         :class:`~repro.core.database.Instance`; keyword arguments add or
         override individual bags.
         """
-        bindings: Dict[str, Any] = {}
-        if isinstance(database, Instance):
-            bindings.update(database.bags())
-        elif database is not None:
-            bindings.update(database)
-        bindings.update(named_bags)
-        sr = self.semiring
-        if sr is not None:
-            referenced = expr.free_vars()
-            bindings = {name: (sr.adapt_bag(value, name)
-                               if isinstance(value, Bag)
-                               and name in referenced else value)
-                        for name, value in bindings.items()}
-        if self.governor is not None:
-            self.governor.ensure_started()
+        bindings = bindings_of(database, named_bags)
         try:
-            missing = expr.free_vars() - set(bindings)
+            referenced = expr.free_vars()
+            if self.semiring is not None:
+                bindings = self.semiring.adapt_bindings(bindings,
+                                                        referenced)
+            if self.governor is not None:
+                self.governor.ensure_started()
+            missing = referenced - set(bindings)
             if missing:
                 raise UnboundVariableError(
                     f"expression mentions unbound bag(s): "

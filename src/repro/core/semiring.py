@@ -26,12 +26,18 @@ Conventions
   with frozen wrapper values (:class:`Trop`, :class:`Prov`) that
   subclass the :class:`SemiringValue` marker, which
   :mod:`repro.core.bag` accepts as multiplicities.
-* Input adaptation happens once at the *sources* (variable bindings at
+* Input adaptation happens at the *sources* (variable bindings at
   engine entry, constants at bind time): :meth:`Semiring.adapt_bag`
   maps int counts through the canonical homomorphism ``from_int`` —
   deep-dedup for Bool, fresh provenance variables for Prov.  Operators
   over adapted inputs stay adapted; stray int counts (inner bags of
   nested inputs) are normalised with :meth:`Semiring.coerce`.
+* Adaptation is paid once per ``(bound bag, semiring, label)``:
+  :meth:`Semiring.adapt_bag` is the only entry, behind a bounded
+  identity-keyed memo (:mod:`repro.core.memo`) that pins the source
+  bag.  A K-annotated database thus keeps its identity across queries
+  (``planner.stats.stats_of`` keeps hitting); a rejected bag is never
+  stored and raises again on every call.
 
 Registry
 --------
@@ -44,7 +50,9 @@ stays a single identity check.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
+
+from repro.core.memo import IdentityMemo
 
 __all__ = [
     "Semiring", "SemiringValue", "Trop", "Prov",
@@ -182,6 +190,11 @@ class Prov(SemiringValue):
 # The interface
 # ----------------------------------------------------------------------
 
+#: :meth:`Semiring.adapt_bag`'s memo: ``(id(bag), semiring, label) ->
+#: (bag, adapted)``.
+_ADAPTED = IdentityMemo()
+
+
 class Semiring:
     """Multiplicity arithmetic over an annotation domain ``K``.
 
@@ -287,17 +300,35 @@ class Semiring:
         return value
 
     def adapt_bag(self, bag: Any, label: str = "const") -> Any:
-        """Adapt an input bag's int counts into this semiring.
+        """Adapt an input bag's int counts into this semiring — once
+        per ``(bag identity, semiring, label)``; after that a memo hit
+        returns the *same* adapted bag.  A rejected bag (foreign-domain
+        annotations) raises every time: failures are never stored.
 
         ``label`` names the source relation; provenance uses it to mint
-        per-tuple variables.
+        per-tuple variables, hence its place in the key.
         """
         from repro.core.bag import Bag
         if not isinstance(bag, Bag):
-            return bag
-        counts = {self.adapt_value(value): self.coerce(count)
-                  for value, count in bag.items()}
-        return Bag.from_counts(counts)
+            return self.adapt_value(bag)
+        return _ADAPTED.get(bag, (self, label),
+                            lambda: self._adapt_bag(bag, label))
+
+    def adapt_bindings(self, bindings: Mapping[str, Any],
+                       referenced: frozenset) -> Dict[str, Any]:
+        """Adapt only the bag bindings the expression references — a
+        stale binding annotated under another semiring must not poison
+        queries that never mention it."""
+        from repro.core.bag import Bag
+        return {name: self.adapt_bag(value, name)
+                if name in referenced and isinstance(value, Bag) else value
+                for name, value in bindings.items()}
+
+    def _adapt_bag(self, bag: Any, label: str) -> Any:
+        """The per-instance work; :meth:`adapt_bag` is its only caller."""
+        from repro.core.bag import Bag
+        return Bag.from_counts({self.adapt_value(value): self.coerce(count)
+                                for value, count in bag.items()})
 
     # -- codec hooks ----------------------------------------------------
 
@@ -408,13 +439,6 @@ class BoolSemiring(Semiring):
     def adapt_value(self, value):
         return _deep_dedup(value)
 
-    def adapt_bag(self, bag, label="const"):
-        from repro.core.bag import Bag
-        if isinstance(bag, Bag):
-            for _, count in bag.items():
-                self.coerce(count)  # reject foreign-domain annotations
-        return _deep_dedup(bag)
-
 
 class TropicalSemiring(Semiring):
     """Min-plus costs: add = min, mul = numeric +.
@@ -520,24 +544,18 @@ class ProvenancePolynomial(Semiring):
     def from_int(self, n):
         return Prov.const(n)
 
-    def adapt_bag(self, bag, label="const"):
+    def _adapt_bag(self, bag, label):
         from repro.core.bag import Bag, canonical_key
-        if not isinstance(bag, Bag):
-            return bag
         counts = {}
         ordered = sorted(bag.distinct(), key=canonical_key)
         for index, value in enumerate(ordered):
             multiplicity = bag.multiplicity(value)
-            if isinstance(multiplicity, Prov):
-                # already annotated (a result bag re-entering as a
-                # binding, e.g. from the REPL environment) — adapting
-                # is idempotent, never re-labels
-                counts[value] = multiplicity
-            elif isinstance(multiplicity, int):
-                counts[value] = Prov(
-                    {(f"{label}.{index}",): multiplicity})
-            else:
-                self.coerce(multiplicity)  # raises BagTypeError
+            if isinstance(multiplicity, int):
+                multiplicity = Prov.variable(f"{label}.{index}",
+                                             multiplicity)
+            # a Prov count (a result re-entering as a binding) is kept:
+            # idempotent, never re-labelled; a foreign one is rejected
+            counts[value] = self.coerce(multiplicity)
         return Bag.from_counts(counts)
 
 

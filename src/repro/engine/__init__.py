@@ -36,12 +36,11 @@ from __future__ import annotations
 from typing import Any, Mapping, Optional
 
 from repro.core.bag import Bag
-from repro.core.database import Instance
 from repro.core.errors import (
     GovernedError, RecursionDepthExceeded, ResourceLimitError,
     UnboundVariableError,
 )
-from repro.core.eval import Evaluator
+from repro.core.eval import Evaluator, bindings_of
 from repro.core.expr import Expr
 from repro.engine.cache import CacheStats, PlanCache, canonical_key
 from repro.engine.kernels import Rows, collect
@@ -70,17 +69,6 @@ _DEFAULT_CACHE = PlanCache(capacity=256)
 def default_cache() -> PlanCache:
     """The process-wide plan cache shared by the front ends."""
     return _DEFAULT_CACHE
-
-
-def _bindings_of(database: Optional[Mapping[str, Any]],
-                 named_bags: Mapping[str, Any]) -> dict:
-    bindings: dict = {}
-    if isinstance(database, Instance):
-        bindings.update(database.bags())
-    elif database is not None:
-        bindings.update(database)
-    bindings.update(named_bags)
-    return bindings
 
 
 def _config_for(opt_level: Optional[int],
@@ -253,20 +241,14 @@ def evaluate(expr: Expr,
     sr = resolve_semiring(semiring)
     if sr is None and config is not None:
         sr = resolve_semiring(config.semiring)
-    bindings = _bindings_of(database, named_bags)
+    bindings = bindings_of(database, named_bags)
     referenced = expr.free_vars()
     missing = referenced - set(bindings)
     if missing:
         raise UnboundVariableError(
             f"expression mentions unbound bag(s): {sorted(missing)}")
     if sr is not None:
-        # adapt only the bindings the expression references — a stale
-        # binding annotated under another semiring must not poison
-        # queries that never mention it
-        bindings = {name: (sr.adapt_bag(value, name)
-                           if isinstance(value, Bag)
-                           and name in referenced else value)
-                    for name, value in bindings.items()}
+        bindings = sr.adapt_bindings(bindings, referenced)
     evaluator = Evaluator(powerset_budget=powerset_budget,
                           governor=governor, limits=limits,
                           track_stats=False, semiring=sr)
@@ -362,13 +344,10 @@ def explain_physical(expr: Expr,
     if sr is None and config is not None:
         sr = resolve_semiring(config.semiring)
     semiring_requested = (semiring is not None or sr is not None)
-    bindings = _bindings_of(database, named_bags)
+    bindings = bindings_of(database, named_bags)
+    referenced = expr.free_vars()
     if sr is not None:
-        referenced = expr.free_vars()
-        bindings = {name: (sr.adapt_bag(value, name)
-                           if isinstance(value, Bag)
-                           and name in referenced else value)
-                    for name, value in bindings.items()}
+        bindings = sr.adapt_bindings(bindings, referenced)
     stats = EngineStats()
     policy = None
     parallel_config = None
@@ -387,7 +366,7 @@ def explain_physical(expr: Expr,
                     engine="codegen" if engine == "codegen" else None,
                     semiring=sr)
     executed = False
-    if execute and not (expr.free_vars() - set(bindings)):
+    if execute and not (referenced - set(bindings)):
         evaluator = Evaluator(governor=governor, limits=limits,
                               track_stats=False, semiring=sr)
         if evaluator.governor is not None:

@@ -353,10 +353,8 @@ class ConstSource(PhysicalNode):
 
     def _rows(self, ctx):
         sr = ctx.semiring
-        if sr is not None:
-            yield from sr.adapt_bag(self.value).items()
-        else:
-            yield from self.value.items()
+        value = self.value if sr is None else sr.adapt_bag(self.value)
+        yield from value.items()
 
 
 class OracleEval(PhysicalNode):

@@ -53,7 +53,6 @@ Two refinements matter for the physical engine's lowering decisions:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional
 
@@ -64,6 +63,7 @@ from repro.core.expr import (
     Intersection, Map, MaxUnion, Powerbag, Powerset, Select,
     Subtraction, Var,
 )
+from repro.core.memo import IdentityMemo
 from repro.core.nest import Nest, Unnest
 
 __all__ = ["BagStats", "stats_of", "estimate", "estimated_cost",
@@ -118,11 +118,8 @@ class BagStats:
 # Exact statistics, memoized by bag identity
 # ----------------------------------------------------------------------
 
-#: Bounded identity-keyed memo: ``id(bag) -> (bag, stats)``.  The bag
-#: reference pins the id against reuse; bags are immutable, so a hit
-#: is always valid.  Bounded so long sessions cannot leak bags.
-_STATS_MEMO: "OrderedDict[int, tuple]" = OrderedDict()
-_STATS_MEMO_CAPACITY = 512
+#: Bounded identity-keyed memo: ``id(bag) -> (bag, stats)``.
+_STATS_MEMO = IdentityMemo()
 
 #: How many times statistics were derived by touching a concrete bag
 #: (as opposed to a memo hit or a catalog lookup).  The storage tests
@@ -148,26 +145,17 @@ def clear_stats_memo() -> None:
 
 
 def stats_of(bag: Bag) -> BagStats:
-    """Exact statistics of a concrete bag.
+    """Exact statistics of a concrete bag, memoized by bag *identity*:
+    repeated compiles against the same bound bag are a dictionary hit,
+    and the scan counter (:func:`stats_scan_count`) only moves on a
+    genuine miss."""
+    return _STATS_MEMO.get(bag, (), lambda: _scan(bag))
 
-    Memoized by bag *identity*: every entry point that derives
-    statistics from live bindings (``PlanContext.capture``) used to
-    re-derive them on every single compile; repeated compiles against
-    the same bound bag are now a dictionary hit, and the scan counter
-    (:func:`stats_scan_count`) only moves on a genuine miss.
-    """
-    key = id(bag)
-    hit = _STATS_MEMO.get(key)
-    if hit is not None and hit[0] is bag:
-        _STATS_MEMO.move_to_end(key)
-        return hit[1]
+
+def _scan(bag: Bag) -> BagStats:
     count_stats_scan()
-    stats = BagStats(cardinality=float(bag.cardinality),
-                     distinct=float(bag.distinct_count))
-    _STATS_MEMO[key] = (bag, stats)
-    if len(_STATS_MEMO) > _STATS_MEMO_CAPACITY:
-        _STATS_MEMO.popitem(last=False)
-    return stats
+    return BagStats(cardinality=float(bag.cardinality),
+                    distinct=float(bag.distinct_count))
 
 
 def estimate(expr: Expr, statistics: Mapping[str, BagStats],

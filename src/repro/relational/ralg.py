@@ -74,6 +74,8 @@ class SetEvaluator(Evaluator):
 
     def eval(self, expr: Expr, env) -> Any:
         result = super().eval(expr, env)
+        if isinstance(expr, Const):
+            return deep_dedup(result)  # a literal is an input: all levels
         if isinstance(result, Bag):
             result = Bag.from_counts(
                 {element: 1 for element in result.distinct()})

@@ -1,6 +1,6 @@
 """The semiring-generalized multiplicity core.
 
-Five concerns, one file:
+Six concerns, one file:
 
 * the algebraic contract of every shipped instance (axioms, natural
   order, count codec round-trips);
@@ -15,7 +15,10 @@ Five concerns, one file:
   delta-applied-to-bags backends agree on set semantics;
 * plumbing: plan-cache isolation by semiring tag, the ``:explain``
   footer, CLI/REPL selection, and the N fast path's structural purity
-  (no ``_sr`` in emitted codegen source).
+  (no ``_sr`` in emitted codegen source);
+* adapt once: ``Semiring.adapt_bag``'s memo contract, statistics that
+  stay warm across non-N queries, and the warm-equals-cold sweep of
+  ``tests/semiring_warm_cold.py``.
 """
 
 from __future__ import annotations
@@ -25,18 +28,22 @@ import json
 import os
 import pickle
 import random
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.cli import Session
 from repro.core.bag import Bag, Tup
-from repro.core.errors import ReproError
+from repro.core.errors import BagTypeError, ReproError
 from repro.core.eval import evaluate as tree_evaluate
 from repro.core.expr import (
     AdditiveUnion, Dedup, Intersection, MaxUnion, Subtraction, var,
 )
+from repro.core.memo import CAPACITY
 from repro.core.semiring import (
-    BOOL, NAT, PROVENANCE, TROPICAL, Prov, Trop,
+    _ADAPTED, BOOL, NAT, PROVENANCE, TROPICAL, Prov, Trop,
     known_semirings, resolve_semiring, semiring_name,
 )
 from repro.core.typecheck import infer_type
@@ -45,13 +52,15 @@ from repro.engine import (
 )
 from repro.engine.parallel.codec import decode_shard, encode_shard
 from repro.planner import PassConfig
+from repro.planner.stats import _STATS_MEMO, stats_scan_count
 from repro.relational import deep_dedup
-from repro.testkit import Harness, generate_case
+from repro.testkit import Harness, generate_case, load_corpus
 from repro.testkit.corpus import case_from_json
 from repro.testkit.differential import SET_BACKENDS, delta_commutes
 from repro.testkit.metamorphic import (
     LAWS, check_laws, laws_for_semiring,
 )
+from tests import semiring_warm_cold
 
 INSTANCES = (NAT, BOOL, TROPICAL, PROVENANCE)
 SPECS = ("nat", "bool", "tropical", "provenance")
@@ -62,6 +71,8 @@ EXPR = AdditiveUnion(
     Dedup(Subtraction(AdditiveUnion(var("R"), var("R")), var("S"))),
     Intersection(var("S"), var("R")))
 DB = {"R": R, "S": S}
+_CORPUS = load_corpus(
+    os.path.join(os.path.dirname(__file__), "corpus"))
 
 
 def _samples(sr):
@@ -397,6 +408,18 @@ class TestTriEquivalence:
                       for m in report.mismatches]
         assert mismatches == []
 
+    def test_corpus_replays_green_three_ways(self):
+        """``const_nested_duplicates_set_semantics`` is the finding: a
+        literal's *inner* duplicates are duplicates under set semantics
+        too (``SetEvaluator`` used to keep them)."""
+        harness = Harness(
+            backends=("oracle", "engine-boolean", "ralg", "delta-bag"),
+            metamorphic=False)
+        for path, case, _ in _CORPUS:
+            report = harness.run_case(case)
+            assert report.ok, (path, [m.describe()
+                                      for m in report.mismatches])
+
 
 class TestPlannerPlumbing:
     def test_cache_tag_includes_semiring(self):
@@ -476,3 +499,204 @@ class TestCli:
         session.handle(":explain eps(B)")
         assert "-- semiring --" in out.getvalue()
         assert "tropical" in out.getvalue()
+
+
+NON_NAT = (BOOL, TROPICAL, PROVENANCE)
+
+
+def _variables(adapted):
+    """The provenance variables a provenance-adapted bag mentions."""
+    return {name for _, count in adapted.items()
+            for name in count.variables()}
+
+
+class TestAdaptOnce:
+    """``adapt_bag`` is the one adaptation entry, memoised per
+    ``(bag identity, semiring, label)``."""
+
+    @pytest.mark.parametrize("sr", NON_NAT, ids=lambda s: s.name)
+    def test_second_adaptation_is_the_same_object(self, sr):
+        bag = Bag.from_counts({Tup("a", "b"): 3, Tup("c", "d"): 1})
+        first = sr.adapt_bag(bag, "R")
+        assert sr.adapt_bag(bag, "R") is first
+        twin = Bag.from_counts(dict(bag.items()))
+        assert sr.adapt_bag(twin, "R") is not first
+
+    def test_rejection_is_recomputed_every_call(self):
+        """A failed adaptation is never cached: the foreign bag raises
+        on the first call and again on the second."""
+        foreign = TROPICAL.adapt_bag(R, "R")
+        before = len(_ADAPTED)
+        for _ in range(2):
+            with pytest.raises(BagTypeError, match="another semiring"):
+                BOOL.adapt_bag(foreign, "R")
+        assert len(_ADAPTED) == before
+
+    def test_label_is_part_of_the_key(self):
+        """The same bag bound as R and as S mints R.i and S.i."""
+        bag = Bag.from_counts({Tup("a"): 2, Tup("b"): 1})
+        assert _variables(PROVENANCE.adapt_bag(bag, "R")) == {
+            "R.0", "R.1"}
+        assert _variables(PROVENANCE.adapt_bag(bag, "S")) == {
+            "S.0", "S.1"}
+        assert _variables(PROVENANCE.adapt_bag(bag, "R")) == {
+            "R.0", "R.1"}
+
+    def test_one_entry_per_semiring(self):
+        _ADAPTED.clear()
+        bag = Bag.from_counts({Tup("a"): 2, Tup("b"): 1})
+        adapted = [sr.adapt_bag(bag, "R") for sr in NON_NAT]
+        assert len(_ADAPTED) == 3
+        assert adapted[0] == Bag.from_counts({Tup("a"): 1, Tup("b"): 1})
+        assert adapted[1].multiplicity(Tup("a")) == TROPICAL.one
+        assert adapted[2].multiplicity(Tup("a")) == Prov.variable("R.0", 2)
+
+    def test_memo_is_bounded_and_an_evictee_readapts_equal(self):
+        bags = [Bag.from_counts({Tup(i, "x"): 2, Tup(i, "y"): 1})
+                for i in range(CAPACITY + 50)]
+        adapted = [PROVENANCE.adapt_bag(bag, "R") for bag in bags]
+        assert len(_ADAPTED) <= CAPACITY
+        again = PROVENANCE.adapt_bag(bags[0], "R")
+        assert again is not adapted[0]  # evicted, so recomputed
+        assert again == adapted[0]
+        assert PROVENANCE.adapt_bag(bags[-1], "R") is adapted[-1]
+
+    def test_id_reuse_never_returns_another_bags_adaptation(self):
+        """Create, adapt, drop, re-create: a dead bag's id comes back
+        for a different bag, whose adaptation must be its own."""
+        seen_ids = set()
+        reused = 0
+        for i in range(20 * CAPACITY):
+            bag = Bag.from_counts({Tup(i): 1 + i % 3})
+            reused += id(bag) in seen_ids
+            seen_ids.add(id(bag))
+            adapted = PROVENANCE.adapt_bag(bag, "R")
+            assert set(adapted.distinct()) == {Tup(i)}
+            assert adapted.multiplicity(Tup(i)) == Prov.variable(
+                "R.0", 1 + i % 3)
+        assert reused  # the probe did see ids come back
+
+    def test_concurrent_mixed_semiring_queries_agree(self):
+        """8 threads x 200 ``evaluate()`` calls over shared relations,
+        semirings and engines mixed, memo cold at the start."""
+        relations = {
+            "R": Bag.from_counts(
+                {Tup(i % 17, i % 5): 1 + i % 3 for i in range(120)}),
+            "S": Bag.from_counts(
+                {Tup(i % 13, i % 5): 1 + i % 2 for i in range(90)})}
+        mix = [(spec, engine) for spec in SPECS
+               for engine in ("tree", "physical", "codegen", "parallel")]
+        expected = {(spec, engine): engine_evaluate(
+            EXPR, relations, engine=engine, semiring=spec, cache=None)
+            for spec, engine in mix}
+        _ADAPTED.clear()
+        failures = []
+
+        def work(offset):
+            try:
+                for step in range(200):
+                    spec, engine = mix[(offset + step) % len(mix)]
+                    actual = engine_evaluate(
+                        EXPR, relations, engine=engine, semiring=spec,
+                        cache=None)
+                    if actual != expected[spec, engine]:
+                        failures.append((spec, engine, actual))
+            except BaseException as error:  # noqa: BLE001 - reported
+                failures.append(error)
+
+        threads = [threading.Thread(target=work, args=(3 * n,))
+                   for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+        assert len(_ADAPTED) <= CAPACITY
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_does_not_inherit_a_held_lock(self):
+        """A process worker forked while another thread is inside the
+        memo must still be able to adapt (its lock is made afresh)."""
+        with _ADAPTED._lock:
+            child = os.fork()
+            if child == 0:
+                try:
+                    BOOL.adapt_bag(Bag.from_counts({Tup("a"): 2}), "R")
+                finally:
+                    os._exit(0)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(child, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(child, 9)
+            os.waitpid(child, 0)
+            pytest.fail("the forked child hung on the inherited lock")
+        assert status == 0
+
+
+class TestStatisticsStayWarm:
+    """Adapted bags keep their identity across queries, so a warm
+    non-N query scans nothing and pins nothing new.  At the parent
+    every call added one scan and one dead adapted bag per referenced
+    relation."""
+
+    @pytest.mark.parametrize("engine",
+                             ("physical", "codegen", "parallel"))
+    def test_fifty_warm_bool_calls_leave_the_stats_memo_flat(
+            self, engine):
+        options = {}
+        if engine == "parallel":
+            options = dict(workers=2, parallel_threshold=0.0,
+                           min_morsel_rows=1)
+        relations = {
+            "R": Bag.from_counts({Tup(i, i % 7): 2 for i in range(64)}),
+            "S": Bag.from_counts({Tup(i, i % 5): 1 for i in range(48)})}
+        expected = engine_evaluate(EXPR, relations, engine=engine,
+                                   semiring="bool", **options)
+        scans, pinned = stats_scan_count(), len(_STATS_MEMO)
+        adapted = len(_ADAPTED)
+        for _ in range(50):
+            assert engine_evaluate(EXPR, relations, engine=engine,
+                                   semiring="bool",
+                                   **options) == expected
+        assert stats_scan_count() == scans
+        assert len(_STATS_MEMO) == pinned
+        assert len(_ADAPTED) == adapted
+
+    def test_stale_foreign_binding_does_not_poison_other_queries(self):
+        """Only referenced bindings are adapted — warm or cold."""
+        database = dict(DB, T=TROPICAL.adapt_bag(R, "T"))
+        for _ in range(2):
+            assert engine_evaluate(EXPR, database, semiring="bool",
+                                   cache=None) == tree_evaluate(
+                EXPR, DB, semiring="bool")
+            with pytest.raises(BagTypeError):
+                engine_evaluate(var("T"), database, semiring="bool",
+                                cache=None)
+
+
+class TestWarmEqualsCold:
+    """{bool, tropical, provenance} x {tree, physical, codegen,
+    parallel thread, parallel process}: a memo-warm run is
+    indistinguishable from a cold one (see semiring_warm_cold.py)."""
+
+    def test_fixed_seed_sweep(self):
+        problems = semiring_warm_cold.sweep(
+            semiring_warm_cold.SEED, semiring_warm_cold.CASES)
+        assert not problems, problems[:5]
+
+    @pytest.mark.parametrize(
+        "path,case,meta", _CORPUS,
+        ids=[os.path.splitext(os.path.basename(path))[0]
+             for path, _, _ in _CORPUS])
+    def test_corpus_case(self, path, case, meta):
+        assert not semiring_warm_cold.check_case(case)
