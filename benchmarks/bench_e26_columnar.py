@@ -3,7 +3,7 @@
 
 E20 measured the physical engine against the tree walker; this battery
 measures the next rung: ``engine="codegen"`` (opt level 3, the fused
-columnar closures of :mod:`repro.engine.codegen`) against
+columnar segments of :mod:`repro.engine.codegen`) against
 ``engine="physical"`` (the per-row stream kernels) on the pipelines
 the compiler actually fuses.  Three governed headline cells carry the
 acceptance gate:

@@ -8,7 +8,7 @@ generic domains cost:
 
 * **N fast-path pin (gated)** — the default path must not pay for the
   generality.  Two gates: a *structural* one (default-planned codegen
-  source contains no ``_sr`` — the specialize-on-N compiler emitted
+  source contains no ``_sr`` — the specialize-on-N compiler bound
   pure int arithmetic), and a *measured* one (an explicit
   ``semiring="nat"`` run, which resolves to the same ``None`` fast
   path, stays within ``OVERHEAD_CEILING`` of the default run on the

@@ -29,7 +29,7 @@ Collected headlines:
   compile overhead (zero-scan compiles against ANALYZEd relations),
   the opt0-vs-opt2-with-catalog quality speedup, and the selection
   q-error trend of histogram vs flat selectivity across scales.
-* **e26_columnar** — codegen engine (fused columnar closures, opt
+* **e26_columnar** — codegen engine (fused columnar segments, opt
   level 3) vs the stream engine: per-cell speedups on the three
   fused-pipeline headline cells, their gated geometric mean, and the
   report-only satellite rows.

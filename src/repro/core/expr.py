@@ -32,6 +32,7 @@ Python operator sugar on expressions::
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Iterator, Optional, Sequence, Tuple
 
 from repro.core.bag import Bag, Tup
@@ -46,7 +47,7 @@ __all__ = [
     "AdditiveUnion", "Subtraction", "MaxUnion", "Intersection",
     "Tupling", "Bagging", "Cartesian", "Powerset", "Powerbag",
     "Attribute", "BagDestroy", "Map", "Select", "Dedup",
-    "EMPTY", "const", "var",
+    "EMPTY", "const", "var", "structure_slots",
 ]
 
 #: Comparison operators allowed in selections.  The paper's sigma only
@@ -56,10 +57,20 @@ __all__ = [
 _SELECT_OPS = ("eq", "ne", "le", "lt")
 
 
-class Expr:
-    """Abstract base class of algebra expressions."""
+@lru_cache(maxsize=None)
+def structure_slots(cls: type) -> Tuple[str, ...]:
+    """The slots holding a node's structure, base class first: every
+    slot but the cached ``_hash``.  What generic walkers (the plan
+    cache's canonical key, pickling) read off a node."""
+    return tuple(slot for base in reversed(cls.__mro__)
+                 for slot in getattr(base, "__slots__", ())
+                 if slot != "_hash")
 
-    __slots__ = ()
+
+class Expr:
+    """Abstract base class of algebra expressions; immutable once built."""
+
+    __slots__ = ("_hash",)
 
     # -- structure -----------------------------------------------------
 
@@ -124,7 +135,20 @@ class Expr:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key()))
+        # planner dicts key on subtrees: uncached, each lookup re-walks
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = value = hash((type(self).__name__,
+                                       self._key()))
+            return value
+
+    def __getstate__(self):
+        """Pickle and copy carry structure only: str hashes are salted
+        per interpreter, so a cached hash must not cross processes."""
+        return (getattr(self, "__dict__", None),
+                {slot: getattr(self, slot)
+                 for slot in structure_slots(type(self))})
 
     def _key(self) -> Tuple:
         raise NotImplementedError

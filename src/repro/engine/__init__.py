@@ -187,10 +187,10 @@ def evaluate(expr: Expr,
     floor (1 forces the full ``workers x MORSEL_FACTOR`` split even
     on tiny inputs — what the differential harness does).
     ``engine="codegen"`` compiles the lowered plan one step further —
-    every pipeline segment fuses into a columnar Python closure
-    (:mod:`repro.engine.codegen`); powerset/flatten/nest subtrees fall
-    back to the stream kernels as barrier leaves.  ``opt_level``
-    (0/1/2/3) or a full
+    every pipeline segment fuses into a step program over the columnar
+    kernels (:mod:`repro.engine.codegen`); powerset/flatten/nest
+    subtrees fall back to the stream kernels as barrier leaves.
+    ``opt_level`` (0/1/2/3) or a full
     :class:`~repro.planner.PassConfig` picks the planner passes —
     level 0 disables every rewrite and lowers naively, level 2 adds
     the full algebraic rewrite fixpoint to the default, level 3 adds

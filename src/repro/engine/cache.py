@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional, Tuple
 
 from repro.core.expr import (
-    AdditiveUnion, Expr, Intersection, MaxUnion,
+    AdditiveUnion, Expr, Intersection, MaxUnion, structure_slots,
 )
 from repro.engine.lower import PhysicalPlan
 
@@ -56,17 +56,10 @@ def canonical_key(expr: Expr) -> Hashable:
         return (type(expr).__name__, left, right)
     if isinstance(expr, Expr):
         parts = [type(expr).__name__]
-        for slot in _slots_of(type(expr)):
+        for slot in structure_slots(type(expr)):
             parts.append(_value_key(getattr(expr, slot)))
         return tuple(parts)
     return expr
-
-
-def _slots_of(cls) -> Tuple[str, ...]:
-    slots = []
-    for base in reversed(cls.__mro__):
-        slots.extend(getattr(base, "__slots__", ()))
-    return tuple(slots)
 
 
 def _value_key(value) -> Hashable:

@@ -1,4 +1,4 @@
-"""Plan-to-closure codegen: fuse physical pipelines into Python closures.
+"""Plan-to-steps codegen: fuse physical pipelines into step programs.
 
 The stream engine executes a lowered plan by pulling rows through one
 generator per operator; every row pays Python-level dispatch at every
@@ -6,11 +6,22 @@ node.  This module compiles the same
 :class:`~repro.engine.lower.PhysicalPlan` into a
 :class:`CodegenPlan`: each maximal *fusable* region of the plan — the
 select/map/scale/union chains plus the hash-style binary kernels —
-becomes one emitted Python function (a *fused segment*) whose body is
-a straight line of columnar bulk kernels
-(:mod:`repro.engine.columnar`).  No per-tuple interpreter dispatch
-remains inside a segment; the raco pipeline compiler is the exemplar
-shape (one emitted unit per pipeline).
+becomes one *fused segment*, a straight line of columnar bulk kernel
+calls (:mod:`repro.engine.columnar`).  No per-tuple interpreter
+dispatch remains inside a segment; the raco pipeline compiler is the
+exemplar shape (one unit per pipeline).
+
+A segment is a **step program over registers**, built directly: one
+pre-bound callable ``step(ctx, R)`` per kernel call, reading and
+writing integer-numbered slots of the register file ``R``.  Nothing is
+printed, ``compile()``d or ``exec``'d — a segment never was anything
+but kernel calls, so the call list *is* the compiled form and a cold
+plan pays one tree walk.  :meth:`FusedSegment.fn` runs the steps over
+a fresh ``R`` per call (the thread backend runs one cached plan from
+several workers at once); :attr:`FusedSegment.source` renders them as
+a listing on demand.  Steps look kernels up on the module object when
+they run (``columnar.c_monus(...)``), so kernel monkeypatching — the
+mutation tests' probe — reaches a plan already in the plan cache.
 
 Segment boundaries:
 
@@ -33,10 +44,6 @@ Segment boundaries:
   ``EngineStats.barrier_fallbacks``; every segment execution counts
   into ``EngineStats.fused_segments`` — ``:explain`` prints both.
 
-Emitted code calls the columnar kernels through the module object
-(``_col.c_monus(...)``), so kernel monkeypatching — the mutation
-tests' probe — takes effect without recompiling this module.
-
 The planner inserts this as the ``codegen`` stage (after ``lower``),
 active at opt level 3 under ``engine="codegen"``; the stage
 contributes its own plan-cache tag component, so fused plans never
@@ -45,6 +52,7 @@ collide with stream plans compiled from the same expression.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.bag import Bag
@@ -59,7 +67,7 @@ from repro.engine.physical import (
 
 __all__ = ["CodegenPlan", "FusedSegment", "compile_codegen"]
 
-#: Node classes the emitter fuses; everything else is a barrier leaf.
+#: Node classes the compiler fuses; everything else is a barrier leaf.
 _FUSABLE = (ScanBag, ConstSource, HashUnion, HashDifference,
             HashIntersect, HashMaxUnion, HashDedup, StreamingMap,
             StreamingSelect, MultiplicityScale, NestedLoopProduct,
@@ -69,6 +77,12 @@ _FUSABLE = (ScanBag, ConstSource, HashUnion, HashDifference,
 #: (the rest produce parallel columns).
 _DICT_NATIVE = (ScanBag, ConstSource, HashDifference, HashIntersect,
                 HashMaxUnion, HashDedup)
+
+#: The dict-in, dict-out binary nodes and the columnar kernel of each.
+_DICT_KERNEL = {HashDifference: "c_monus",
+                HashIntersect: "c_min_intersect",
+                HashMaxUnion: "c_max_union",
+                HashUnion: "c_add_union"}
 
 
 def _fusable(node: PhysicalNode) -> bool:
@@ -98,14 +112,8 @@ def _shared_refs(root: PhysicalNode) -> Dict[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Runtime helpers shared by every emitted segment
+# Runtime helpers shared by every step
 # ----------------------------------------------------------------------
-
-def _enter(ctx) -> None:
-    """Segment prologue: count the execution and tick the governor."""
-    ctx.stats.fused_segments += 1
-    ctx.tick()
-
 
 def _record(ctx, kernel: str, rows: int, counts=None) -> None:
     """Per-kernel epilogue: stats, proportional governor ticks, and
@@ -145,39 +153,65 @@ def _tickof(ctx) -> Optional[Callable[[], None]]:
     return None if ctx.governor is None else ctx.tick
 
 
-def _mklam(ctx, lam) -> Callable[[Any], Any]:
-    """Evaluator-backed application for uncompiled lambdas."""
-    return lambda value: ctx.apply_lambda(lam, value)
-
-
-_RUNTIME = {
-    "_col": columnar,
-    "_enter": _enter,
-    "_record": _record,
-    "_scan": _scan,
-    "_tickof": _tickof,
-    "_mklam": _mklam,
-}
-
-
 # ----------------------------------------------------------------------
 # The compiled artefacts
 # ----------------------------------------------------------------------
 
 class FusedSegment:
-    """One emitted closure: a barrier-free pipeline region."""
+    """One step program: a barrier-free pipeline region.
 
-    __slots__ = ("index", "role", "fn", "source", "kernels", "inputs")
+    The compiler grows it (:meth:`reg`, :meth:`emit`), sets ``result``
+    last, and nothing mutates it afterwards: one cached segment runs
+    from several threads at once."""
 
-    def __init__(self, index: int, role: str,
-                 fn: Callable[[Any], Dict[Any, int]], source: str,
-                 kernels: Tuple[str, ...], inputs: Tuple[str, ...]):
-        self.index = index
+    __slots__ = ("index", "role", "steps", "registers", "result",
+                 "kernels", "inputs")
+
+    def __init__(self, role: str):
+        self.index = -1
         self.role = role
-        self.fn = fn
-        self.source = source
-        self.kernels = kernels
-        self.inputs = inputs
+        self.steps: List[Callable[[Any, list], None]] = []
+        self.registers = 0
+        self.result = -1
+        self.kernels: List[str] = []
+        self.inputs: List[str] = []
+
+    def reg(self) -> int:
+        self.registers += 1
+        return self.registers - 1
+
+    def emit(self, step: Callable[[Any, list], None],
+             kernel: Optional[str] = None, out: Optional[int] = None):
+        """Append one step; ``kernel`` names what it records, and the
+        register it fills is handed back for the caller to return."""
+        self.steps.append(step)
+        if kernel is not None:
+            self.kernels.append(kernel)
+        return out
+
+    def fn(self, ctx) -> Dict[Any, int]:
+        """One execution: the steps over a call-local register file."""
+        ctx.stats.fused_segments += 1
+        ctx.tick()
+        R = [None] * self.registers
+        for step in self.steps:
+            step(ctx, R)
+        return R[self.result]
+
+    @property
+    def source(self) -> str:
+        """The steps as a listing, rendered on demand: a step's
+        docstring says what it does to the registers (``;`` between
+        lines) and is filled in from the cells the step closes over."""
+        lines = [f"segment{self.index}(ctx):"]
+        for step in self.steps:
+            cells = inspect.getclosurevars(step).nonlocals
+            if "sr" in cells:
+                cells["sr"] = ", _sr" if cells["sr"] else ""
+            text = (step.__doc__ or step.__name__).format(**cells)
+            lines.extend(" ".join(text.split()).split("; "))
+        lines.append(f"return r{self.result}")
+        return "\n    ".join(lines) + "\n"
 
     def describe(self) -> str:
         parts = [f"segment {self.index} ({self.role}): "
@@ -188,11 +222,11 @@ class FusedSegment:
 
 
 class CodegenPlan:
-    """A stream plan compiled into fused columnar closures.
+    """A stream plan compiled into fused columnar step programs.
 
     Drop-in for :class:`~repro.engine.lower.PhysicalPlan` wherever the
     engine executes, caches, or renders a plan.  The plan is
-    data-free — closures read bindings through the per-run
+    data-free — steps read bindings through the per-run
     ``ExecContext`` — so a warm plan-cache entry serves any database
     of the same shape, exactly like a stream plan.
     """
@@ -224,10 +258,10 @@ class CodegenPlan:
 
     def kernels(self) -> Tuple[str, ...]:
         """The kernels one execution of the root runs: the fused root
-        segment's, or — for a root the emitter does not fuse — the
+        segment's, or — for a root the compiler does not fuse — the
         stream nodes' that execute instead."""
         if self.root_segment is not None:
-            return self.root_segment.kernels
+            return tuple(self.root_segment.kernels)
         names: List[str] = []
         seen: set = set()
         stack = [self.physical.root]
@@ -268,69 +302,35 @@ class CodegenPlan:
 
 
 # ----------------------------------------------------------------------
-# The segment emitter
+# The segment compiler
 # ----------------------------------------------------------------------
-
-class _SegmentBuilder:
-    """Accumulates one segment's emitted lines and its environment."""
-
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-        self.env: Dict[str, Any] = {}
-        self.counter = 0
-        self.kernels: List[str] = []
-        self.inputs: List[str] = []
-        #: vars holding fresh kernel outputs this segment owns; scan
-        #: views, consts, and memoised shared inputs are borrowed and
-        #: must never be mutated in place
-        self.owned: set = set()
-
-    def fresh(self, prefix: str) -> str:
-        self.counter += 1
-        return f"{prefix}{self.counter}"
-
-    def bind(self, prefix: str, obj: Any) -> str:
-        name = f"_{prefix}{len(self.env)}"
-        self.env[name] = obj
-        return name
-
-    def line(self, text: str) -> None:
-        self.lines.append(text)
-
-    def own(self, var: str) -> str:
-        self.owned.add(var)
-        return var
-
-    def record(self, kernel: str, rows_expr: str,
-               counts_var: Optional[str] = None) -> None:
-        self.kernels.append(kernel)
-        if counts_var is not None:
-            self.line(f"_record(ctx, {kernel!r}, {rows_expr}, "
-                      f"{counts_var})")
-        else:
-            self.line(f"_record(ctx, {kernel!r}, {rows_expr})")
-
 
 class _Compiler:
     """Compiles one PhysicalPlan into fused segments + barrier leaves.
 
-    ``semiring`` specialises the emitted code: with ``None`` (the N
-    default) every kernel call is emitted exactly as before — the
+    ``semiring`` specialises the steps: with ``None`` (the N default)
+    every kernel is called without a semiring argument at all — the
     fused int fast path pays nothing for the generalisation — while a
-    non-N semiring appends a ``_sr`` argument to each kernel call and
-    binds the instance (plus its ``one``) into the segment namespace.
+    non-N semiring binds the instance as the trailing ``_sr`` argument
+    of each kernel call.
     """
 
-    def __init__(self, refs: Optional[Dict[int, int]] = None,
-                 semiring=None) -> None:
+    def __init__(self, refs: Dict[int, int], semiring) -> None:
         self.segments: List[FusedSegment] = []
         self.barriers: List[PhysicalNode] = []
         self._shared_thunks: Dict[int, Callable] = {}
-        self._refs = refs if refs is not None else {}
+        self._refs = refs
+        #: ``(segment, register)`` of fresh kernel outputs the segment
+        #: owns; scan views, consts, and memoised shared inputs are
+        #: borrowed and must never be mutated in place
+        self._owned: set = set()
         self.semiring = semiring
-        #: appended verbatim to every columnar kernel call; empty for
-        #: N keeps the emitted source byte-identical to earlier PRs
-        self._srx = "" if semiring is None else ", _sr"
+        #: splatted onto every columnar kernel call; empty under N
+        self._sr = () if semiring is None else (semiring,)
+
+    def _own(self, seg: FusedSegment, reg: int) -> int:
+        self._owned.add((seg, reg))
+        return reg
 
     def _resolve(self, node: PhysicalNode) -> PhysicalNode:
         """Fuse through SharedScans the plan reads only once."""
@@ -343,46 +343,32 @@ class _Compiler:
 
     def compile_segment(self, node: PhysicalNode,
                         role: str) -> FusedSegment:
-        builder = _SegmentBuilder()
-        result = self._emit_dict(builder, node)
-        body = ["def _segment(ctx):", "    _enter(ctx)"]
-        body += ["    " + line for line in builder.lines]
-        body.append(f"    return {result}")
-        source = "\n".join(body) + "\n"
-        index = len(self.segments)
-        namespace = dict(_RUNTIME)
-        namespace.update(builder.env)
-        if self.semiring is not None:
-            namespace["_sr"] = self.semiring
-            namespace["_one"] = self.semiring.one
-        exec(compile(source, f"<codegen:segment{index}>", "exec"),
-             namespace)
-        segment = FusedSegment(index, role, namespace["_segment"],
-                               source, tuple(builder.kernels),
-                               tuple(builder.inputs))
+        segment = FusedSegment(role)
+        segment.result = self._emit_dict(segment, node)
+        # numbered after the shared inner segments compiled on the way
+        segment.index = len(self.segments)
         self.segments.append(segment)
         return segment
 
     # -- boundaries ----------------------------------------------------
 
-    def _input_dict(self, builder: _SegmentBuilder,
-                    node: PhysicalNode) -> str:
+    def _input_dict(self, seg: FusedSegment, node: PhysicalNode) -> int:
         """A segment input: a shared segment or a barrier leaf."""
         if isinstance(node, SharedScan):
             thunk = self._shared_thunks.get(id(node))
             if thunk is None:
                 thunk = self._make_shared_thunk(node)
                 self._shared_thunks[id(node)] = thunk
-            label = f"shared:{type(node.inner).__name__}"
+            seg.inputs.append(f"shared:{type(node.inner).__name__}")
         else:
             thunk = _make_barrier_thunk(node)
             self.barriers.append(node)
-            label = f"barrier:{node.kernel}"
-        builder.inputs.append(label)
-        name = builder.bind("in", thunk)
-        var = builder.fresh("d")
-        builder.line(f"{var} = {name}(ctx)")
-        return var
+            seg.inputs.append(f"barrier:{node.kernel}")
+        out = seg.reg()
+        def step(ctx, R):
+            "r{out} = <input>(ctx)"
+            R[out] = thunk(ctx)
+        return seg.emit(step, out=out)
 
     def _make_shared_thunk(self, node: SharedScan) -> Callable:
         if _fusable(node.inner):
@@ -405,217 +391,225 @@ class _Compiler:
 
         return thunk
 
-    # -- recursive emission --------------------------------------------
+    # -- recursive emission (a step's docstring is its listing line) ---
 
-    def _emit_dict(self, builder: _SegmentBuilder,
-                   node: PhysicalNode) -> str:
-        """Emit ``node`` and return the variable holding its counts
+    def _emit_dict(self, seg: FusedSegment, node: PhysicalNode) -> int:
+        """Emit ``node`` and return the register holding its counts
         dict."""
         node = self._resolve(node)
         if not _fusable(node):
-            return self._input_dict(builder, node)
-
+            return self._input_dict(seg, node)
+        sr = self._sr
         if isinstance(node, ScanBag):
-            var = builder.fresh("d")
-            builder.line(f"{var} = _scan(ctx, {node.name!r})")
-            builder.record("scan", f"len({var})")
-            return var
+            out, name = seg.reg(), node.name
+            def step(ctx, R):
+                """r{out} = _scan(ctx, {name!r})"""
+                R[out] = counts = _scan(ctx, name)
+                _record(ctx, "scan", len(counts))
+            return seg.emit(step, "scan", out)
         if isinstance(node, ConstSource):
             value = node.value
             if self.semiring is not None:
                 value = self.semiring.adapt_bag(value)
-            const = builder.bind("k", dict(value.items()))
-            var = builder.fresh("d")
-            builder.line(f"{var} = {const}")
-            builder.record("const", f"len({var})")
-            return var
-        if isinstance(node, HashDifference):
-            left = self._emit_dict(builder, node.left)
-            right = self._emit_dict(builder, node.right)
-            var = builder.fresh("d")
-            builder.line(f"{var} = _col.c_monus({left}, {right}"
-                         f"{self._srx})")
-            builder.record("monus", f"len({var})", var)
-            return var
-        if isinstance(node, HashIntersect):
-            small = self._emit_dict(builder, node.left)
-            large = self._emit_dict(builder, node.right)
-            var = builder.fresh("d")
-            builder.line(
-                f"{var} = _col.c_min_intersect({small}, {large}"
-                f"{self._srx})")
-            builder.record("min-intersect", f"len({var})", var)
-            return var
-        if isinstance(node, HashMaxUnion):
-            left = self._emit_dict(builder, node.left)
-            right = self._emit_dict(builder, node.right)
-            var = builder.fresh("d")
-            builder.line(f"{var} = _col.c_max_union({left}, {right}"
-                         f"{self._srx})")
-            builder.record("max-union", f"len({var})", var)
-            return var
+            out, const = seg.reg(), dict(value.items())
+            def step(ctx, R):
+                """r{out} = <const>"""
+                R[out] = const
+                _record(ctx, "const", len(const))
+            return seg.emit(step, "const", out)
+        call = _DICT_KERNEL.get(type(node))
+        if call is not None:
+            # monus / min-intersect (small, large) / max-union /
+            # additive-union: two dicts in, one fresh dict out
+            return self._emit_dict_binary(seg, call, node.kernel,
+                                          node.left, node.right)
         if isinstance(node, HashDedup):
             pair = self._match_sym_diff(node.child)
             if pair is not None:
                 # eps((A - B) (+) (B - A)): one candidate sweep over
                 # the C-level key-set union instead of two monus
                 # passes, a concatenation, and a dedup
-                left = self._emit_dict(builder, pair[0])
-                right = self._emit_dict(builder, pair[1])
-                var = builder.own(builder.fresh("d"))
-                builder.line(
-                    f"{var} = _col.c_sym_diff_dedup({left}, {right}"
-                    f"{self._srx})")
-                builder.record("sym-diff-dedup", f"len({var})", var)
-                return var
-            merged = self._emit_dedup_union(builder, node.child)
+                return self._own(seg, self._emit_dict_binary(
+                    seg, "c_sym_diff_dedup", "sym-diff-dedup", *pair))
+            merged = self._emit_dedup_union(seg, node.child)
             if merged is not None:
                 return merged
-            values = self._emit_values(builder, node.child)
-            var = builder.own(builder.fresh("d"))
-            builder.line(f"{var} = _col.c_dedup({values}{self._srx})")
-            builder.record("dedup", f"len({var})", var)
-            return var
-        if isinstance(node, HashUnion):
-            left = self._emit_dict(builder, node.left)
-            right = self._emit_dict(builder, node.right)
-            var = builder.fresh("d")
-            builder.line(f"{var} = _col.c_add_union({left}, {right}"
-                         f"{self._srx})")
-            builder.record("additive-union", f"len({var})", var)
-            return var
+            values = self._emit_values(seg, node.child)
+            out = self._own(seg, seg.reg())
+            def step(ctx, R):
+                """r{out} = _col.c_dedup(r{values}{sr})"""
+                R[out] = counts = columnar.c_dedup(R[values], *sr)
+                _record(ctx, "dedup", len(counts), counts)
+            return seg.emit(step, "dedup", out)
         if isinstance(node, MultiplicityScale):
             factor, inner = self._fold_scales(node)
             if self._prefers_dict(inner):
-                child = self._emit_dict(builder, inner)
-                var = builder.fresh("d")
-                builder.line(f"{var} = _col.c_scale_dict({child}, "
-                             f"{factor}{self._srx})")
-                builder.record("scale", f"len({var})", var)
-                return var
+                child = self._emit_dict(seg, inner)
+                out = seg.reg()
+                def step(ctx, R):
+                    """r{out} = _col.c_scale_dict(r{child},
+                    {factor}{sr})"""
+                    R[out] = counts = columnar.c_scale_dict(
+                        R[child], factor, *sr)
+                    _record(ctx, "scale", len(counts), counts)
+                return seg.emit(step, "scale", out)
         # columns-native nodes (and scale over a columns child):
         # emit columns, then materialise
-        values, counts, distinct = self._emit_cols(builder, node)
-        var = builder.fresh("d")
+        values, cnts, distinct = self._emit_cols(seg, node)
+        out = seg.reg()
         if distinct:
-            builder.line(f"{var} = dict(zip({values}, {counts}))")
+            def step(ctx, R):
+                """r{out} = dict(zip(r{values}, r{cnts}))"""
+                R[out] = counts = dict(zip(R[values], R[cnts]))
+                ctx.check_size(counts)
         else:
-            builder.line(
-                f"{var} = _col.sum_counts({values}, {counts}"
-                f"{self._srx})")
-        builder.line(f"ctx.check_size({var})")
-        return var
+            def step(ctx, R):
+                """r{out} = _col.sum_counts(r{values}, r{cnts}{sr})"""
+                R[out] = counts = columnar.sum_counts(
+                    R[values], R[cnts], *sr)
+                ctx.check_size(counts)
+        return seg.emit(step, out=out)
 
-    def _emit_cols(self, builder: _SegmentBuilder, node: PhysicalNode
-                   ) -> Tuple[str, str, bool]:
+    def _emit_dict_binary(self, seg: FusedSegment, call: str,
+                          kernel: str, left_node: PhysicalNode,
+                          right_node: PhysicalNode) -> int:
+        """Two dicts in, one fresh dict out, recorded and sized; the
+        kernel is looked up on the module at execution time."""
+        left = self._emit_dict(seg, left_node)
+        right = self._emit_dict(seg, right_node)
+        out, sr = seg.reg(), self._sr
+        def step(ctx, R):
+            """r{out} = _col.{call}(r{left}, r{right}{sr})"""
+            R[out] = counts = getattr(columnar, call)(R[left], R[right],
+                                                      *sr)
+            _record(ctx, kernel, len(counts), counts)
+        return seg.emit(step, kernel, out)
+
+    def _emit_cols(self, seg: FusedSegment, node: PhysicalNode
+                   ) -> Tuple[int, int, bool]:
         """Emit ``node`` in column form; returns
-        ``(values_var, counts_var, distinct)``."""
+        ``(values_reg, counts_reg, distinct)``."""
         node = self._resolve(node)
+        sr = self._sr
         if isinstance(node, HashUnion):
-            lv, lc, _ = self._emit_cols(builder, node.left)
-            rv, rc, _ = self._emit_cols(builder, node.right)
-            values = builder.fresh("v")
-            counts = builder.fresh("c")
-            builder.line(f"{values} = {lv} + {rv}")
-            builder.line(f"{counts} = {lc} + {rc}")
-            builder.record("additive-union", f"len({values})")
-            return values, counts, False
+            lv, lc, _ = self._emit_cols(seg, node.left)
+            rv, rc, _ = self._emit_cols(seg, node.right)
+            out_v, out_c = seg.reg(), seg.reg()
+            def step(ctx, R):
+                """r{out_v} = r{lv} + r{rv};
+                r{out_c} = r{lc} + r{rc}"""
+                R[out_v] = values = R[lv] + R[rv]
+                R[out_c] = R[lc] + R[rc]
+                _record(ctx, "additive-union", len(values))
+            seg.emit(step, "additive-union")
+            return out_v, out_c, False
         if isinstance(node, MultiplicityScale):
             factor, inner = self._fold_scales(node)
-            values, counts, distinct = self._emit_cols(builder, inner)
-            scaled = builder.fresh("c")
-            builder.line(
-                f"{scaled} = _col.c_scale({counts}, {factor}"
-                f"{self._srx})")
-            builder.record("scale", f"len({scaled})")
-            return values, scaled, distinct
+            values, cnts, distinct = self._emit_cols(seg, inner)
+            out = seg.reg()
+            def step(ctx, R):
+                """r{out} = _col.c_scale(r{cnts}, {factor}{sr})"""
+                R[out] = scaled = columnar.c_scale(R[cnts], factor, *sr)
+                _record(ctx, "scale", len(scaled))
+            seg.emit(step, "scale")
+            return values, out, distinct
         if isinstance(node, StreamingMap):
-            values, counts, _ = self._emit_cols(builder, node.child)
-            if node.fn is not None:
-                fn = builder.bind("fn", node.fn)
-            else:
-                lam = builder.bind("lam", node.lam)
-                fn = builder.fresh("f")
-                builder.line(f"{fn} = _mklam(ctx, {lam})")
-            mapped = builder.fresh("v")
-            builder.line(f"{mapped} = _col.c_map({values}, {fn})")
-            builder.record("map", f"len({mapped})")
-            return mapped, counts, False
+            values, cnts, _ = self._emit_cols(seg, node.child)
+            out, fn, lam = seg.reg(), node.fn, node.lam
+            def step(ctx, R):
+                "r{out} = _col.c_map(r{values}, <fn or lam via ctx>)"
+                # an uncompiled lambda applies through the evaluator
+                R[out] = mapped = columnar.c_map(
+                    R[values], fn if fn is not None else
+                    lambda value: ctx.apply_lambda(lam, value))
+                _record(ctx, "map", len(mapped))
+            seg.emit(step, "map")
+            return out, cnts, False
         if isinstance(node, StreamingSelect):
-            values, counts, distinct = self._emit_cols(builder,
-                                                       node.child)
-            make = builder.bind("mk", node.make_predicate)
-            pred = builder.fresh("p")
-            builder.line(f"{pred} = {make}(ctx)")
-            out_v = builder.fresh("v")
-            out_c = builder.fresh("c")
-            builder.line(f"{out_v}, {out_c} = _col.c_select({values}, "
-                         f"{counts}, {pred})")
-            builder.record("select", f"len({out_v})")
+            values, cnts, distinct = self._emit_cols(seg, node.child)
+            out_v, out_c = seg.reg(), seg.reg()
+            make = node.make_predicate
+            def step(ctx, R):
+                """r{out_v}, r{out_c} = _col.c_select(r{values},
+                r{cnts}, <predicate>(ctx))"""
+                R[out_v], R[out_c] = kept = columnar.c_select(
+                    R[values], R[cnts], make(ctx))
+                _record(ctx, "select", len(kept[0]))
+            seg.emit(step, "select")
             return out_v, out_c, distinct
         if isinstance(node, NestedLoopProduct):
-            pv, pc, _ = self._emit_cols(builder, node.left)
-            build = self._emit_dict(builder, node.right)
-            out_v = builder.fresh("v")
-            out_c = builder.fresh("c")
-            builder.line(f"{out_v}, {out_c} = _col.c_product({pv}, "
-                         f"{pc}, {build}, _tickof(ctx){self._srx})")
-            builder.record("nested-loop-product", f"len({out_v})")
+            pv, pc, _ = self._emit_cols(seg, node.left)
+            build = self._emit_dict(seg, node.right)
+            out_v, out_c = seg.reg(), seg.reg()
+            def step(ctx, R):
+                """r{out_v}, r{out_c} = _col.c_product(r{pv}, r{pc},
+                r{build}, _tickof(ctx){sr})"""
+                R[out_v], R[out_c] = pairs = columnar.c_product(
+                    R[pv], R[pc], R[build], _tickof(ctx), *sr)
+                _record(ctx, "nested-loop-product", len(pairs[0]))
+            seg.emit(step, "nested-loop-product")
             return out_v, out_c, False
         if isinstance(node, HashJoin):
-            if node.build_right:
-                probe, build_node = node.left, node.right
-                probe_key, build_key = node.left_key, node.right_key
-                probe_is_left = True
-            else:
-                probe, build_node = node.right, node.left
-                probe_key, build_key = node.right_key, node.left_key
-                probe_is_left = False
-            pv, pc, _ = self._emit_cols(builder, probe)
-            build = self._emit_dict(builder, build_node)
-            pk = builder.bind("pk", HashJoin._key_fn(probe_key))
-            bk = builder.bind("bk", HashJoin._key_fn(build_key))
-            out_v = builder.fresh("v")
-            out_c = builder.fresh("c")
-            builder.line(
-                f"{out_v}, {out_c} = _col.c_hash_join({pv}, {pc}, "
-                f"{build}, {pk}, {bk}, {probe_is_left}, _tickof(ctx)"
-                f"{self._srx})")
-            builder.record("hash-join", f"len({out_v})")
+            sides = ((node.left, node.left_key),
+                     (node.right, node.right_key))
+            (probe, probe_key), (build_node, build_key) = (
+                sides if node.build_right else sides[::-1])
+            probe_is_left = node.build_right
+            pv, pc, _ = self._emit_cols(seg, probe)
+            build = self._emit_dict(seg, build_node)
+            pk = HashJoin._key_fn(probe_key)
+            bk = HashJoin._key_fn(build_key)
+            out_v, out_c = seg.reg(), seg.reg()
+            def step(ctx, R):
+                """r{out_v}, r{out_c} = _col.c_hash_join(r{pv}, r{pc},
+                r{build}, <probe key>, <build key>, {probe_is_left},
+                _tickof(ctx){sr})"""
+                R[out_v], R[out_c] = pairs = columnar.c_hash_join(
+                    R[pv], R[pc], R[build], pk, bk, probe_is_left,
+                    _tickof(ctx), *sr)
+                _record(ctx, "hash-join", len(pairs[0]))
+            seg.emit(step, "hash-join")
             return out_v, out_c, False
         # dict-native node (scan, const, monus, dedup, ...) or input:
         # decompose the dict into columns
-        counts_var = self._emit_dict(builder, node)
-        values = builder.fresh("v")
-        counts = builder.fresh("c")
-        builder.line(f"{values} = list({counts_var})")
-        builder.line(f"{counts} = list({counts_var}.values())")
-        return values, counts, True
+        source = self._emit_dict(seg, node)
+        out_v, out_c = seg.reg(), seg.reg()
+        def step(ctx, R):
+            """r{out_v} = list(r{source});
+            r{out_c} = list(r{source}.values())"""
+            counts = R[source]
+            R[out_v] = list(counts)
+            R[out_c] = list(counts.values())
+        seg.emit(step)
+        return out_v, out_c, True
 
-    def _emit_values(self, builder: _SegmentBuilder,
-                     node: PhysicalNode) -> str:
+    def _emit_values(self, seg: FusedSegment,
+                     node: PhysicalNode) -> int:
         """The value column (or dict, iterated as keys) of a node —
         all a dedup consumer needs."""
         node = self._resolve(node)
         if self._prefers_dict(node):
-            return self._emit_dict(builder, node)
+            return self._emit_dict(seg, node)
         if isinstance(node, MultiplicityScale):
-            return self._emit_values(builder, node.child)
+            return self._emit_values(seg, node.child)
         if isinstance(node, HashUnion):
             # dedup(union): only the values matter, so skip the count
             # columns entirely (the sym-diff hot path)
-            left = self._emit_values(builder, node.left)
-            right = self._emit_values(builder, node.right)
-            values = builder.fresh("v")
-            builder.line(f"{values} = list({left})")
-            builder.line(f"{values}.extend({right})")
-            builder.record("additive-union", f"len({values})")
-            return values
-        values, _, _ = self._emit_cols(builder, node)
+            left = self._emit_values(seg, node.left)
+            right = self._emit_values(seg, node.right)
+            out = seg.reg()
+            def step(ctx, R):
+                """r{out} = list(r{left});
+                r{out}.extend(r{right})"""
+                R[out] = values = list(R[left])
+                values.extend(R[right])
+                _record(ctx, "additive-union", len(values))
+            return seg.emit(step, "additive-union", out)
+        values, _, _ = self._emit_cols(seg, node)
         return values
 
-    def _emit_dedup_union(self, builder: _SegmentBuilder,
-                          child: PhysicalNode) -> Optional[str]:
+    def _emit_dedup_union(self, seg: FusedSegment,
+                          child: PhysicalNode) -> Optional[int]:
         """``eps(L (+) R)`` where one side is itself a dedup output:
         that side is already distinct with every count 1, so the
         result is a C-level dict merge — and when the base dict is a
@@ -625,29 +619,30 @@ class _Compiler:
         child = self._resolve(child)
         if not isinstance(child, HashUnion):
             return None
-        base, other = child.left, child.right
-        if not self._all_ones(base):
-            base, other = other, base
-        if not self._all_ones(base):
+        base_node, other = child.left, child.right
+        if not self._all_ones(base_node):
+            base_node, other = other, base_node
+        if not self._all_ones(base_node):
             return None
-        base_var = self._emit_dict(builder, base)
-        values = self._emit_values(builder, other)
-        if base_var in builder.owned:
-            var = base_var
-        else:
-            var = builder.own(builder.fresh("d"))
-            builder.line(f"{var} = dict({base_var})")
-        one = "1" if self.semiring is None else "_one"
-        builder.line(f"{var}.update(dict.fromkeys({values}, {one}))")
-        builder.record("dedup-union", f"len({var})", var)
-        return var
+        base = self._emit_dict(seg, base_node)
+        values = self._emit_values(seg, other)
+        in_place = (seg, base) in self._owned
+        out = base if in_place else self._own(seg, seg.reg())
+        one = 1 if self.semiring is None else self.semiring.one
+        def step(ctx, R):
+            """r{out} = r{base} if {in_place} else dict(r{base});
+            r{out}.update(dict.fromkeys(r{values}, {one}))"""
+            R[out] = counts = R[base] if in_place else dict(R[base])
+            counts.update(dict.fromkeys(R[values], one))
+            _record(ctx, "dedup-union", len(counts), counts)
+        return seg.emit(step, "dedup-union", out)
 
     def _all_ones(self, node: PhysicalNode) -> bool:
         """Whether every multiplicity in ``node``'s output is 1.
 
         Looks through SharedScan wrappers for the *check* only — a
-        memoised input still arrives as a borrowed var, so the caller
-        copies it before merging."""
+        memoised input still arrives in a borrowed register, so the
+        caller copies it before merging."""
         node = self._resolve(node)
         while isinstance(node, SharedScan):
             node = node.inner
@@ -715,14 +710,14 @@ def _make_barrier_thunk(node: PhysicalNode) -> Callable:
 
 def compile_codegen(plan: PhysicalPlan,
                     semiring=None) -> CodegenPlan:
-    """Compile a lowered stream plan into fused columnar closures.
+    """Compile a lowered stream plan into fused columnar segments.
 
-    ``semiring=None`` (N) emits byte-identical source to earlier
-    revisions; a non-N instance specialises every kernel call with a
-    ``_sr`` argument (cache keys include the semiring, so the two
-    specialisations never collide in the plan cache).
+    ``semiring=None`` (N) builds steps that pass no semiring argument
+    at all; a non-N instance specialises every kernel call with a
+    trailing ``_sr`` argument (cache keys include the semiring, so the
+    two specialisations never collide in the plan cache).
     """
-    compiler = _Compiler(_shared_refs(plan.root), semiring=semiring)
+    compiler = _Compiler(_shared_refs(plan.root), semiring)
     root = compiler._resolve(plan.root)
     root_segment = None
     if _fusable(root):

@@ -21,8 +21,8 @@ Governance: the quadratic kernels (:func:`c_product`,
 :func:`c_hash_join`) accept a ``tick`` callable and invoke it once
 per ``TICK_CHUNK`` output rows, so step budgets, deadlines, and
 cancellation reach inside a single fused kernel.  The linear kernels
-are governed by their caller per kernel invocation (the emitted
-segment ticks proportionally to each result's size).
+are governed by their caller per kernel invocation (the fused
+segment's steps tick proportionally to each result's size).
 """
 
 from __future__ import annotations
@@ -136,16 +136,16 @@ def c_monus(left: Dict[Any, int],
 
 def c_min_intersect(small: Dict[Any, int],
                     large: Dict[Any, int], sr=None) -> Dict[Any, int]:
-    """``B n B'``: min of multiplicities; iterate the smaller dict."""
+    """``B n B'``: nonzero min of multiplicities; iterate the smaller."""
     get = large.get
     if sr is None:
         return {value: count if count < other else other
                 for value, count in small.items()
                 if (other := get(value, 0)) > 0}
-    meet = sr.min_
-    return {value: meet(count, other)
-            for value, count in small.items()
-            if (other := get(value)) is not None}
+    meet, is_zero = sr.min_, sr.is_zero
+    return {value: both for value, count in small.items()
+            if (other := get(value)) is not None
+            and not is_zero(both := meet(count, other))}
 
 
 def c_max_union(left: Dict[Any, int],

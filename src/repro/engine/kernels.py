@@ -137,7 +137,7 @@ def k_monus(left: Dict[Any, int], right: Dict[Any, int],
 
 def k_min_intersect(small: Dict[Any, int], large: Dict[Any, int],
                     sr=None) -> Iterator[Tuple[Any, int]]:
-    """``B n B'``: min of multiplicities; probe the smaller dict."""
+    """``B n B'``: nonzero min of multiplicities; probe the smaller."""
     get = large.get
     if sr is None:
         for value, count in small.items():
@@ -145,11 +145,13 @@ def k_min_intersect(small: Dict[Any, int], large: Dict[Any, int],
             if other > 0:
                 yield value, count if count < other else other
     else:
-        coerce, meet = sr.coerce, sr.min_
+        coerce, meet, is_zero = sr.coerce, sr.min_, sr.is_zero
         for value, count in small.items():
             other = get(value)
-            if other is not None:
-                yield value, meet(coerce(count), coerce(other))
+            # incomparable annotations (provenance) can meet at zero
+            if other is not None and not is_zero(
+                    both := meet(coerce(count), coerce(other))):
+                yield value, both
 
 
 def k_max_union(left: Dict[Any, int], right: Dict[Any, int],

@@ -272,7 +272,7 @@ def execute_program(program: SegmentProgram,
     a worker dying mid-segment).
 
     The input shards are never mutated — scans borrow them, and the
-    emitter's in-place merges touch only dicts a kernel of the same
+    compiler's in-place merges touch only dicts a kernel of the same
     run produced — so a retry from the same inputs is idempotent
     wherever the last attempt died.
     """
@@ -283,7 +283,7 @@ def execute_program(program: SegmentProgram,
                           semiring=sr)
     ctx = ExecContext(slots, evaluator, stats=stats, tick_interval=every)
     if plan.root_segment is None:
-        # a root the emitter does not fuse (nest): collect it through
+        # a root the compiler does not fuse (nest): collect it through
         # the stream nodes, unsealed — not plan.execute's Bag per morsel
         return ctx.collect(plan.root)
     return plan.root_segment.fn(ctx)

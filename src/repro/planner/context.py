@@ -41,7 +41,7 @@ OPT_LEVELS = {
        "reordering, no sharing)",
     1: "normalize + cost-based lowering (the default)",
     2: "level 1 plus the algebraic rewrite fixpoint",
-    3: "level 2 plus columnar plan-to-closure codegen "
+    3: "level 2 plus columnar plan-to-steps codegen "
        "(fused segments; engine=codegen)",
 }
 

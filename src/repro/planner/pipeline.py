@@ -212,7 +212,7 @@ def compile(expr: Expr, context: Optional[PlanContext] = None, *,
                   + ("exchanges inserted" if inserted
                      else "below threshold, serial plan kept"))))
 
-    # -- codegen: fuse pipeline segments into columnar closures --------
+    # -- codegen: fuse pipeline segments into columnar step programs --
     if codegen_active:
         record = StageRecord("codegen", tree="")
         with _StageTimer(record):

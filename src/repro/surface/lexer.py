@@ -24,8 +24,8 @@ lambda parameters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple
 
 from repro.core.errors import ParseError
 
@@ -55,12 +55,17 @@ _PUNCTUATION = {
     "<": "LT",
 }
 
-#: Longest-match ordering for punctuation.
-_PUNCT_ORDER = sorted(_PUNCTUATION, key=len, reverse=True)
+#: One alternation per token class, tried in this order at every
+#: offset: blanks, longest-first punctuation, a quoted atom, a run of
+#: word characters (``\w`` is exactly ``str.isalnum() or "_"``; the
+#: digit and identifier rules below carve runs up), anything else.
+_MASTER = re.compile(
+    r"[ \t\r\n]+|(?P<punct>%s)|'(?P<string>[^']*)'|(?P<run>\w+)"
+    r"|(?P<bad>(?s:.))" % "|".join(map(
+        re.escape, sorted(_PUNCTUATION, key=len, reverse=True))))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token: a kind, its text, and its source offset."""
 
     kind: str
@@ -75,62 +80,42 @@ def tokenize(source: str) -> List[Token]:
     string literals.
     """
     tokens: List[Token] = []
+    scan = _MASTER.match
     position = 0
     length = len(source)
     while position < length:
-        char = source[position]
-        if char in " \t\r\n":
-            position += 1
+        match = scan(source, position)
+        group = match.lastgroup
+        start, position = position, match.end()
+        if group is None:
             continue
-        matched = _match_punctuation(source, position)
-        if matched is not None:
-            kind, text = matched
-            tokens.append(Token(kind, text, position))
-            position += len(text)
-            continue
-        if char == "'":
-            text, consumed = _scan_string(source, position)
-            tokens.append(Token("STRING", text, position))
-            position += consumed
-            continue
-        if char.isdigit():
-            start = position
-            while position < length and source[position].isdigit():
-                position += 1
-            tokens.append(Token("INT", source[start:position], start))
-            continue
-        if char.isalpha() or char == "_":
-            start = position
-            while position < length and (source[position].isalnum()
-                                         or source[position] == "_"):
-                position += 1
-            word = source[start:position]
+        text = match[group]
+        if group == "punct":
+            kind = _PUNCTUATION[text]
+        elif group == "string":
+            kind = "STRING"
+        elif text[0].isdigit():
+            kind = "INT"
+            if not text.isdigit():
+                # "12ab": the number ends where the digits do
+                text = text[:next(i for i, char in enumerate(text)
+                                  if not char.isdigit())]
+                position = start + len(text)
+        elif group == "bad" or not (text[0].isalpha()
+                                    or text[0] == "_"):
+            # no token starts here: a quote that never closes, a stray
+            # character, or a numeric that is neither digit nor letter
+            # (a vulgar fraction)
+            raise ParseError(
+                "unclosed string literal" if text == "'" else
+                f"unexpected character {text[0]!r}", start, source)
+        elif text.startswith("alpha") and text[5:].isdigit():
             # "alpha3" style: keyword fused with an index
-            if word.startswith("alpha") and word[5:].isdigit():
-                tokens.append(Token("ALPHA", word, start))
-            elif word in KEYWORDS:
-                tokens.append(Token("KEYWORD", word, start))
-            else:
-                tokens.append(Token("IDENT", word, start))
-            continue
-        raise ParseError(f"unexpected character {char!r}", position,
-                         source)
+            kind = "ALPHA"
+        elif text in KEYWORDS:
+            kind = "KEYWORD"
+        else:
+            kind = "IDENT"
+        tokens.append(Token(kind, text, start))
     tokens.append(Token("EOF", "", length))
     return tokens
-
-
-def _match_punctuation(source: str, position: int):
-    for text in _PUNCT_ORDER:
-        if source.startswith(text, position):
-            return _PUNCTUATION[text], text
-    return None
-
-
-def _scan_string(source: str, position: int):
-    """Scan a single-quoted atom literal; returns (content, consumed)."""
-    end = position + 1
-    while end < len(source) and source[end] != "'":
-        end += 1
-    if end >= len(source):
-        raise ParseError("unclosed string literal", position, source)
-    return source[position + 1:end], end - position + 1

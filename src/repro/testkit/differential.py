@@ -28,7 +28,7 @@ backend                 what it exercises
                         syntax-directed plan on trial against the
                         optimized ones
 ``engine-codegen``      the columnar codegen engine (opt level 3):
-                        plans compile to fused Python closures over
+                        plans compile to fused step programs over
                         the bulk kernels of
                         :mod:`repro.engine.columnar`, with
                         powerset/flatten subtrees running as stream

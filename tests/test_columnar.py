@@ -1,4 +1,4 @@
-"""Tests for the columnar runtime and the plan-to-closure codegen.
+"""Tests for the columnar runtime and the plan-to-steps codegen.
 
 Three layers:
 
@@ -12,10 +12,10 @@ Three layers:
 * **mutation teeth** — the monus count-clamp, the join multiplicity
   product, and the dedup count-collapse each get a deliberately
   broken kernel; the ``oracle`` vs ``engine-codegen`` differential
-  must catch every mutant within 10 generated cases (emitted segments
-  call kernels through the module object, so patching
-  ``repro.engine.columnar`` attributes reaches inside compiled
-  closures).
+  must catch every mutant within 10 generated cases (a segment's
+  steps look kernels up on the module object when they run, so
+  patching ``repro.engine.columnar`` attributes reaches inside
+  compiled plans).
 """
 
 from __future__ import annotations

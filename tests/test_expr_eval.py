@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -150,6 +153,33 @@ class TestStructure:
         assert var("B") + var("C") == var("B") + var("C")
         assert var("B") + var("C") != var("C") + var("B")
         assert hash(var("B") + var("C")) == hash(var("B") + var("C"))
+
+    def test_cached_hash_is_invisible(self):
+        """Taking an expression's hash caches it per node; nothing a
+        caller can observe — the plan-cache key, equality, the repr,
+        a pickle, a copy — may depend on whether that happened."""
+        from repro.core.nest import Nest
+        from repro.engine.cache import canonical_key
+        from repro.machines.ifp import Ifp
+
+        def build():
+            pair = Select(Lam("t", Attribute(Var("t"), 1)),
+                          Lam("t", Const("a")), var("B") * var("C"))
+            return Ifp("X", Var("X") + Nest(Dedup(pair), 1), var("S"))
+
+        cold, warm = build(), build()
+        for node in warm.walk():
+            hash(node)
+        assert hash(cold) == hash(warm) == hash(warm)
+        assert cold == warm and repr(cold) == repr(warm)
+        assert canonical_key(cold) == canonical_key(warm)
+        assert pickle.dumps(build()) == pickle.dumps(warm)
+        for clone in (pickle.loads(pickle.dumps(warm)),
+                      copy.copy(warm), copy.deepcopy(warm)):
+            # the copy carries structure only, and hashes afresh
+            assert not hasattr(clone, "_hash")
+            assert clone == cold and hash(clone) == hash(cold)
+            assert canonical_key(clone) == canonical_key(cold)
 
     def test_repr_is_stable(self):
         expr = Select(Lam("t", Attribute(Var("t"), 1)),

@@ -15,7 +15,7 @@ Six concerns, one file:
   delta-applied-to-bags backends agree on set semantics;
 * plumbing: plan-cache isolation by semiring tag, the ``:explain``
   footer, CLI/REPL selection, and the N fast path's structural purity
-  (no ``_sr`` in emitted codegen source);
+  (no ``_sr`` in the codegen source listing);
 * adapt once: ``Semiring.adapt_bag``'s memo contract, statistics that
   stay warm across non-N queries, and the warm-equals-cold sweep of
   ``tests/semiring_warm_cold.py``.

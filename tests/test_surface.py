@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.bag import Bag, EMPTY_BAG, Tup
@@ -12,6 +14,54 @@ from repro.core.expr import (
     Map, MaxUnion, Powerbag, Powerset, Select, Subtraction, Var, var,
 )
 from repro.surface import parse, to_text, tokenize
+from repro.testkit import generate_case
+
+#: Frozen from the character-at-a-time scanner the master regex
+#: replaced: ``(text, tokens)`` or ``(text, (message, position))``.
+_LEXER_PINS = [
+    ("", [("EOF", "", 0)]),
+    ("'", ("unclosed string literal", 0)),
+    ("x'", ("unclosed string literal", 1)),
+    ("alpha", [("KEYWORD", "alpha", 0), ("EOF", "", 5)]),
+    ("alpha12", [("ALPHA", "alpha12", 0), ("EOF", "", 7)]),
+    ("alpha12x", [("IDENT", "alpha12x", 0), ("EOF", "", 8)]),
+    ("alpha\u0663", [("ALPHA", "alpha\u0663", 0), ("EOF", "", 6)]),
+    ("(+", ("unexpected character '+'", 1)),
+    ("(+)(+", ("unexpected character '+'", 4)),
+    ("{{{", ("unexpected character '{'", 2)),
+    ("}}}", ("unexpected character '}'", 2)),
+    ("B ? B", ("unexpected character '?'", 2)),
+    ("<==", [("LE", "<=", 0), ("EQ", "=", 2), ("EOF", "", 3)]),
+    ("a\tb\r\nc", [("IDENT", "a", 0), ("IDENT", "b", 2),
+                   ("IDENT", "c", 5), ("EOF", "", 6)]),
+    # only space, tab, CR and LF are blank
+    ("\xa0", ("unexpected character '\\xa0'", 0)),
+    ("a\x0bb", ("unexpected character '\\x0b'", 1)),
+    # str.isalpha / isalnum / isdigit, not [A-Za-z0-9]
+    ("\xe9t\xe9 \u0436_1", [("IDENT", "\xe9t\xe9", 0),
+                           ("IDENT", "\u0436_1", 4), ("EOF", "", 7)]),
+    ("\u0663\u0664 12\xb2 x\xb2",
+     [("INT", "\u0663\u0664", 0), ("INT", "12\xb2", 3),
+      ("IDENT", "x\xb2", 7), ("EOF", "", 9)]),
+    ("12ab", [("INT", "12", 0), ("IDENT", "ab", 2), ("EOF", "", 4)]),
+    # numeric but neither digit nor letter: cannot start a token
+    ("\xbd", ("unexpected character '\xbd'", 0)),
+    ("a\xbd", [("IDENT", "a\xbd", 0), ("EOF", "", 2)]),
+    ("_x1 __", [("IDENT", "_x1", 0), ("IDENT", "__", 4),
+                ("EOF", "", 6)]),
+    ("'a\nb' ''", [("STRING", "a\nb", 0), ("STRING", "", 6),
+                   ("EOF", "", 8)]),
+    ("'it''s'", [("STRING", "it", 0), ("STRING", "s", 4),
+                 ("EOF", "", 7)]),
+    ("P('x' (+) {{['a',42]}})-u!=<=<;:",
+     [("KEYWORD", "P", 0), ("LPAREN", "(", 1), ("STRING", "x", 2),
+      ("ADDUNION", "(+)", 6), ("LBAG", "{{", 10), ("LBRACKET", "[", 12),
+      ("STRING", "a", 13), ("COMMA", ",", 16), ("INT", "42", 17),
+      ("RBRACKET", "]", 19), ("RBAG", "}}", 20), ("RPAREN", ")", 22),
+      ("MINUS", "-", 23), ("KEYWORD", "u", 24), ("NE", "!=", 25),
+      ("LE", "<=", 27), ("LT", "<", 29), ("SEMI", ";", 30),
+      ("COLON", ":", 31), ("EOF", "", 32)]),
+]
 
 
 class TestLexer:
@@ -43,6 +93,33 @@ class TestLexer:
     def test_bad_character(self):
         with pytest.raises(ParseError):
             tokenize("B ? B")
+
+    @pytest.mark.parametrize("text, expected", _LEXER_PINS)
+    def test_pinned_streams_and_errors(self, text, expected):
+        if isinstance(expected, list):
+            assert [(token.kind, token.text, token.position)
+                    for token in tokenize(text)] == expected
+            return
+        with pytest.raises(ParseError) as info:
+            tokenize(text)
+        error = info.value
+        assert (error.args[0], error.position) == expected
+        assert error.text == text
+
+    def test_generated_corpus_digest(self):
+        """500 printed ``testkit.generate`` expressions tokenize to
+        the stream the old scanner produced (32 887 tokens)."""
+        digest, count = hashlib.sha256(), 0
+        for index in range(500):
+            case = generate_case(7, index, fragment="mixed")
+            tokens = tokenize(to_text(case.expr))
+            count += len(tokens)
+            digest.update(repr([(token.kind, token.text, token.position)
+                                for token in tokens]).encode())
+        assert count == 32887
+        assert digest.hexdigest() == (
+            "609047d6b547567483f46cc641afbe67"
+            "5b9cab259c7213e4fa90e4b26beddef4")
 
 
 class TestParser:
