@@ -42,7 +42,7 @@ import time
 from benchmarks.conftest import (
     RESULTS_DIR, emit_table, governed_cell, record_experiment_meta,
 )
-from benchmarks.bench_e26_columnar import sym_diff_chain
+from benchmarks.bench_e20_engine_speedup import sym_diff_chain
 from repro.core.expr import AdditiveUnion, Intersection, var
 from repro.engine import evaluate, plan_for
 from repro.guard import Limits

@@ -29,10 +29,11 @@ Collected headlines:
   compile overhead (zero-scan compiles against ANALYZEd relations),
   the opt0-vs-opt2-with-catalog quality speedup, and the selection
   q-error trend of histogram vs flat selectivity across scales.
-* **e26_columnar** — codegen engine (fused columnar segments, opt
-  level 3) vs the stream engine: per-cell speedups on the three
-  fused-pipeline headline cells, their gated geometric mean, and the
-  report-only satellite rows.
+* **e26_columnar** — closed (PR 18 deleted the row interpreter it
+  compared against; the bench went with it): the last persisted run
+  of fused step programs vs the stream engine — per-cell speedups on
+  the three fused-pipeline headline cells, their gated geometric
+  mean, and the report-only satellite rows — kept as the record.
 * **e27_semiring** — the semiring-generalized multiplicity core: the
   gated N fast-path overhead pin (structural ``_sr``-free codegen
   source plus the measured tagged-vs-default ratio), and the
@@ -258,7 +259,8 @@ def collect_e25() -> Optional[Dict[str, Any]]:
 
 
 def collect_e26() -> Optional[Dict[str, Any]]:
-    """Headline: gated geomean of the fused-pipeline speedups."""
+    """Headline: gated geomean of the fused-pipeline speedups (the
+    experiment's last persisted run; nothing regenerates it)."""
     text = _read("e26_columnar.json")
     if text is None:
         return None

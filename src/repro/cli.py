@@ -147,8 +147,8 @@ class Session:
 
     def _default_level(self) -> int:
         """The opt level the current engine defaults to: the oracle
-        walker evaluates queries as written, the codegen engine needs
-        the fusion stage of level 3."""
+        walker evaluates queries as written, ``codegen`` is the
+        physical engine with the rewrite fixpoint on."""
         if self.engine == "tree":
             return 0
         if self.engine == "codegen":
@@ -335,9 +335,9 @@ class Session:
             self._print("-- stages --")
             self._print(self._explain_stages(expr))
             self._print("-- physical --")
-            # under :engine codegen the physical section is the fused
-            # plan itself: segment report, lowered tree, and the
-            # "-- codegen --" fusion counters
+            # the plan itself: segment report, lowered tree, and the
+            # "-- codegen --" fusion counters (:engine codegen only
+            # changes the default opt level)
             self._print(explain_physical(
                 expr, self.bindings, governor=self._governor(),
                 engine=("codegen" if self.engine == "codegen"
@@ -646,12 +646,12 @@ def main(argv=None) -> int:
     govern every evaluation; governed failures print as ``error:``
     lines instead of killing the process.  ``--engine
     physical|parallel|codegen|tree`` picks the evaluator (default:
-    the physical kernel engine; ``codegen`` runs fused columnar
-    closures); ``--workers N`` and ``--parallel-backend
+    the physical engine; ``codegen`` is the same engine defaulting to
+    opt level 3); ``--workers N`` and ``--parallel-backend
     thread|process`` configure the parallel engine; ``--opt-level
     0|1|2|3`` picks the planner's pass set (0 disables every rewrite
-    and lowers naively; 2 adds the full algebraic fixpoint; 3 adds
-    the codegen fusion stage);
+    and lowers naively; 2 adds the full algebraic fixpoint; 3 runs
+    the same passes as 2);
     ``--resilience`` turns on fault-tolerant parallel execution
     (morsel retry, pool respawn, degradation ladder); ``--semiring
     nat|bool|tropical|provenance`` picks the multiplicity semiring

@@ -259,20 +259,20 @@ def evaluate(expr: Expr, database: Optional[Mapping[str, Bag]] = None,
 
     ``engine`` selects the evaluation strategy: ``"tree"`` (default)
     is this module's instrumented tree walker — the semantics oracle —
-    while ``"physical"`` dispatches to the pipelined kernel engine of
+    while ``"physical"`` dispatches to the fused-kernel engine of
     :mod:`repro.engine`, ``"parallel"`` to its morsel-driven
     executor (``workers`` threads, or processes with
     ``parallel_backend="process"``), and ``"codegen"`` to the
-    columnar runtime that fuses pipeline segments into generated
-    closures.  Same results, bag-equal by the differential fuzz
-    suite; governed limits apply either way.
+    physical engine at its older name's default opt level.  Same
+    results, bag-equal by the differential fuzz suite; governed
+    limits apply either way.
 
     Every path routes through the staged planner
     (:func:`repro.planner.compile`).  ``opt_level`` (or a full
     :class:`~repro.planner.PassConfig`) picks the passes; the tree
     walker defaults to level 0 — the oracle evaluates the query *as
-    written* — while the physical engines default to level 1 and the
-    codegen engine to level 3 (the fusion stage).
+    written* — while the physical engines default to level 1 and
+    ``"codegen"`` to level 3 (the rewrite fixpoint on).
 
     >>> from repro.core.expr import var
     >>> from repro.core.bag import Bag

@@ -9,8 +9,8 @@ truncated difference (monus) and lattice meet/join for the
 intersection/maximal-union operators.
 
 This module is the single arithmetic seam.  Every execution layer
-(tree walker, stream kernels, columnar kernels, generated closures,
-the parallel shard codec, and the planner's cache tags) consumes a
+(tree walker, columnar and dict kernels, the step programs that call
+them, the parallel shard codec, and the planner's cache tags) consumes a
 :class:`Semiring` instance instead of hard-coding ``int`` arithmetic.
 
 Conventions

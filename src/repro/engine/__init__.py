@@ -4,9 +4,10 @@ The tree walker in :mod:`repro.core.eval` is the semantics oracle:
 small, obviously faithful to the paper, and instrumented.  This package
 is the *production* path: expressions are compiled by the staged
 planner (:func:`repro.planner.compile` — normalize, rewrite, cost-based
-lowering, optional parallelize) into physical plans of pipelined
-operator kernels over ``(value, multiplicity)`` streams
-(:mod:`repro.engine.physical`, :mod:`repro.engine.kernels`), with a
+lowering, optional parallelize, codegen) into physical plans
+(:mod:`repro.engine.physical`) executed as fused step programs over
+bulk count kernels (:mod:`repro.engine.codegen`,
+:mod:`repro.engine.columnar`, :mod:`repro.engine.kernels`), with a
 bounded LRU plan cache plus per-run common-subexpression sharing
 (:mod:`repro.engine.cache`).  Plan-cache keys include the planner's
 pass configuration, so plans compiled at different opt levels (or with
@@ -43,7 +44,8 @@ from repro.core.errors import (
 from repro.core.eval import Evaluator, bindings_of
 from repro.core.expr import Expr
 from repro.engine.cache import CacheStats, PlanCache, canonical_key
-from repro.engine.kernels import Rows, collect
+from repro.engine.codegen import compile_codegen
+from repro.engine.kernels import collect
 from repro.engine.lower import Lowering, PhysicalPlan, lower
 from repro.engine.physical import (
     EngineStats, ExecContext, PhysicalNode, render_plan,
@@ -57,8 +59,8 @@ from repro.planner import compile as planner_compile
 
 __all__ = [
     "EngineStats", "ExecContext", "PhysicalNode", "PhysicalPlan",
-    "PlanCache", "CacheStats", "Lowering", "lower", "canonical_key",
-    "Rows", "collect", "render_plan", "ResilienceConfig",
+    "PlanCache", "CacheStats", "Lowering", "lower", "compile_codegen",
+    "canonical_key", "collect", "render_plan", "ResilienceConfig",
     "evaluate", "plan_for", "explain_physical", "default_cache",
 ]
 
@@ -79,8 +81,8 @@ def _config_for(opt_level: Optional[int],
     """Resolve the pass configuration for a physical-path call: an
     explicit config wins, then an explicit level; the default is
     opt level 1 (normalize + cost-based lowering) — except under
-    ``engine="codegen"``, whose callers pass ``default_level=3`` so
-    the codegen stage is on by default.  ``semiring`` (an instance,
+    ``engine="codegen"``, whose callers pass ``default_level=3``
+    (the rewrite fixpoint on).  ``semiring`` (an instance,
     a name, or None for N) is stamped into the config so plan-cache
     keys and the lowering pass see the active multiplicity domain."""
     from dataclasses import replace as _replace
@@ -109,6 +111,55 @@ def _absorb_feedback(catalog, stats: EngineStats) -> None:
         absorb(observed)
 
 
+def _prepare(expr: Expr, database, named_bags, *, engine: str,
+             semiring, config: Optional[PassConfig],
+             opt_level: Optional[int], workers: Optional[int],
+             parallel_backend: str,
+             parallel_threshold: Optional[float],
+             min_morsel_rows: Optional[int], resilience):
+    """What :func:`evaluate` and :func:`explain_physical` both do
+    before they plan: validate the engine, resolve the semiring (the
+    argument, else the config's), build the parallel policy and
+    run-time config, adapt the bindings and settle the pass config
+    (``engine="codegen"`` defaults to level 3, the others to 1).
+
+    Returns ``(semiring, bindings, missing, policy, parallel_config,
+    pass_config)``; ``missing`` is the free variables left unbound.
+    """
+    if engine not in ("physical", "parallel", "codegen"):
+        if engine == "tree":
+            raise ValueError("engine 'tree' is the oracle walker: it "
+                             "has no physical plan")
+        raise ValueError(f"unknown engine {engine!r} "
+                         "(choices: 'physical', 'parallel', "
+                         "'codegen', 'tree')")
+    policy = parallel_config = None
+    resilience_config = resolve_resilience(resilience)
+    if engine == "parallel":
+        from repro.engine.parallel import ParallelConfig, ParallelPolicy
+        policy = (ParallelPolicy() if parallel_threshold is None
+                  else ParallelPolicy(threshold=parallel_threshold))
+        extra = ({} if min_morsel_rows is None
+                 else {"min_morsel_rows": min_morsel_rows})
+        parallel_config = ParallelConfig(
+            workers=workers if workers is not None else 2,
+            backend=parallel_backend,
+            resilience=resilience_config, **extra)
+    from repro.core.semiring import resolve_semiring
+    sr = resolve_semiring(semiring)
+    if sr is None and config is not None:
+        sr = resolve_semiring(config.semiring)
+    bindings = bindings_of(database, named_bags)
+    referenced = expr.free_vars()
+    missing = referenced - set(bindings)
+    if sr is not None:
+        bindings = sr.adapt_bindings(bindings, referenced)
+    pass_config = _config_for(
+        opt_level, config,
+        default_level=3 if engine == "codegen" else 1, semiring=sr)
+    return sr, bindings, missing, policy, parallel_config, pass_config
+
+
 def plan_for(expr: Expr, bindings: Mapping[str, Any],
              cache: Optional[PlanCache] = None,
              stats: Optional[EngineStats] = None,
@@ -128,10 +179,8 @@ def plan_for(expr: Expr, bindings: Mapping[str, Any],
     :class:`~repro.engine.parallel.ParallelPolicy`) turns on the
     parallelism pass; parallel plans live under a tagged cache key so
     they never shadow serial plans, and the pass configuration is part
-    of every key so opt levels never collide either.
-    ``engine="codegen"`` yields a fused
-    :class:`~repro.engine.codegen.CodegenPlan` (default opt level 3)
-    under its own cache-tag component.
+    of every key so opt levels never collide either.  The engine name
+    only picks the default opt level (``"codegen"``: 3, otherwise 1).
     """
     if engine is None:
         engine = "parallel" if policy is not None else "physical"
@@ -186,15 +235,14 @@ def evaluate(expr: Expr,
     ``min_morsel_rows`` overrides the adaptive morsel-granularity
     floor (1 forces the full ``workers x MORSEL_FACTOR`` split even
     on tiny inputs — what the differential harness does).
-    ``engine="codegen"`` compiles the lowered plan one step further —
-    every pipeline segment fuses into a step program over the columnar
-    kernels (:mod:`repro.engine.codegen`); powerset/flatten/nest
-    subtrees fall back to the stream kernels as barrier leaves.
+    Every one of these executes the lowered plan's fused step
+    programs (:mod:`repro.engine.codegen`); ``engine="codegen"`` is
+    the physical engine with opt level 3 as its default.
     ``opt_level`` (0/1/2/3) or a full
     :class:`~repro.planner.PassConfig` picks the planner passes —
     level 0 disables every rewrite and lowers naively, level 2 adds
-    the full algebraic rewrite fixpoint to the default, level 3 adds
-    the codegen stage (the ``engine="codegen"`` default).
+    the full algebraic rewrite fixpoint to the default, level 3 runs
+    the same passes as level 2.
     ``cache=None`` disables plan caching; the default is the
     process-wide cache.  Governed limits apply to the whole run:
     compilation ticks the shared governor per rewrite pass, every
@@ -218,46 +266,21 @@ def evaluate(expr: Expr,
                              opt_level=opt_level, config=config,
                              semiring=semiring,
                              **named_bags)
-    if engine not in ("physical", "parallel", "codegen"):
-        raise ValueError(f"unknown engine {engine!r} "
-                         "(choices: 'physical', 'parallel', "
-                         "'codegen', 'tree')")
-    policy = None
-    parallel_config = None
-    resilience_config = resolve_resilience(resilience)
-    if engine == "parallel":
-        from repro.engine.parallel import ParallelConfig, ParallelPolicy
-        if parallel_threshold is not None:
-            policy = ParallelPolicy(threshold=parallel_threshold)
-        else:
-            policy = ParallelPolicy()
-        extra = ({} if min_morsel_rows is None
-                 else {"min_morsel_rows": min_morsel_rows})
-        parallel_config = ParallelConfig(
-            workers=workers if workers is not None else 2,
-            backend=parallel_backend,
-            resilience=resilience_config, **extra)
-    from repro.core.semiring import resolve_semiring
-    sr = resolve_semiring(semiring)
-    if sr is None and config is not None:
-        sr = resolve_semiring(config.semiring)
-    bindings = bindings_of(database, named_bags)
-    referenced = expr.free_vars()
-    missing = referenced - set(bindings)
+    (sr, bindings, missing, policy, parallel_config,
+     resolved_config) = _prepare(
+        expr, database, named_bags, engine=engine, semiring=semiring,
+        config=config, opt_level=opt_level, workers=workers,
+        parallel_backend=parallel_backend,
+        parallel_threshold=parallel_threshold,
+        min_morsel_rows=min_morsel_rows, resilience=resilience)
     if missing:
         raise UnboundVariableError(
             f"expression mentions unbound bag(s): {sorted(missing)}")
-    if sr is not None:
-        bindings = sr.adapt_bindings(bindings, referenced)
     evaluator = Evaluator(powerset_budget=powerset_budget,
                           governor=governor, limits=limits,
                           track_stats=False, semiring=sr)
     if evaluator.governor is not None:
         evaluator.governor.ensure_started()
-    resolved_config = _config_for(
-        opt_level, config,
-        default_level=3 if engine == "codegen" else 1,
-        semiring=sr)
     ctx = PlanContext.capture(
         bindings, catalog=catalog, engine=engine,
         governor=evaluator.governor,
@@ -273,8 +296,9 @@ def evaluate(expr: Expr,
                 _absorb_feedback(catalog, exec_ctx.stats)
             return result
         except Exception as error:
-            if not (engine == "parallel"
-                    and resilience_config is not None
+            resilience_config = (None if parallel_config is None
+                                 else parallel_config.resilience)
+            if not (resilience_config is not None
                     and resilience_config.replan
                     and is_transient_fault(error)):
                 raise
@@ -332,48 +356,38 @@ def explain_physical(expr: Expr,
     """Render the physical plan, optionally with actual cardinalities.
 
     With ``execute=True`` (and all free variables bound) the plan runs
-    once so every node reports ``actual rows`` next to its estimate —
-    the CLI's ``:explain`` uses exactly this.  Under
-    ``engine="parallel"`` the plan shows the Gather/Exchange/Partition
-    structure and a footer reports the exchange counters (partitions,
-    morsels, gather barriers, per-worker steps) plus the plan-cache
-    totals for the cache that served the plan.
+    once so every node whose step ran reports ``actual rows`` next to
+    its estimate — the CLI's ``:explain`` uses exactly this.  The
+    footer reports the run's fused-segment and barrier-step counts;
+    under ``engine="parallel"`` the plan shows the
+    Gather/Exchange/Partition structure and the footer adds the
+    exchange counters (partitions, morsels, gather barriers,
+    per-worker steps); the plan-cache totals close it when a cache
+    served the plan.  ``engine`` must name an engine that has a
+    physical plan: ``"tree"`` and unknown names raise ``ValueError``.
     """
-    from repro.core.semiring import resolve_semiring
-    sr = resolve_semiring(semiring)
-    if sr is None and config is not None:
-        sr = resolve_semiring(config.semiring)
-    semiring_requested = (semiring is not None or sr is not None)
-    bindings = bindings_of(database, named_bags)
-    referenced = expr.free_vars()
-    if sr is not None:
-        bindings = sr.adapt_bindings(bindings, referenced)
+    (sr, bindings, missing, policy, parallel_config,
+     resolved_config) = _prepare(
+        expr, database, named_bags, engine=engine, semiring=semiring,
+        config=config, opt_level=opt_level, workers=workers,
+        parallel_backend=parallel_backend,
+        parallel_threshold=parallel_threshold, min_morsel_rows=None,
+        resilience=resilience)
     stats = EngineStats()
-    policy = None
-    parallel_config = None
-    resilience_config = resolve_resilience(resilience)
-    if engine == "parallel":
-        from repro.engine.parallel import ParallelConfig, ParallelPolicy
-        policy = (ParallelPolicy(threshold=parallel_threshold)
-                  if parallel_threshold is not None else ParallelPolicy())
-        parallel_config = ParallelConfig(
-            workers=workers if workers is not None else 2,
-            backend=parallel_backend,
-            resilience=resilience_config)
     plan = plan_for(expr, bindings, cache=cache, stats=stats,
-                    policy=policy, opt_level=opt_level, config=config,
-                    catalog=catalog,
-                    engine="codegen" if engine == "codegen" else None,
-                    semiring=sr)
-    executed = False
-    if execute and not (referenced - set(bindings)):
+                    policy=policy, config=resolved_config,
+                    catalog=catalog, engine=engine)
+    actuals = None
+    if execute and not missing:
         evaluator = Evaluator(governor=governor, limits=limits,
                               track_stats=False, semiring=sr)
         if evaluator.governor is not None:
             evaluator.governor.ensure_started()
-        plan.execute(ExecContext(bindings, evaluator, stats=stats,
-                                 parallel=parallel_config))
-        executed = True
+        exec_ctx = ExecContext(bindings, evaluator, stats=stats,
+                               parallel=parallel_config)
+        plan.execute(exec_ctx)
+        actuals = exec_ctx.actual_rows
+    executed = actuals is not None
     # snapshot compile-time estimates before feedback rewrites them
     estimates = {}
     lookup = getattr(catalog, "planner_stats", None)
@@ -384,7 +398,7 @@ def explain_physical(expr: Expr,
                 estimates[name] = entry.bag_stats.cardinality
     if feedback and executed and catalog is not None:
         _absorb_feedback(catalog, stats)
-    rendered = plan.render()
+    rendered = plan.render(actuals)
     if feedback and executed:
         feedback_lines = ["-- feedback --"]
         observed = stats.observed_mean_cardinalities()
@@ -398,7 +412,7 @@ def explain_physical(expr: Expr,
         if len(feedback_lines) == 1:
             feedback_lines.append("no base-relation scans observed")
         rendered = "\n".join([rendered] + feedback_lines)
-    if semiring_requested:
+    if semiring is not None or sr is not None:
         from repro.core.semiring import NAT
         active = NAT if sr is None else sr
         specialization = "fused-int" if sr is None else "generic"
@@ -406,33 +420,25 @@ def explain_physical(expr: Expr,
             rendered, "-- semiring --",
             f"domain               {active.describe()}",
             f"specialization       {specialization}"])
-    if engine == "codegen":
-        lines = [rendered, "-- codegen --",
-                 f"fused segments       {stats.fused_segments}",
-                 f"barrier fallbacks    {stats.barrier_fallbacks}"]
-        if cache is not None:
-            lines.append(
-                f"plan cache           hits={cache.stats.hits} "
-                f"misses={cache.stats.misses} "
-                f"evictions={cache.stats.evictions}")
-        return "\n".join(lines)
-    if engine != "parallel":
-        return rendered
-    lines = [rendered, "-- exchange --",
-             f"partitions created   {stats.partitions_created}",
-             f"morsels executed     {stats.morsels_executed}",
-             f"gather barriers      {stats.gather_barriers}",
-             f"per-worker steps     {stats.worker_steps}",
-             f"bytes shipped        {stats.bytes_shipped}",
-             f"segment cache        hits={stats.segment_cache_hits} "
-             f"misses={stats.segment_cache_misses}"]
-    if resilience_config is not None:
-        demotions = ("; ".join(stats.demotions) if stats.demotions
-                     else "none")
-        lines += ["-- resilience --",
-                  f"morsel retries       {stats.morsel_retries}",
-                  f"pool respawns        {stats.pool_respawns}",
-                  f"demotions            {demotions}"]
+    lines = [rendered, "-- codegen --",
+             f"fused segments       {stats.fused_segments}",
+             f"barrier fallbacks    {stats.barrier_fallbacks}"]
+    if parallel_config is not None:
+        lines += ["-- exchange --",
+                  f"partitions created   {stats.partitions_created}",
+                  f"morsels executed     {stats.morsels_executed}",
+                  f"gather barriers      {stats.gather_barriers}",
+                  f"per-worker steps     {stats.worker_steps}",
+                  f"bytes shipped        {stats.bytes_shipped}",
+                  f"segment cache        hits={stats.segment_cache_hits} "
+                  f"misses={stats.segment_cache_misses}"]
+        if parallel_config.resilience is not None:
+            demotions = ("; ".join(stats.demotions) if stats.demotions
+                         else "none")
+            lines += ["-- resilience --",
+                      f"morsel retries       {stats.morsel_retries}",
+                      f"pool respawns        {stats.pool_respawns}",
+                      f"demotions            {demotions}"]
     if cache is not None:
         lines.append(f"plan cache           hits={cache.stats.hits} "
                      f"misses={cache.stats.misses} "

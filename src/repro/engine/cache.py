@@ -17,8 +17,10 @@ up to execution.  Two layers of reuse:
   the :class:`~repro.engine.physical.ExecContext`, so cached plans
   never leak data between databases.
 
-Plans hold no data, only structure and compiled closures, which is what
-makes sharing them across databases of the same schema safe.
+Plans hold no data, only structure, step programs and compiled
+lambdas — and a run writes nothing on them — which is what makes
+sharing them across databases of the same schema, and across threads,
+safe.
 """
 
 from __future__ import annotations

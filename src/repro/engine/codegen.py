@@ -1,82 +1,65 @@
-"""Plan-to-steps codegen: fuse physical pipelines into step programs.
+"""Plan-to-steps codegen: the one executable form of a lowered plan.
 
-The stream engine executes a lowered plan by pulling rows through one
-generator per operator; every row pays Python-level dispatch at every
-node.  This module compiles the same
-:class:`~repro.engine.lower.PhysicalPlan` into a
-:class:`CodegenPlan`: each maximal *fusable* region of the plan — the
-select/map/scale/union chains plus the hash-style binary kernels —
-becomes one *fused segment*, a straight line of columnar bulk kernel
-calls (:mod:`repro.engine.columnar`).  No per-tuple interpreter
-dispatch remains inside a segment; the raco pipeline compiler is the
-exemplar shape (one unit per pipeline).
+:func:`compile_codegen` turns the node tree of a
+:class:`~repro.engine.lower.PhysicalPlan` into *fused segments*: each
+is a straight line of kernel calls — the columnar bulk kernels of
+:mod:`repro.engine.columnar` for the flat operators, the dict kernels
+of :mod:`repro.engine.kernels` for nest / unnest / flatten / powerset /
+powerbag, the tree walker for an oracle subtree, the worker pool for
+an exchange.  No per-tuple interpreter dispatch remains between
+operators; the raco pipeline compiler is the exemplar shape (one unit
+per pipeline).  Every engine but the tree walker executes these
+segments and nothing else.
 
 A segment is a **step program over registers**, built directly: one
-pre-bound callable ``step(ctx, R)`` per kernel call, reading and
-writing integer-numbered slots of the register file ``R``.  Nothing is
-printed, ``compile()``d or ``exec``'d — a segment never was anything
-but kernel calls, so the call list *is* the compiled form and a cold
-plan pays one tree walk.  :meth:`FusedSegment.fn` runs the steps over
-a fresh ``R`` per call (the thread backend runs one cached plan from
-several workers at once); :attr:`FusedSegment.source` renders them as
-a listing on demand.  Steps look kernels up on the module object when
-they run (``columnar.c_monus(...)``), so kernel monkeypatching — the
-mutation tests' probe — reaches a plan already in the plan cache.
+tuple ``(function, kernel, node, out, *operands)`` per kernel call,
+over module-level step functions ``function(ctx, R, step)`` that read
+and write integer-numbered slots of the register file ``R``.  Nothing
+is printed, ``compile()``d or ``exec``'d, and a step costs a tuple,
+not a closure — a plan cache full of small plans is mostly steps.
+:meth:`FusedSegment.fn` runs the steps over a fresh ``R`` per call
+(the thread backend runs one cached plan from several workers at
+once); :attr:`FusedSegment.kernels` and :attr:`FusedSegment.source`
+are read off the steps on demand.  Steps look kernels up on the
+module object when they run (``columnar.c_monus(...)``), so kernel
+monkeypatching — the mutation tests' probe — reaches a plan already
+in the plan cache.
 
-Segment boundaries:
+The one segment boundary is a :class:`~repro.engine.physical.
+SharedScan` the plan reads **more than once**: the inner plan
+compiles into its own segment, materialised once per run via
+``ctx.memo``.  A ``SharedScan`` read once is *transparent* and fuses
+straight through into the consuming segment.
 
-* :class:`~repro.engine.physical.SharedScan` nodes that the plan
-  references **more than once** — the inner plan compiles into its
-  own fused segment, materialised once per run via the shared
-  ``ctx.memo`` (the same memo the stream engine uses, so a
-  subexpression shared across a barrier is still computed once).
-  Lowering's CSE wraps every syntactically repeated subtree, which in
-  an exponentially-shared logical expression marks far more nodes
-  than the physical DAG actually re-reads; a ``SharedScan`` whose
-  compiled plan references it exactly once is *transparent* here and
-  fuses straight through into the consuming segment;
-* everything the columnar runtime does not fuse — powerset/powerbag,
-  flatten, nest, unnest, oracle subtrees, and any operator this
-  module does not know — stays a **barrier leaf**: the original
-  stream node executes via ``ctx.collect`` (full governance and
-  powerset budgets included) and feeds the enclosing segment as a
-  materialised dict.  Every such execution counts into
-  ``EngineStats.barrier_fallbacks``; every segment execution counts
-  into ``EngineStats.fused_segments`` — ``:explain`` prints both.
-
-The planner inserts this as the ``codegen`` stage (after ``lower``),
-active at opt level 3 under ``engine="codegen"``; the stage
-contributes its own plan-cache tag component, so fused plans never
-collide with stream plans compiled from the same expression.
+Every step ends in the same epilogue (:func:`_record`): kernel and row
+counters, the node's actual rows, governor ticks in proportion to the
+rows produced, and the intermediate-size budget on a materialised
+dict.  ``EngineStats.fused_segments`` counts segment executions and
+``EngineStats.barrier_fallbacks`` the steps that ran a dict kernel or
+the oracle — ``:explain`` prints both.
 """
 
 from __future__ import annotations
 
-import inspect
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.bag import Bag
 from repro.core.errors import UnboundVariableError
-from repro.engine import columnar
-from repro.engine.lower import PhysicalPlan
+from repro.engine import columnar, kernels
 from repro.engine.physical import (
-    ConstSource, HashDedup, HashDifference, HashIntersect, HashJoin,
-    HashMaxUnion, HashUnion, MultiplicityScale, NestedLoopProduct,
-    PhysicalNode, ScanBag, SharedScan, StreamingMap, StreamingSelect,
+    ConstSource, FlattenBags, HashDedup, HashDifference, HashIntersect,
+    HashJoin, HashMaxUnion, HashUnion, MultiplicityScale, NestBuild,
+    NestedLoopProduct, OracleEval, PhysicalNode, PowersetExpand,
+    ScanBag, SharedScan, StreamingMap, StreamingSelect, UnnestExpand,
 )
 
-__all__ = ["CodegenPlan", "FusedSegment", "compile_codegen"]
+__all__ = ["FusedSegment", "compile_codegen", "compile_node"]
 
-#: Node classes the compiler fuses; everything else is a barrier leaf.
-_FUSABLE = (ScanBag, ConstSource, HashUnion, HashDifference,
-            HashIntersect, HashMaxUnion, HashDedup, StreamingMap,
-            StreamingSelect, MultiplicityScale, NestedLoopProduct,
-            HashJoin)
-
-#: Nodes whose natural output currency is a ``value -> count`` dict
-#: (the rest produce parallel columns).
-_DICT_NATIVE = (ScanBag, ConstSource, HashDifference, HashIntersect,
-                HashMaxUnion, HashDedup)
+#: Nodes whose natural output currency is parallel columns; scale and
+#: select follow their child, everything else produces a
+#: ``value -> count`` dict.
+_COLUMNS_NATIVE = (HashUnion, StreamingMap, NestedLoopProduct, HashJoin)
+_FOLLOWS_CHILD = (MultiplicityScale, StreamingSelect)
 
 #: The dict-in, dict-out binary nodes and the columnar kernel of each.
 _DICT_KERNEL = {HashDifference: "c_monus",
@@ -84,43 +67,25 @@ _DICT_KERNEL = {HashDifference: "c_monus",
                 HashMaxUnion: "c_max_union",
                 HashUnion: "c_add_union"}
 
-
-def _fusable(node: PhysicalNode) -> bool:
-    return isinstance(node, _FUSABLE) and not isinstance(node,
-                                                        SharedScan)
-
-
-def _shared_refs(root: PhysicalNode) -> Dict[int, int]:
-    """Count how many times the plan references each SharedScan.
-
-    The walk memoises by node identity, so the exponentially-shared
-    logical shape costs one visit per distinct physical node.  A
-    SharedScan referenced exactly once gains nothing from the run-time
-    memo and is fused through transparently."""
-    refs: Dict[int, int] = {}
-    seen: set = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SharedScan):
-            refs[id(node)] = refs.get(id(node), 0) + 1
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(node.children())
-    return refs
+#: A step: ``(function, kernel, node, out, *operands)``.  ``kernel``
+#: and ``node`` are what the epilogue records (``None`` for a step
+#: that only changes a value's currency); ``out`` is the register the
+#: step fills (a column step fills two: positions 3 and 4).
+Step = Tuple[Any, ...]
 
 
 # ----------------------------------------------------------------------
 # Runtime helpers shared by every step
 # ----------------------------------------------------------------------
 
-def _record(ctx, kernel: str, rows: int, counts=None) -> None:
-    """Per-kernel epilogue: stats, proportional governor ticks, and
-    the intermediate-size budget on materialised dicts."""
+def _record(ctx, step: Step, rows: int, counts=None) -> None:
+    """Per-kernel epilogue: stats, the node's actual rows,
+    proportional governor ticks, and the intermediate-size budget on
+    materialised dicts."""
     stats = ctx.stats
-    stats.record_kernel(kernel)
+    stats.record_kernel(step[1])
     stats.rows_emitted += rows
+    ctx.actual_rows[id(step[2])] = rows
     if ctx.governor is not None:
         for _ in range(rows // ctx.tick_interval + 1):
             ctx.tick()
@@ -132,9 +97,8 @@ def _scan(ctx, name: str) -> Dict[Any, int]:
     """Base-relation scan straight into dictionary form.
 
     Returns the bag's internal counts dict *without copying*: every
-    columnar kernel builds a fresh output dict and never mutates an
-    input, so handing out the view is safe and saves an O(n) copy per
-    scan."""
+    kernel builds a fresh output dict and never mutates an input, so
+    handing out the view is safe and saves an O(n) copy per scan."""
     value = ctx.lookup(name)
     if type(value) is dict:
         # a shard slot (execute_program binds count dicts): already in
@@ -153,41 +117,252 @@ def _tickof(ctx) -> Optional[Callable[[], None]]:
     return None if ctx.governor is None else ctx.tick
 
 
+def _key_fn(indices: Tuple[int, ...]) -> Callable[[Any], Any]:
+    """A join side's key extractor."""
+    if len(indices) == 1:
+        index = indices[0]
+        return lambda tup: tup.attribute(index)
+    return lambda tup: tuple(tup.attribute(i) for i in indices)
+
+
+def _collect(ctx, rows) -> Dict[Any, int]:
+    """Sum a dict kernel's output stream, ticking inside the build so
+    a long expansion meets its step budget or deadline mid-way."""
+    if ctx.governor is None:
+        return kernels.collect(rows, sr=ctx.semiring)
+    return kernels.collect(rows, tick=ctx.tick, every=ctx.tick_interval,
+                           get_every=lambda: ctx.tick_interval,
+                           sr=ctx.semiring)
+
+
 # ----------------------------------------------------------------------
-# The compiled artefacts
+# The step functions (a docstring is the step's listing line: ``{n}``
+# is position ``n`` of the step tuple, ``;`` separates lines)
+# ----------------------------------------------------------------------
+
+def _s_scan(ctx, R, step):
+    """r{3} = _scan(ctx, {4!r})"""
+    _, _, _, out, name = step
+    R[out] = counts = _scan(ctx, name)
+    _record(ctx, step, len(counts))
+
+
+def _s_const(ctx, R, step):
+    """r{3} = <const>"""
+    _, _, _, out, const = step
+    R[out] = const
+    _record(ctx, step, len(const))
+
+
+def _s_dict_binary(ctx, R, step):
+    """r{3} = _col.{6}(r{4}, r{5}{sr})"""
+    # monus / min-intersect (small, large) / max-union / additive-union
+    # / sym-diff-dedup: two dicts in, one fresh dict out
+    _, _, _, out, left, right, call, sr = step
+    R[out] = counts = getattr(columnar, call)(R[left], R[right], *sr)
+    _record(ctx, step, len(counts), counts)
+
+
+def _s_dedup(ctx, R, step):
+    """r{3} = _col.c_dedup(r{4}{sr})"""
+    _, _, _, out, values, sr = step
+    R[out] = counts = columnar.c_dedup(R[values], *sr)
+    _record(ctx, step, len(counts), counts)
+
+
+def _s_dedup_union(ctx, R, step):
+    """r{3} = r{4} if {6} else dict(r{4});
+    r{3}.update(dict.fromkeys(r{5}, {7}))"""
+    _, _, _, out, base, values, in_place, one = step
+    R[out] = counts = R[base] if in_place else dict(R[base])
+    counts.update(dict.fromkeys(R[values], one))
+    _record(ctx, step, len(counts), counts)
+
+
+def _s_scale_dict(ctx, R, step):
+    """r{3} = _col.c_scale_dict(r{4}, {5}{sr})"""
+    _, _, _, out, child, factor, sr = step
+    R[out] = counts = columnar.c_scale_dict(R[child], factor, *sr)
+    _record(ctx, step, len(counts), counts)
+
+
+def _s_zip(ctx, R, step):
+    """r{3} = dict(zip(r{4}, r{5}))"""
+    _, _, _, out, values, cnts = step
+    R[out] = counts = dict(zip(R[values], R[cnts]))
+    ctx.check_size(counts)
+
+
+def _s_sum(ctx, R, step):
+    """r{3} = _col.sum_counts(r{4}, r{5}{sr})"""
+    _, _, _, out, values, cnts, sr = step
+    R[out] = counts = columnar.sum_counts(R[values], R[cnts], *sr)
+    ctx.check_size(counts)
+
+
+def _s_split(ctx, R, step):
+    """r{3} = list(r{5});
+    r{4} = list(r{5}.values())"""
+    _, _, _, out_v, out_c, source = step
+    counts = R[source]
+    R[out_v] = list(counts)
+    R[out_c] = list(counts.values())
+
+
+def _s_concat(ctx, R, step):
+    """r{3} = r{5} + r{6};
+    r{4} = r{7} + r{8}"""
+    _, _, _, out_v, out_c, lv, rv, lc, rc = step
+    R[out_v] = values = R[lv] + R[rv]
+    R[out_c] = R[lc] + R[rc]
+    _record(ctx, step, len(values))
+
+
+def _s_concat_values(ctx, R, step):
+    """r{3} = list(r{4});
+    r{3}.extend(r{5})"""
+    _, _, _, out, left, right = step
+    R[out] = values = list(R[left])
+    values.extend(R[right])
+    _record(ctx, step, len(values))
+
+
+def _s_scale(ctx, R, step):
+    """r{3} = _col.c_scale(r{4}, {5}{sr})"""
+    _, _, _, out, cnts, factor, sr = step
+    R[out] = scaled = columnar.c_scale(R[cnts], factor, *sr)
+    _record(ctx, step, len(scaled))
+
+
+def _s_map(ctx, R, step):
+    """r{3} = _col.c_map(r{4}, <fn or lam via ctx>)"""
+    _, _, _, out, values, fn, lam = step
+    if fn is None:
+        # an uncompiled lambda applies through the evaluator
+        def fn(value):
+            return ctx.apply_lambda(lam, value)
+    R[out] = mapped = columnar.c_map(R[values], fn)
+    _record(ctx, step, len(mapped))
+
+
+def _s_select(ctx, R, step):
+    """r{3}, r{4} = _col.c_select(r{5}, r{6}, <predicate>(ctx))"""
+    _, _, _, out_v, out_c, values, cnts, make = step
+    R[out_v], R[out_c] = kept = columnar.c_select(
+        R[values], R[cnts], make(ctx))
+    _record(ctx, step, len(kept[0]))
+
+
+def _s_product(ctx, R, step):
+    """r{3}, r{4} = _col.c_product(r{5}, r{6}, r{7},
+    _tickof(ctx){sr})"""
+    _, _, _, out_v, out_c, pv, pc, build, sr = step
+    R[out_v], R[out_c] = pairs = columnar.c_product(
+        R[pv], R[pc], R[build], _tickof(ctx), *sr)
+    _record(ctx, step, len(pairs[0]))
+
+
+def _s_hash_join(ctx, R, step):
+    """r{3}, r{4} = _col.c_hash_join(r{5}, r{6}, r{7}, <probe key>,
+    <build key>, {10}, _tickof(ctx){sr})"""
+    (_, _, _, out_v, out_c, pv, pc, build, probe_key, build_key,
+     probe_is_left, sr) = step
+    R[out_v], R[out_c] = pairs = columnar.c_hash_join(
+        R[pv], R[pc], R[build], probe_key, build_key, probe_is_left,
+        _tickof(ctx), *sr)
+    _record(ctx, step, len(pairs[0]))
+
+
+def _s_shared(ctx, R, step):
+    """r{3} = <shared>(ctx)"""
+    _, _, node, out, inner = step
+    counts = ctx.memo.get(id(node))
+    if counts is None:
+        counts = ctx.memo[id(node)] = inner.fn(ctx)
+        ctx.stats.shared_materialized += 1
+    else:
+        ctx.stats.shared_reused += 1
+    R[out] = counts
+
+
+def _s_dict_kernel(ctx, R, step):
+    """r{3} = _collect(ctx, _k.{5}(r{4}, *{6}{sr}))"""
+    # nest / unnest / flatten: no columnar twin, so the dict kernel
+    _, _, _, out, child, call, args, sr = step
+    ctx.stats.barrier_fallbacks += 1
+    R[out] = counts = _collect(
+        ctx, getattr(kernels, call)(R[child], *args, *sr))
+    _record(ctx, step, len(counts), counts)
+
+
+def _s_powerset(ctx, R, step):
+    """r{3} = _collect(ctx, _k.{5}(r{4}, ctx.powerset_budget{sr}))"""
+    # the kernel checks the run's budget before the first subbag
+    _, _, _, out, child, call, sr = step
+    ctx.stats.barrier_fallbacks += 1
+    R[out] = counts = _collect(
+        ctx, getattr(kernels, call)(R[child], ctx.powerset_budget, *sr))
+    _record(ctx, step, len(counts), counts)
+
+
+def _s_oracle(ctx, R, step):
+    """r{3} = ctx.eval_oracle(<expr>)"""
+    _, _, _, out, expr, at_root = step
+    ctx.stats.barrier_fallbacks += 1
+    result = ctx.eval_oracle(expr)
+    if not at_root:
+        if not isinstance(result, Bag):
+            raise UnboundVariableError(
+                f"oracle subtree produced a non-bag "
+                f"{type(result).__name__} in bag position")
+        result = result._counts
+    # at the plan's root the oracle's value — possibly a tuple or an
+    # atom — passes through as is: PhysicalPlan.execute hands back
+    # whatever is not a counts dict
+    R[out] = result
+    _record(ctx, step, len(result) if type(result) is dict
+            else getattr(result, "distinct_count", 1))
+
+
+def _s_exchange(ctx, R, step):
+    """r{3} = <exchange>(r{4})"""
+    _, _, node, out, inputs = step
+    ctx.stats.gather_barriers += 1
+    R[out] = merged = node.run(ctx, [R[reg] for reg in inputs])
+    _record(ctx, step, len(merged))
+
+
+# ----------------------------------------------------------------------
+# The compiled artefact
 # ----------------------------------------------------------------------
 
 class FusedSegment:
-    """One step program: a barrier-free pipeline region.
+    """One step program.
 
     The compiler grows it (:meth:`reg`, :meth:`emit`), sets ``result``
     last, and nothing mutates it afterwards: one cached segment runs
     from several threads at once."""
 
-    __slots__ = ("index", "role", "steps", "registers", "result",
-                 "kernels", "inputs")
+    __slots__ = ("index", "role", "steps", "registers", "result", "sr")
 
-    def __init__(self, role: str):
+    def __init__(self, role: str, sr: tuple):
         self.index = -1
         self.role = role
-        self.steps: List[Callable[[Any, list], None]] = []
+        self.steps: List[Step] = []
         self.registers = 0
         self.result = -1
-        self.kernels: List[str] = []
-        self.inputs: List[str] = []
+        #: splatted onto every semiring-aware kernel call; ``()``
+        #: under N, so the int fast path passes no argument at all
+        self.sr = sr
 
     def reg(self) -> int:
         self.registers += 1
         return self.registers - 1
 
-    def emit(self, step: Callable[[Any, list], None],
-             kernel: Optional[str] = None, out: Optional[int] = None):
-        """Append one step; ``kernel`` names what it records, and the
-        register it fills is handed back for the caller to return."""
+    def emit(self, *step) -> int:
+        """Append one step; the register it fills is handed back."""
         self.steps.append(step)
-        if kernel is not None:
-            self.kernels.append(kernel)
-        return out
+        return step[3]
 
     def fn(self, ctx) -> Dict[Any, int]:
         """One execution: the steps over a call-local register file."""
@@ -195,20 +370,28 @@ class FusedSegment:
         ctx.tick()
         R = [None] * self.registers
         for step in self.steps:
-            step(ctx, R)
+            step[0](ctx, R, step)
         return R[self.result]
 
     @property
+    def kernels(self) -> List[str]:
+        """The kernels one execution records, in step order."""
+        return [step[1] for step in self.steps if step[1] is not None]
+
+    @property
+    def inputs(self) -> List[str]:
+        """The shared segments this one reads."""
+        return [f"shared:{type(step[2].inner).__name__}"
+                for step in self.steps if step[0] is _s_shared]
+
+    @property
     def source(self) -> str:
-        """The steps as a listing, rendered on demand: a step's
-        docstring says what it does to the registers (``;`` between
-        lines) and is filled in from the cells the step closes over."""
+        """The steps as a listing, rendered on demand from the step
+        functions' docstrings."""
+        sr = ", _sr" if self.sr else ""
         lines = [f"segment{self.index}(ctx):"]
         for step in self.steps:
-            cells = inspect.getclosurevars(step).nonlocals
-            if "sr" in cells:
-                cells["sr"] = ", _sr" if cells["sr"] else ""
-            text = (step.__doc__ or step.__name__).format(**cells)
+            text = step[0].__doc__.format(*step, sr=sr)
             lines.extend(" ".join(text.split()).split("; "))
         lines.append(f"return r{self.result}")
         return "\n    ".join(lines) + "\n"
@@ -216,89 +399,10 @@ class FusedSegment:
     def describe(self) -> str:
         parts = [f"segment {self.index} ({self.role}): "
                  f"kernels=[{', '.join(self.kernels)}]"]
-        if self.inputs:
-            parts.append(f"inputs=[{', '.join(self.inputs)}]")
+        inputs = self.inputs
+        if inputs:
+            parts.append(f"inputs=[{', '.join(inputs)}]")
         return "  ".join(parts)
-
-
-class CodegenPlan:
-    """A stream plan compiled into fused columnar step programs.
-
-    Drop-in for :class:`~repro.engine.lower.PhysicalPlan` wherever the
-    engine executes, caches, or renders a plan.  The plan is
-    data-free — steps read bindings through the per-run
-    ``ExecContext`` — so a warm plan-cache entry serves any database
-    of the same shape, exactly like a stream plan.
-    """
-
-    __slots__ = ("physical", "root_segment", "segments", "barriers")
-
-    def __init__(self, physical: PhysicalPlan,
-                 root_segment: Optional[FusedSegment],
-                 segments: List[FusedSegment],
-                 barriers: List[PhysicalNode]):
-        self.physical = physical
-        self.root_segment = root_segment
-        self.segments = segments
-        self.barriers = barriers
-
-    # -- PhysicalPlan surface ------------------------------------------
-
-    @property
-    def expr(self):
-        return self.physical.expr
-
-    @property
-    def statistics_used(self) -> bool:
-        return self.physical.statistics_used
-
-    @property
-    def root(self) -> PhysicalNode:
-        return self.physical.root
-
-    def kernels(self) -> Tuple[str, ...]:
-        """The kernels one execution of the root runs: the fused root
-        segment's, or — for a root the compiler does not fuse — the
-        stream nodes' that execute instead."""
-        if self.root_segment is not None:
-            return tuple(self.root_segment.kernels)
-        names: List[str] = []
-        seen: set = set()
-        stack = [self.physical.root]
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                names.append(node.kernel)
-                stack.extend(reversed(node.children()))
-        return tuple(names)
-
-    def execute(self, ctx) -> Any:
-        if self.root_segment is None:
-            # the whole plan is one barrier (powerset/oracle/... at the
-            # root): stream execution, including the oracle's non-bag
-            # root results
-            ctx.stats.barrier_fallbacks += 1
-            return self.physical.execute(ctx)
-        counts = self.root_segment.fn(ctx)
-        ctx.check_size(counts)
-        return Bag.from_counts(counts)
-
-    def render(self) -> str:
-        lines = [f"codegen: {len(self.segments)} fused segment(s), "
-                 f"{len(self.barriers)} barrier leaf(s)"]
-        for segment in self.segments:
-            lines.append("  " + segment.describe())
-        for node in self.barriers:
-            lines.append(f"  barrier: {type(node).__name__}  "
-                         f"kernel={node.kernel}")
-        lines.append("-- lowered plan --")
-        lines.append(self.physical.render())
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (f"CodegenPlan({len(self.segments)} segments, "
-                f"{len(self.barriers)} barriers)")
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +410,7 @@ class CodegenPlan:
 # ----------------------------------------------------------------------
 
 class _Compiler:
-    """Compiles one PhysicalPlan into fused segments + barrier leaves.
+    """Compiles a node tree into fused segments.
 
     ``semiring`` specialises the steps: with ``None`` (the N default)
     every kernel is called without a semiring argument at all — the
@@ -315,27 +419,27 @@ class _Compiler:
     of each kernel call.
     """
 
-    def __init__(self, refs: Dict[int, int], semiring) -> None:
+    def __init__(self, semiring, root: Optional[PhysicalNode] = None
+                 ) -> None:
         self.segments: List[FusedSegment] = []
-        self.barriers: List[PhysicalNode] = []
-        self._shared_thunks: Dict[int, Callable] = {}
-        self._refs = refs
+        self._shared: Dict[int, FusedSegment] = {}
         #: ``(segment, register)`` of fresh kernel outputs the segment
         #: owns; scan views, consts, and memoised shared inputs are
         #: borrowed and must never be mutated in place
         self._owned: set = set()
         self.semiring = semiring
-        #: splatted onto every columnar kernel call; empty under N
         self._sr = () if semiring is None else (semiring,)
+        #: the plan's root node, where an oracle may yield a non-bag
+        self._root = root
 
     def _own(self, seg: FusedSegment, reg: int) -> int:
         self._owned.add((seg, reg))
         return reg
 
-    def _resolve(self, node: PhysicalNode) -> PhysicalNode:
+    @staticmethod
+    def _resolve(node: PhysicalNode) -> PhysicalNode:
         """Fuse through SharedScans the plan reads only once."""
-        while (isinstance(node, SharedScan)
-               and self._refs.get(id(node), 0) <= 1):
+        while isinstance(node, SharedScan) and node.refs <= 1:
             node = node.inner
         return node
 
@@ -343,85 +447,39 @@ class _Compiler:
 
     def compile_segment(self, node: PhysicalNode,
                         role: str) -> FusedSegment:
-        segment = FusedSegment(role)
+        segment = FusedSegment(role, self._sr)
         segment.result = self._emit_dict(segment, node)
+        segment.steps = tuple(segment.steps)
         # numbered after the shared inner segments compiled on the way
         segment.index = len(self.segments)
         self.segments.append(segment)
         return segment
 
-    # -- boundaries ----------------------------------------------------
-
-    def _input_dict(self, seg: FusedSegment, node: PhysicalNode) -> int:
-        """A segment input: a shared segment or a barrier leaf."""
-        if isinstance(node, SharedScan):
-            thunk = self._shared_thunks.get(id(node))
-            if thunk is None:
-                thunk = self._make_shared_thunk(node)
-                self._shared_thunks[id(node)] = thunk
-            seg.inputs.append(f"shared:{type(node.inner).__name__}")
-        else:
-            thunk = _make_barrier_thunk(node)
-            self.barriers.append(node)
-            seg.inputs.append(f"barrier:{node.kernel}")
-        out = seg.reg()
-        def step(ctx, R):
-            "r{out} = <input>(ctx)"
-            R[out] = thunk(ctx)
-        return seg.emit(step, out=out)
-
-    def _make_shared_thunk(self, node: SharedScan) -> Callable:
-        if _fusable(node.inner):
-            inner = self.compile_segment(node.inner, "shared")
-            run = inner.fn
-        else:
-            # a shared barrier (e.g. a CSE'd powerset): stream it once
-            self.barriers.append(node.inner)
-            run = _make_barrier_thunk(node.inner)
-
-        def thunk(ctx, node=node, run=run):
-            counts = ctx.memo.get(id(node))
-            if counts is None:
-                counts = run(ctx)
-                ctx.memo[id(node)] = counts
-                ctx.stats.shared_materialized += 1
-            else:
-                ctx.stats.shared_reused += 1
-            return counts
-
-        return thunk
-
-    # -- recursive emission (a step's docstring is its listing line) ---
+    # -- recursive emission --------------------------------------------
 
     def _emit_dict(self, seg: FusedSegment, node: PhysicalNode) -> int:
         """Emit ``node`` and return the register holding its counts
         dict."""
         node = self._resolve(node)
-        if not _fusable(node):
-            return self._input_dict(seg, node)
         sr = self._sr
+        if isinstance(node, SharedScan):
+            inner = self._shared.get(id(node))
+            if inner is None:
+                inner = self._shared[id(node)] = self.compile_segment(
+                    node.inner, "shared")
+            return seg.emit(_s_shared, None, node, seg.reg(), inner)
         if isinstance(node, ScanBag):
-            out, name = seg.reg(), node.name
-            def step(ctx, R):
-                """r{out} = _scan(ctx, {name!r})"""
-                R[out] = counts = _scan(ctx, name)
-                _record(ctx, "scan", len(counts))
-            return seg.emit(step, "scan", out)
+            return seg.emit(_s_scan, "scan", node, seg.reg(), node.name)
         if isinstance(node, ConstSource):
             value = node.value
             if self.semiring is not None:
                 value = self.semiring.adapt_bag(value)
-            out, const = seg.reg(), dict(value.items())
-            def step(ctx, R):
-                """r{out} = <const>"""
-                R[out] = const
-                _record(ctx, "const", len(const))
-            return seg.emit(step, "const", out)
+            # the literal's own dict, uncopied: a borrowed register
+            return seg.emit(_s_const, "const", node, seg.reg(),
+                            value._counts)
         call = _DICT_KERNEL.get(type(node))
         if call is not None:
-            # monus / min-intersect (small, large) / max-union /
-            # additive-union: two dicts in, one fresh dict out
-            return self._emit_dict_binary(seg, call, node.kernel,
+            return self._emit_dict_binary(seg, call, node.kernel, node,
                                           node.left, node.right)
         if isinstance(node, HashDedup):
             pair = self._match_sym_diff(node.child)
@@ -430,60 +488,82 @@ class _Compiler:
                 # the C-level key-set union instead of two monus
                 # passes, a concatenation, and a dedup
                 return self._own(seg, self._emit_dict_binary(
-                    seg, "c_sym_diff_dedup", "sym-diff-dedup", *pair))
-            merged = self._emit_dedup_union(seg, node.child)
+                    seg, "c_sym_diff_dedup", "sym-diff-dedup", node,
+                    *pair))
+            merged = self._emit_dedup_union(seg, node)
             if merged is not None:
                 return merged
             values = self._emit_values(seg, node.child)
-            out = self._own(seg, seg.reg())
-            def step(ctx, R):
-                """r{out} = _col.c_dedup(r{values}{sr})"""
-                R[out] = counts = columnar.c_dedup(R[values], *sr)
-                _record(ctx, "dedup", len(counts), counts)
-            return seg.emit(step, "dedup", out)
+            return seg.emit(_s_dedup, "dedup", node,
+                            self._own(seg, seg.reg()), values, sr)
         if isinstance(node, MultiplicityScale):
             factor, inner = self._fold_scales(node)
             if self._prefers_dict(inner):
                 child = self._emit_dict(seg, inner)
-                out = seg.reg()
-                def step(ctx, R):
-                    """r{out} = _col.c_scale_dict(r{child},
-                    {factor}{sr})"""
-                    R[out] = counts = columnar.c_scale_dict(
-                        R[child], factor, *sr)
-                    _record(ctx, "scale", len(counts), counts)
-                return seg.emit(step, "scale", out)
-        # columns-native nodes (and scale over a columns child):
-        # emit columns, then materialise
-        values, cnts, distinct = self._emit_cols(seg, node)
-        out = seg.reg()
-        if distinct:
-            def step(ctx, R):
-                """r{out} = dict(zip(r{values}, r{cnts}))"""
-                R[out] = counts = dict(zip(R[values], R[cnts]))
-                ctx.check_size(counts)
-        else:
-            def step(ctx, R):
-                """r{out} = _col.sum_counts(r{values}, r{cnts}{sr})"""
-                R[out] = counts = columnar.sum_counts(
-                    R[values], R[cnts], *sr)
-                ctx.check_size(counts)
-        return seg.emit(step, out=out)
+                return seg.emit(_s_scale_dict, "scale", node, seg.reg(),
+                                child, factor, sr)
+        if isinstance(node, _FOLLOWS_CHILD + _COLUMNS_NATIVE):
+            # columns-native nodes (and scale / select over a columns
+            # child): emit columns, then materialise
+            values, cnts, distinct = self._emit_cols(seg, node)
+            if distinct:
+                return seg.emit(_s_zip, None, None, seg.reg(), values,
+                                cnts)
+            return seg.emit(_s_sum, None, None, seg.reg(), values, cnts,
+                            sr)
+        return self._emit_twinless(seg, node)
+
+    def _emit_twinless(self, seg: FusedSegment,
+                       node: PhysicalNode) -> int:
+        """The operators with no columnar kernel: the child lands in a
+        register like any other and one step runs the dict kernel, the
+        oracle, or the exchange."""
+        sr = self._sr
+        if isinstance(node, OracleEval):
+            return seg.emit(_s_oracle, "oracle", node, seg.reg(),
+                            node.expr, node is self._root)
+        if isinstance(node, (PowersetExpand, NestBuild, UnnestExpand,
+                             FlattenBags)):
+            child = self._emit_dict(seg, node.child)
+            out = self._own(seg, seg.reg())
+            if isinstance(node, PowersetExpand):
+                call = ("k_powerbag" if node.duplicate_aware
+                        else "k_powerset")
+                return seg.emit(_s_powerset, node.kernel, node, out,
+                                child, call, sr)
+            if isinstance(node, NestBuild):
+                call, args = "k_nest", (node.indices,)
+            elif isinstance(node, UnnestExpand):
+                call, args = "k_unnest", (node.index,)
+            else:
+                call, args = "k_flatten", ()
+            return seg.emit(_s_dict_kernel, node.kernel, node, out,
+                            child, call, args, sr)
+        # imported here: the exchange module builds on this one
+        from repro.engine.parallel.exchange import (
+            Exchange, Gather, Partition,
+        )
+        if isinstance(node, (Gather, Partition)):
+            # markers around an exchange, which does the split (and
+            # counts the gather barrier): no step of their own
+            return self._emit_dict(seg, node.child)
+        if isinstance(node, Exchange):
+            inputs = tuple(self._emit_dict(seg, part)
+                           for part in node.partitions)
+            return seg.emit(_s_exchange, node.kernel, node, seg.reg(),
+                            inputs)
+        raise TypeError(f"no step for plan node {type(node).__name__}")
 
     def _emit_dict_binary(self, seg: FusedSegment, call: str,
-                          kernel: str, left_node: PhysicalNode,
+                          kernel: str, node: PhysicalNode,
+                          left_node: PhysicalNode,
                           right_node: PhysicalNode) -> int:
         """Two dicts in, one fresh dict out, recorded and sized; the
         kernel is looked up on the module at execution time."""
         left = self._emit_dict(seg, left_node)
         right = self._emit_dict(seg, right_node)
-        out, sr = seg.reg(), self._sr
-        def step(ctx, R):
-            """r{out} = _col.{call}(r{left}, r{right}{sr})"""
-            R[out] = counts = getattr(columnar, call)(R[left], R[right],
-                                                      *sr)
-            _record(ctx, kernel, len(counts), counts)
-        return seg.emit(step, kernel, out)
+        return seg.emit(_s_dict_binary, kernel, node, seg.reg(), left,
+                        right, call, self._sr)
 
     def _emit_cols(self, seg: FusedSegment, node: PhysicalNode
                    ) -> Tuple[int, int, bool]:
@@ -495,92 +575,49 @@ class _Compiler:
             lv, lc, _ = self._emit_cols(seg, node.left)
             rv, rc, _ = self._emit_cols(seg, node.right)
             out_v, out_c = seg.reg(), seg.reg()
-            def step(ctx, R):
-                """r{out_v} = r{lv} + r{rv};
-                r{out_c} = r{lc} + r{rc}"""
-                R[out_v] = values = R[lv] + R[rv]
-                R[out_c] = R[lc] + R[rc]
-                _record(ctx, "additive-union", len(values))
-            seg.emit(step, "additive-union")
+            seg.emit(_s_concat, "additive-union", node, out_v, out_c,
+                     lv, rv, lc, rc)
             return out_v, out_c, False
         if isinstance(node, MultiplicityScale):
             factor, inner = self._fold_scales(node)
             values, cnts, distinct = self._emit_cols(seg, inner)
-            out = seg.reg()
-            def step(ctx, R):
-                """r{out} = _col.c_scale(r{cnts}, {factor}{sr})"""
-                R[out] = scaled = columnar.c_scale(R[cnts], factor, *sr)
-                _record(ctx, "scale", len(scaled))
-            seg.emit(step, "scale")
+            out = seg.emit(_s_scale, "scale", node, seg.reg(), cnts,
+                           factor, sr)
             return values, out, distinct
         if isinstance(node, StreamingMap):
             values, cnts, _ = self._emit_cols(seg, node.child)
-            out, fn, lam = seg.reg(), node.fn, node.lam
-            def step(ctx, R):
-                "r{out} = _col.c_map(r{values}, <fn or lam via ctx>)"
-                # an uncompiled lambda applies through the evaluator
-                R[out] = mapped = columnar.c_map(
-                    R[values], fn if fn is not None else
-                    lambda value: ctx.apply_lambda(lam, value))
-                _record(ctx, "map", len(mapped))
-            seg.emit(step, "map")
+            out = seg.emit(_s_map, "map", node, seg.reg(), values,
+                           node.fn, node.lam)
             return out, cnts, False
         if isinstance(node, StreamingSelect):
             values, cnts, distinct = self._emit_cols(seg, node.child)
             out_v, out_c = seg.reg(), seg.reg()
-            make = node.make_predicate
-            def step(ctx, R):
-                """r{out_v}, r{out_c} = _col.c_select(r{values},
-                r{cnts}, <predicate>(ctx))"""
-                R[out_v], R[out_c] = kept = columnar.c_select(
-                    R[values], R[cnts], make(ctx))
-                _record(ctx, "select", len(kept[0]))
-            seg.emit(step, "select")
+            seg.emit(_s_select, "select", node, out_v, out_c, values,
+                     cnts, node.make_predicate)
             return out_v, out_c, distinct
         if isinstance(node, NestedLoopProduct):
             pv, pc, _ = self._emit_cols(seg, node.left)
             build = self._emit_dict(seg, node.right)
             out_v, out_c = seg.reg(), seg.reg()
-            def step(ctx, R):
-                """r{out_v}, r{out_c} = _col.c_product(r{pv}, r{pc},
-                r{build}, _tickof(ctx){sr})"""
-                R[out_v], R[out_c] = pairs = columnar.c_product(
-                    R[pv], R[pc], R[build], _tickof(ctx), *sr)
-                _record(ctx, "nested-loop-product", len(pairs[0]))
-            seg.emit(step, "nested-loop-product")
+            seg.emit(_s_product, "nested-loop-product", node, out_v,
+                     out_c, pv, pc, build, sr)
             return out_v, out_c, False
         if isinstance(node, HashJoin):
             sides = ((node.left, node.left_key),
                      (node.right, node.right_key))
             (probe, probe_key), (build_node, build_key) = (
                 sides if node.build_right else sides[::-1])
-            probe_is_left = node.build_right
             pv, pc, _ = self._emit_cols(seg, probe)
             build = self._emit_dict(seg, build_node)
-            pk = HashJoin._key_fn(probe_key)
-            bk = HashJoin._key_fn(build_key)
             out_v, out_c = seg.reg(), seg.reg()
-            def step(ctx, R):
-                """r{out_v}, r{out_c} = _col.c_hash_join(r{pv}, r{pc},
-                r{build}, <probe key>, <build key>, {probe_is_left},
-                _tickof(ctx){sr})"""
-                R[out_v], R[out_c] = pairs = columnar.c_hash_join(
-                    R[pv], R[pc], R[build], pk, bk, probe_is_left,
-                    _tickof(ctx), *sr)
-                _record(ctx, "hash-join", len(pairs[0]))
-            seg.emit(step, "hash-join")
+            seg.emit(_s_hash_join, "hash-join", node, out_v, out_c, pv,
+                     pc, build, _key_fn(probe_key), _key_fn(build_key),
+                     node.build_right, sr)
             return out_v, out_c, False
-        # dict-native node (scan, const, monus, dedup, ...) or input:
-        # decompose the dict into columns
+        # a dict-producing node: decompose the dict into columns
         source = self._emit_dict(seg, node)
         out_v, out_c = seg.reg(), seg.reg()
-        def step(ctx, R):
-            """r{out_v} = list(r{source});
-            r{out_c} = list(r{source}.values())"""
-            counts = R[source]
-            R[out_v] = list(counts)
-            R[out_c] = list(counts.values())
-        seg.emit(step)
+        seg.emit(_s_split, None, None, out_v, out_c, source)
         return out_v, out_c, True
 
     def _emit_values(self, seg: FusedSegment,
@@ -597,26 +634,20 @@ class _Compiler:
             # columns entirely (the sym-diff hot path)
             left = self._emit_values(seg, node.left)
             right = self._emit_values(seg, node.right)
-            out = seg.reg()
-            def step(ctx, R):
-                """r{out} = list(r{left});
-                r{out}.extend(r{right})"""
-                R[out] = values = list(R[left])
-                values.extend(R[right])
-                _record(ctx, "additive-union", len(values))
-            return seg.emit(step, "additive-union", out)
+            return seg.emit(_s_concat_values, "additive-union", node,
+                            seg.reg(), left, right)
         values, _, _ = self._emit_cols(seg, node)
         return values
 
     def _emit_dedup_union(self, seg: FusedSegment,
-                          child: PhysicalNode) -> Optional[int]:
+                          dedup: HashDedup) -> Optional[int]:
         """``eps(L (+) R)`` where one side is itself a dedup output:
         that side is already distinct with every count 1, so the
         result is a C-level dict merge — and when the base dict is a
         segment-owned kernel output (consumed exactly once inside the
         segment tree), the merge updates it in place, which turns an
         accumulate-and-dedup cascade into one growing dict."""
-        child = self._resolve(child)
+        child = self._resolve(dedup.child)
         if not isinstance(child, HashUnion):
             return None
         base_node, other = child.left, child.right
@@ -629,13 +660,8 @@ class _Compiler:
         in_place = (seg, base) in self._owned
         out = base if in_place else self._own(seg, seg.reg())
         one = 1 if self.semiring is None else self.semiring.one
-        def step(ctx, R):
-            """r{out} = r{base} if {in_place} else dict(r{base});
-            r{out}.update(dict.fromkeys(r{values}, {one}))"""
-            R[out] = counts = R[base] if in_place else dict(R[base])
-            counts.update(dict.fromkeys(R[values], one))
-            _record(ctx, "dedup-union", len(counts), counts)
-        return seg.emit(step, "dedup-union", out)
+        return seg.emit(_s_dedup_union, "dedup-union", dedup, out, base,
+                        values, in_place, one)
 
     def _all_ones(self, node: PhysicalNode) -> bool:
         """Whether every multiplicity in ``node``'s output is 1.
@@ -643,7 +669,6 @@ class _Compiler:
         Looks through SharedScan wrappers for the *check* only — a
         memoised input still arrives in a borrowed register, so the
         caller copies it before merging."""
-        node = self._resolve(node)
         while isinstance(node, SharedScan):
             node = node.inner
         return isinstance(node, HashDedup)
@@ -692,35 +717,27 @@ class _Compiler:
         """Whether a node's cheapest output currency is a counts
         dict."""
         node = self._resolve(node)
-        if not _fusable(node):
-            return True  # segment inputs arrive as dicts
-        if isinstance(node, _DICT_NATIVE):
-            return True
-        if isinstance(node, (MultiplicityScale, StreamingSelect)):
+        if isinstance(node, _FOLLOWS_CHILD):
             return self._prefers_dict(node.child)
-        return False
+        return not isinstance(node, _COLUMNS_NATIVE)
 
 
-def _make_barrier_thunk(node: PhysicalNode) -> Callable:
-    def thunk(ctx, node=node):
-        ctx.stats.barrier_fallbacks += 1
-        return ctx.collect(node)
-    return thunk
+def compile_node(node: PhysicalNode, semiring=None) -> FusedSegment:
+    """The step program of one node tree (``ExecContext.collect``
+    runs a plan fragment this way)."""
+    return _Compiler(semiring).compile_segment(node, "root")
 
 
-def compile_codegen(plan: PhysicalPlan,
-                    semiring=None) -> CodegenPlan:
-    """Compile a lowered stream plan into fused columnar segments.
+def compile_codegen(plan, semiring=None):
+    """Build the lowered plan's step programs, in place, and hand the
+    plan back.
 
     ``semiring=None`` (N) builds steps that pass no semiring argument
     at all; a non-N instance specialises every kernel call with a
     trailing ``_sr`` argument (cache keys include the semiring, so the
     two specialisations never collide in the plan cache).
     """
-    compiler = _Compiler(_shared_refs(plan.root), semiring)
-    root = compiler._resolve(plan.root)
-    root_segment = None
-    if _fusable(root):
-        root_segment = compiler.compile_segment(root, "root")
-    return CodegenPlan(plan, root_segment, compiler.segments,
-                       compiler.barriers)
+    compiler = _Compiler(semiring, _Compiler._resolve(plan.root))
+    plan.root_segment = compiler.compile_segment(plan.root, "root")
+    plan.segments = tuple(compiler.segments)
+    return plan

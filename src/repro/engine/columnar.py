@@ -1,18 +1,17 @@
 """Columnar bag representation + count-vector kernels.
 
-The stream kernels (:mod:`repro.engine.kernels`) pull one
-``(value, count)`` pair at a time through a chain of Python
-generators; every row pays interpreter dispatch for every operator it
-crosses.  This module is the columnar half of the codegen runtime
-(:mod:`repro.engine.codegen`): a bag is two parallel arrays — a value
-array and a multiplicity-count array — and each kernel is one
-C-speed bulk operation (a dict comprehension, ``dict.fromkeys``, a
-list comprehension) over whole columns.  Hash-style operators (monus,
-min-intersect, max-union, join/product build sides) use plain
-``value -> count`` dicts, the dictionary form of the same columns.
+The paper's flat operators are whole-bag count arithmetic, and this
+module is where the step programs of :mod:`repro.engine.codegen` do
+it: a bag is two parallel arrays — a value array and a
+multiplicity-count array — and each kernel is one C-speed bulk
+operation (a dict comprehension, ``dict.fromkeys``, a list
+comprehension) over whole columns, so no row pays interpreter
+dispatch per operator.  Hash-style operators (monus, min-intersect,
+max-union, join/product build sides) use plain ``value -> count``
+dicts, the dictionary form of the same columns.
 
 Semantics match :mod:`repro.core.ops` exactly — the differential
-harness's ``engine-codegen`` backend and the mutation tests in
+harness's ``engine`` backends and the mutation tests in
 ``tests/test_columnar.py`` pin this (a mutant that forgets the monus
 zero-clamp, the join multiplicity product, or the dedup collapse of
 the count column is caught within a handful of generated cases).

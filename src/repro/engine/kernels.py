@@ -1,25 +1,24 @@
-"""Dict-keyed multiplicity kernels for the physical engine.
+"""Dict kernels for the operators with no columnar twin.
 
-The tree-walking evaluator recomputes, for **every** intermediate
-result, an immutable :class:`~repro.core.bag.Bag`: a homogeneity check
-over all elements, a structural ``type_of``/``unify`` pass per binary
-operator, and a frozenset hash of the whole counts mapping.  Those
-passes are what make chains of differences and dedups scale badly even
-though the underlying mapping is already a dict.
+The flat BALG operators run as bulk column kernels
+(:mod:`repro.engine.columnar`).  What is left here restructures
+*nested* values — nest, unnest, flatten, powerset, powerbag — where the
+work is per element (building a ``Tup``, opening an inner ``Bag``,
+enumerating subbags) and there is no column to sweep.  Each kernel
+takes a plain ``value -> count`` dict and yields ``(value, count)``
+pairs in which a value may repeat; :func:`collect` sums them back into
+a dict, ticking the governor as it goes, so a long expansion is
+governed inside the kernel and not only after it.
 
-The kernels below work directly on *multiplicity streams* — iterables
-of ``(value, count)`` pairs in which the same value may appear more
-than once (consumers sum the counts) — and on plain ``value -> count``
-dicts for the materialised build sides.  No Bag is constructed, no
-typing pass runs, no hash is taken until the engine's final result is
-sealed into a Bag.  Static well-typedness is the lowering pass's
-problem (and the tree walker remains the semantics oracle); the
-kernels only enforce the checks that guard memory safety (powerset
-budgets) and value integrity (tuples where tuples are required).
+No Bag is sealed and no typing pass runs until the engine's final
+result.  Static well-typedness is the lowering pass's problem (and the
+tree walker remains the semantics oracle); the kernels only enforce
+the checks that guard memory safety (powerset budgets) and value
+integrity (tuples where tuples are required).
 
 Every kernel matches the operator semantics of :mod:`repro.core.ops`
-exactly; the differential fuzz suite (``tests/test_engine.py``) checks
-bag-equality of the two evaluators on random well-typed programs.
+and :mod:`repro.core.nest` exactly; the differential harness checks
+bag-equality with the tree walker on generated programs.
 """
 
 from __future__ import annotations
@@ -34,14 +33,10 @@ from repro.core.ops import (
     powerbag_multiplicity, powerbag_total, powerset_cardinality,
     subbags,
 )
+from repro.engine.columnar import _require_tup
 
-__all__ = [
-    "Rows", "collect",
-    "k_additive_union", "k_monus", "k_min_intersect", "k_max_union",
-    "k_dedup", "k_scale", "k_map", "k_select", "k_product",
-    "k_hash_join", "k_flatten", "k_nest", "k_unnest",
-    "k_powerset", "k_powerbag",
-]
+__all__ = ["collect", "k_flatten", "k_nest", "k_unnest", "k_powerset",
+           "k_powerbag"]
 
 #: A multiplicity stream: ``(value, count)`` pairs, values may repeat.
 Rows = Iterable[Tuple[Any, int]]
@@ -56,47 +51,30 @@ def collect(rows: Rows, tick: Optional[Callable[[], None]] = None,
 
     ``tick`` (typically ``ResourceGovernor.tick``) is invoked every
     ``every`` materialised rows so step budgets, deadlines, and
-    cancellation apply to hash builds without a per-row penalty.
-    ``get_every`` re-reads the interval after each tick, so an
-    adaptive context (near-deadline halving) takes effect inside a
+    cancellation apply inside a long expansion without a per-row
+    penalty.  ``get_every`` re-reads the interval after each tick, so
+    an adaptive context (near-deadline halving) takes effect inside a
     long-running build instead of only at the next one.
 
     ``sr`` selects the multiplicity semiring; ``None`` is the int fast
     path, anything else sums collisions with ``sr.add`` (coercing
     stray int counts through ``sr.coerce``).
     """
-    if sr is not None:
-        return _collect_generic(rows, tick, every, get_every, sr)
     counts: Dict[Any, int] = {}
     get = counts.get
-    if tick is None:
+    if sr is None and tick is None:
         for value, count in rows:
             counts[value] = get(value, 0) + count
         return counts
     pending = 0
     for value, count in rows:
-        counts[value] = get(value, 0) + count
-        pending += 1
-        if pending >= every:
-            pending = 0
-            tick()
-            if get_every is not None:
-                every = get_every()
-    return counts
-
-
-def _collect_generic(rows: Rows, tick, every, get_every,
-                     sr) -> Dict[Any, int]:
-    """Generic-semiring :func:`collect` (same governance contract)."""
-    counts: Dict[Any, int] = {}
-    get = counts.get
-    coerce, add = sr.coerce, sr.add
-    pending = 0
-    for value, count in rows:
-        count = coerce(count)
-        existing = get(value)
-        counts[value] = count if existing is None else add(existing,
-                                                           count)
+        if sr is None:
+            counts[value] = get(value, 0) + count
+        else:
+            count = sr.coerce(count)
+            existing = get(value)
+            counts[value] = (count if existing is None
+                             else sr.add(existing, count))
         if tick is not None:
             pending += 1
             if pending >= every:
@@ -108,230 +86,26 @@ def _collect_generic(rows: Rows, tick, every, get_every,
 
 
 # ----------------------------------------------------------------------
-# Union family: monus / min / max need both sides exact, so the right
-# side is a materialised dict; additive union is fully streaming.
-# ----------------------------------------------------------------------
-
-def k_additive_union(left: Rows, right: Rows) -> Iterator[Tuple[Any, int]]:
-    """``B (+) B'``: concatenate the streams; consumers sum counts."""
-    yield from left
-    yield from right
-
-
-def k_monus(left: Dict[Any, int], right: Dict[Any, int],
-            sr=None) -> Iterator[Tuple[Any, int]]:
-    """``B - B'``: monus on multiplicities (n = max(0, p - q))."""
-    get = right.get
-    if sr is None:
-        for value, count in left.items():
-            remaining = count - get(value, 0)
-            if remaining > 0:
-                yield value, remaining
-    else:
-        coerce, monus, is_zero = sr.coerce, sr.monus, sr.is_zero
-        for value, count in left.items():
-            remaining = monus(coerce(count), coerce(get(value, 0)))
-            if not is_zero(remaining):
-                yield value, remaining
-
-
-def k_min_intersect(small: Dict[Any, int], large: Dict[Any, int],
-                    sr=None) -> Iterator[Tuple[Any, int]]:
-    """``B n B'``: nonzero min of multiplicities; probe the smaller."""
-    get = large.get
-    if sr is None:
-        for value, count in small.items():
-            other = get(value, 0)
-            if other > 0:
-                yield value, count if count < other else other
-    else:
-        coerce, meet, is_zero = sr.coerce, sr.min_, sr.is_zero
-        for value, count in small.items():
-            other = get(value)
-            # incomparable annotations (provenance) can meet at zero
-            if other is not None and not is_zero(
-                    both := meet(coerce(count), coerce(other))):
-                yield value, both
-
-
-def k_max_union(left: Dict[Any, int], right: Dict[Any, int],
-                sr=None) -> Iterator[Tuple[Any, int]]:
-    """``B u B'``: max of multiplicities."""
-    if sr is None:
-        left_get = left.get
-        for value, count in left.items():
-            other = right.get(value, 0)
-            yield value, count if count > other else other
-        for value, count in right.items():
-            if left_get(value, 0) == 0:
-                yield value, count
-    else:
-        coerce, join = sr.coerce, sr.max_
-        for value, count in left.items():
-            other = right.get(value)
-            count = coerce(count)
-            yield value, (count if other is None
-                          else join(count, coerce(other)))
-        for value, count in right.items():
-            if value not in left:
-                yield value, coerce(count)
-
-
-# ----------------------------------------------------------------------
-# Streaming unary kernels
-# ----------------------------------------------------------------------
-
-def k_dedup(rows: Rows, sr=None) -> Iterator[Tuple[Any, int]]:
-    """``eps(B)``: emit each distinct value once with count 1 (the
-    semiring's ``one``).
-
-    Streams with an O(distinct) seen-set, so a dedup above a pipelined
-    union never materialises the union.
-    """
-    seen = set()
-    add = seen.add
-    one = 1 if sr is None else sr.one
-    for value, _ in rows:
-        if value not in seen:
-            add(value)
-            yield value, one
-
-
-def k_scale(rows: Rows, factor: int, sr=None
-            ) -> Iterator[Tuple[Any, int]]:
-    """Multiply every multiplicity by a constant ``factor`` — the
-    kernel behind ``e (+) e (+) ... (+) e`` of a shared subexpression."""
-    if sr is None:
-        for value, count in rows:
-            yield value, count * factor
-    else:
-        scale = sr.scale
-        for value, count in rows:
-            yield value, scale(count, factor)
-
-
-def k_map(rows: Rows, fn: Callable[[Any], Any]
-          ) -> Iterator[Tuple[Any, int]]:
-    """``MAP_phi(B)``: image stream; colliding images are summed by the
-    consumer, matching the additive restructuring semantics."""
-    for value, count in rows:
-        yield fn(value), count
-
-
-def k_select(rows: Rows, predicate: Callable[[Any], bool]
-             ) -> Iterator[Tuple[Any, int]]:
-    """``sigma(B)``: keep satisfying values, multiplicities unchanged."""
-    for value, count in rows:
-        if predicate(value):
-            yield value, count
-
-
-# ----------------------------------------------------------------------
-# Product / join kernels
-# ----------------------------------------------------------------------
-
-def _require_tup(value: Any, operation: str) -> Tup:
-    if not isinstance(value, Tup):
-        raise BagTypeError(
-            f"{operation} requires bags of tuples, found element of "
-            f"type {type(value).__name__}")
-    return value
-
-
-def k_product(probe: Rows, build: Dict[Any, int],
-              sr=None) -> Iterator[Tuple[Any, int]]:
-    """``B x B'``: nested-loop product against a materialised build
-    side; counts multiply and tuples concatenate."""
-    build_items = list(build.items())
-    for value in build:
-        _require_tup(value, "cartesian product")
-    if sr is None:
-        for left, lcount in probe:
-            _require_tup(left, "cartesian product")
-            for right, rcount in build_items:
-                yield left.concat(right), lcount * rcount
-    else:
-        coerce, mul = sr.coerce, sr.mul
-        for left, lcount in probe:
-            _require_tup(left, "cartesian product")
-            lcount = coerce(lcount)
-            for right, rcount in build_items:
-                yield left.concat(right), mul(lcount, coerce(rcount))
-
-
-def k_hash_join(probe: Rows, build: Dict[Any, int],
-                probe_key: Callable[[Tup], Any],
-                build_key: Callable[[Tup], Any],
-                probe_is_left: bool, sr=None
-                ) -> Iterator[Tuple[Any, int]]:
-    """Equi-join kernel for ``sigma_{alpha_i = alpha_j}(B x B')``.
-
-    The build side is hashed on its key attributes; the probe side
-    streams.  ``probe_is_left`` restores the concatenation order of
-    the logical product (the build side is chosen by estimated size,
-    not by syntactic position).
-    """
-    table: Dict[Any, list] = {}
-    if sr is None:
-        for value, count in build.items():
-            _require_tup(value, "hash join")
-            table.setdefault(build_key(value), []).append((value, count))
-        for value, count in probe:
-            _require_tup(value, "hash join")
-            matches = table.get(probe_key(value))
-            if not matches:
-                continue
-            if probe_is_left:
-                for other, other_count in matches:
-                    yield value.concat(other), count * other_count
-            else:
-                for other, other_count in matches:
-                    yield other.concat(value), count * other_count
-    else:
-        coerce, mul = sr.coerce, sr.mul
-        for value, count in build.items():
-            _require_tup(value, "hash join")
-            table.setdefault(build_key(value), []).append(
-                (value, coerce(count)))
-        for value, count in probe:
-            _require_tup(value, "hash join")
-            matches = table.get(probe_key(value))
-            if not matches:
-                continue
-            count = coerce(count)
-            if probe_is_left:
-                for other, other_count in matches:
-                    yield value.concat(other), mul(count, other_count)
-            else:
-                for other, other_count in matches:
-                    yield other.concat(value), mul(count, other_count)
-
-
-# ----------------------------------------------------------------------
 # Restructuring kernels
 # ----------------------------------------------------------------------
 
-def k_flatten(rows: Rows, sr=None) -> Iterator[Tuple[Any, int]]:
+def k_flatten(counts: Dict[Any, int], sr=None
+              ) -> Iterator[Tuple[Any, int]]:
     """``delta(B)``: flatten one level of nesting, scaling the inner
     multiplicities by the outer count."""
-    if sr is None:
-        for inner, outer_count in rows:
-            if not isinstance(inner, Bag):
-                raise BagTypeError(
-                    "bag-destroy requires a bag of bags, found element "
-                    f"of type {type(inner).__name__}")
+    for inner, outer_count in counts.items():
+        if not isinstance(inner, Bag):
+            raise BagTypeError(
+                "bag-destroy requires a bag of bags, found element "
+                f"of type {type(inner).__name__}")
+        if sr is None:
             for element, inner_count in inner.items():
                 yield element, inner_count * outer_count
-    else:
-        coerce, mul = sr.coerce, sr.mul
-        for inner, outer_count in rows:
-            if not isinstance(inner, Bag):
-                raise BagTypeError(
-                    "bag-destroy requires a bag of bags, found element "
-                    f"of type {type(inner).__name__}")
-            outer_count = coerce(outer_count)
+        else:
+            outer_count = sr.coerce(outer_count)
             for element, inner_count in inner.items():
-                yield element, mul(coerce(inner_count), outer_count)
+                yield element, sr.mul(sr.coerce(inner_count),
+                                      outer_count)
 
 
 def k_nest(counts: Dict[Any, int], group_indices: Tuple[int, ...],
@@ -365,11 +139,11 @@ def k_nest(counts: Dict[Any, int], group_indices: Tuple[int, ...],
         yield Tup(*key.items(), Bag.from_counts(bucket)), one
 
 
-def k_unnest(rows: Rows, index: int, sr=None
+def k_unnest(counts: Dict[Any, int], index: int, sr=None
              ) -> Iterator[Tuple[Any, int]]:
     """``unnest_i(B)``: expand the bag-valued attribute ``i``,
     multiplying multiplicities (:func:`repro.core.nest.unnest_bag`)."""
-    for element, count in rows:
+    for element, count in counts.items():
         _require_tup(element, "unnest")
         if not 1 <= index <= element.arity:
             raise BagTypeError(
@@ -380,19 +154,14 @@ def k_unnest(rows: Rows, index: int, sr=None
             raise BagTypeError(f"attribute {index} is not bag-valued")
         prefix = element.items()[:index - 1]
         suffix = element.items()[index:]
-        if sr is None:
-            for member, inner_count in inner.items():
-                spliced = (member.items() if isinstance(member, Tup)
-                           else (member,))
-                yield (Tup(*prefix, *spliced, *suffix),
-                       count * inner_count)
-        else:
+        if sr is not None:
             count = sr.coerce(count)
-            for member, inner_count in inner.items():
-                spliced = (member.items() if isinstance(member, Tup)
-                           else (member,))
-                yield (Tup(*prefix, *spliced, *suffix),
-                       sr.mul(count, sr.coerce(inner_count)))
+        for member, inner_count in inner.items():
+            spliced = (member.items() if isinstance(member, Tup)
+                       else (member,))
+            yield (Tup(*prefix, *spliced, *suffix),
+                   count * inner_count if sr is None
+                   else sr.mul(count, sr.coerce(inner_count)))
 
 
 # ----------------------------------------------------------------------

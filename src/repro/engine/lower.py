@@ -52,6 +52,7 @@ from repro.engine.physical import (
     HashJoin, HashMaxUnion, HashUnion, MultiplicityScale, NestBuild,
     NestedLoopProduct, OracleEval, PhysicalNode, PowersetExpand,
     ScanBag, SharedScan, StreamingMap, StreamingSelect, UnnestExpand,
+    render_plan,
 )
 from repro.planner.stats import BagStats, estimate
 
@@ -64,25 +65,51 @@ HASH_JOIN_THRESHOLD = 16.0
 
 
 class PhysicalPlan:
-    """A lowered plan: the root physical node plus provenance."""
+    """A lowered plan: the root physical node, provenance, and — once
+    :func:`repro.engine.codegen.compile_codegen` has built them — the
+    step programs that execute it.
 
-    __slots__ = ("root", "expr", "statistics_used")
+    The plan is data-free: steps read bindings through the per-run
+    ``ExecContext``, and a run writes nothing here, so a warm
+    plan-cache entry serves any database of the same shape from any
+    number of threads.
+    """
 
-    def __init__(self, root: PhysicalNode, expr: Expr,
-                 statistics_used: bool):
+    __slots__ = ("root", "expr", "segments", "root_segment")
+
+    def __init__(self, root: PhysicalNode, expr: Expr):
         self.root = root
         self.expr = expr
-        self.statistics_used = statistics_used
+        #: every fused segment, shared inner ones first; the root's
+        #: is ``root_segment``
+        self.segments: Tuple[Any, ...] = ()
+        self.root_segment = None
+
+    def kernels(self) -> Tuple[str, ...]:
+        """The kernels one execution of the root segment records."""
+        return tuple(self.root_segment.kernels)
 
     def execute(self, ctx) -> Any:
-        return self.root.execute(ctx)
+        counts = self.root_segment.fn(ctx)
+        if type(counts) is not dict:
+            return counts  # a root oracle's value, passed through
+        ctx.check_size(counts)
+        return Bag.from_counts(counts)
 
-    def render(self) -> str:
-        from repro.engine.physical import render_plan
-        return render_plan(self.root)
+    def render(self, actuals: Optional[Mapping[int, int]] = None
+               ) -> str:
+        """The segments, then the node tree; ``actuals`` (a run's
+        ``ExecContext.actual_rows``) adds per-node actual rows."""
+        lines = [f"{len(self.segments)} fused segment(s)"]
+        lines.extend("  " + segment.describe()
+                     for segment in self.segments)
+        lines.append("-- lowered plan --")
+        lines.append(render_plan(self.root, actuals=actuals))
+        return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"PhysicalPlan({type(self.root).__name__})"
+        return (f"PhysicalPlan({type(self.root).__name__}, "
+                f"{len(self.segments)} segments)")
 
 
 class Lowering:
@@ -117,18 +144,24 @@ class Lowering:
         self.cost_based = cost_based
         self._shared: Dict[Expr, SharedScan] = {}
         self._share_counts: Dict[Expr, int] = {}
+        self._estimates: Dict[Expr, Optional[BagStats]] = {}
+        self._input_bounds: Dict[Expr, float] = {}
 
     # -- estimates ------------------------------------------------------
 
     def _estimate(self, expr: Expr) -> Optional[BagStats]:
         if self.statistics is None:
             return None
+        if expr in self._estimates:
+            return self._estimates[expr]
         try:
-            return estimate(expr, self.statistics,
-                            selectivity=self.selectivity,
-                            selectivity_fn=self.selectivity_fn)
+            stats = estimate(expr, self.statistics,
+                             selectivity=self.selectivity,
+                             selectivity_fn=self.selectivity_fn)
         except BagTypeError:
-            return None
+            stats = None
+        self._estimates[expr] = stats
+        return stats
 
     @staticmethod
     def _card(stats: Optional[BagStats]) -> Optional[float]:
@@ -139,7 +172,7 @@ class Lowering:
     def lower(self, expr: Expr) -> PhysicalPlan:
         self._count_occurrences(expr)
         root = self._lower(expr, shared_ok=False)
-        return PhysicalPlan(root, expr, self.statistics is not None)
+        return PhysicalPlan(root, expr)
 
     def _count_occurrences(self, expr: Expr) -> None:
         """Count structural occurrences of dataflow subexpressions, to
@@ -171,6 +204,7 @@ class Lowering:
                 node = SharedScan(self._lower_node(expr),
                                   self._estimate(expr))
                 self._shared[expr] = node
+            node.refs += 1
             return node
         return self._lower_node(expr)
 
@@ -266,14 +300,22 @@ class Lowering:
            pass cannot justify the fan-out cost;
         3. the estimated total leaf input cardinality is below the
            policy threshold (too small to amortise sharding).
+
+        Conditions 2 and 3 are first tried on :meth:`_input_bound`,
+        which needs no recogniser: a subtree that cannot reach the
+        threshold whatever its segment's leaves turn out to be is
+        refused before one is built.
         """
+        threshold = self.parallel.threshold
+        if threshold > 0 and (self.statistics is None
+                              or self._input_bound(expr) < threshold):
+            return None
         from repro.engine.parallel.partition import (
             compile_parallel_segment,
         )
         segment = compile_parallel_segment(expr, self._operand_arity)
         if segment is None:
             return None
-        threshold = self.parallel.threshold
         if threshold > 0:
             total = 0.0
             for leaf in segment.leaves:
@@ -296,6 +338,23 @@ class Lowering:
                             semiring=self.semiring)
         return Gather(exchange, estimated)
 
+    def _input_bound(self, expr: Expr) -> float:
+        """An upper bound on the estimated total leaf cardinality of
+        *any* segment rooted at ``expr``.  A segment's leaves sit at
+        disjoint positions strictly below its root, so their total is
+        at most the heaviest antichain there: per child, the larger of
+        the child itself and what lies under it.  An unavailable
+        estimate is unbounded (the recogniser decides)."""
+        bound = self._input_bounds.get(expr)
+        if bound is None:
+            bound = 0.0
+            for child in self._dataflow_children(expr):
+                card = self._card(self._estimate(child))
+                bound += (float("inf") if card is None
+                          else max(card, self._input_bound(child)))
+            self._input_bounds[expr] = bound
+        return bound
+
     # -- selection / join -----------------------------------------------
 
     def _lower_select(self, expr: Select,
@@ -310,8 +369,7 @@ class Lowering:
         compiled = compile_predicate(expr, self.semiring)
         if compiled is not None:
             return StreamingSelect(self._lower(expr.operand),
-                                   lambda ctx: compiled, True,
-                                   estimated)
+                                   lambda ctx: compiled, estimated)
 
         def make(ctx, select=expr):
             def predicate(value):
@@ -320,7 +378,7 @@ class Lowering:
                 return _compare(select.op, lhs, rhs)
             return predicate
 
-        return StreamingSelect(self._lower(expr.operand), make, False,
+        return StreamingSelect(self._lower(expr.operand), make,
                                estimated)
 
     def _try_fuse_join(self, product: Cartesian,
@@ -380,7 +438,7 @@ class Lowering:
     def _lower_product(self, expr: Cartesian,
                        estimated: Optional[BagStats]) -> PhysicalNode:
         # Products are not commutative (the tuples concatenate), so the
-        # right side always builds and the left side always streams.
+        # right side always builds and the left side always probes.
         return NestedLoopProduct(self._lower(expr.left),
                                  self._lower(expr.right), estimated)
 

@@ -3,7 +3,7 @@
 Three layers (see ``docs/parallel.md`` for the full story):
 
 * :mod:`~repro.engine.parallel.partition` — hash partitioning of
-  multiplicity streams, the partition-compatibility table, the
+  count dicts, the partition-compatibility table, the
   recogniser that turns a subtree into a *segment program* (its own
   expression over slot variables), and the worker-resident
   compiled-segment cache (each worker lowers and fuses a program once

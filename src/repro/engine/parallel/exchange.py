@@ -170,10 +170,9 @@ def adaptive_shards(config: ParallelConfig,
 class Partition(PhysicalNode):
     """Declares the partition key for one exchange input slot.
 
-    Execution is a serial passthrough — the actual sharding happens in
-    the parent :class:`Exchange`, which needs the materialised dict
-    anyway.  The node exists so ``:explain`` shows where the plan
-    partitions and on what key.
+    No step of its own: the child's steps fill the register the
+    parent :class:`Exchange` shards.  The node exists so ``:explain``
+    shows where the plan partitions and on what key.
     """
 
     __slots__ = ("child", "key")
@@ -187,9 +186,6 @@ class Partition(PhysicalNode):
 
     def children(self):
         return (self.child,)
-
-    def _rows(self, ctx):
-        return self.child.rows(ctx)
 
     def label(self):
         shown = "value" if self.key is None else list(self.key)
@@ -233,26 +229,24 @@ class Exchange(PhysicalNode):
         plan = compiled_segment_for(self.program, tag=self.tag,
                                     sr=self.semiring)
         shown = f"  kernels=[{', '.join(plan.kernels())}]"
-        if plan.root_segment is not None and plan.root_segment.inputs:
-            # barrier leaves (nest under a dedup, ...) the fused
-            # segment reads through the stream kernels
-            shown += f"  inputs=[{', '.join(plan.root_segment.inputs)}]"
+        inputs = plan.root_segment.inputs
+        if inputs:
+            # shared inner segments the root segment reads
+            shown += f"  inputs=[{', '.join(inputs)}]"
         return super().label() + shown
 
     # -- execution --------------------------------------------------------
 
-    def _rows(self, ctx):
-        inputs = [ctx.collect(part) for part in self.partitions]
-        config = getattr(ctx, "parallel", None)
-        sr = getattr(ctx, "semiring", None)
-        if config is None:
-            merged = execute_program(
+    def run(self, ctx, inputs: List[Dict[Any, int]]) -> Dict[Any, int]:
+        """The exchange step: the program over the materialised
+        ``inputs`` (one dict per partition, never mutated)."""
+        if ctx.parallel is None:
+            return execute_program(
                 self.program, inputs, governor=ctx.governor,
                 every=ctx.tick_interval, stats=ctx.stats,
-                tag=self.tag, sr=sr)
-        else:
-            merged = self._run_sharded(ctx, config, inputs, sr)
-        yield from merged.items()
+                tag=self.tag, sr=ctx.semiring)
+        return self._run_sharded(ctx, ctx.parallel, inputs,
+                                 ctx.semiring)
 
     def _run_sharded(self, ctx, config: ParallelConfig,
                      inputs: List[Dict[Any, int]],
@@ -288,8 +282,8 @@ class Exchange(PhysicalNode):
 
 
 class Gather(PhysicalNode):
-    """The barrier above an exchange: counts the gather and resumes
-    serial, value-order-free streaming."""
+    """The barrier above an exchange: where value-disjointness ends
+    and serial execution resumes (the exchange's step counts it)."""
 
     __slots__ = ("child",)
     kernel = "gather"
@@ -300,10 +294,6 @@ class Gather(PhysicalNode):
 
     def children(self):
         return (self.child,)
-
-    def _rows(self, ctx):
-        ctx.stats.gather_barriers += 1
-        return self.child.rows(ctx)
 
 
 # ----------------------------------------------------------------------
@@ -573,9 +563,9 @@ class _LadderFault(Exception):
 
 class _ChaosStats(EngineStats):
     """Worker stats that detonate a chaos plan *between kernels* of a
-    shard segment: fused closures and stream nodes alike report every
-    kernel they run through ``record_kernel``, so that is where the
-    seeded target — an index among the segment's kernels — is met."""
+    shard segment: every step reports the kernel it ran through
+    ``record_kernel``, so that is where the seeded target — an index
+    among the segment's kernels — is met."""
 
     def __init__(self, chaos, shard: int, attempt: int, target: int,
                  in_process_worker: bool):

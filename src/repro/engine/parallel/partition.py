@@ -47,9 +47,10 @@ from repro.core.expr import (
     Select, Subtraction, Var,
 )
 from repro.core.nest import Nest
-from repro.engine.codegen import CodegenPlan, compile_codegen
+from repro.engine.codegen import compile_codegen
 from repro.engine.lower import (
-    compile_object_lambda, compile_predicate, equi_join_keys, lower,
+    PhysicalPlan, compile_object_lambda, compile_predicate,
+    equi_join_keys, lower,
 )
 from repro.engine.physical import ExecContext
 
@@ -196,13 +197,13 @@ def merge_counts(shards: Sequence[Dict[Any, int]],
 # Shard execution: the segment cache and the fused segment run on a slice
 # ----------------------------------------------------------------------
 
-#: Worker-local compiled segments: ``(tag, program) -> CodegenPlan``.
+#: Worker-local compiled segments: ``(tag, program) -> PhysicalPlan``.
 #: Lives at module level so it survives across morsels of one worker
 #: process (fork'd children inherit the parent's warm entries too).
 #: The tag is the planner's ``PassConfig.cache_tag()`` — a config
 #: change (different passes, different selectivity) must compile a
 #: fresh segment even for a syntactically identical program.
-_SEGMENT_CACHE: Dict[Tuple[Any, SegmentProgram], CodegenPlan] = {}
+_SEGMENT_CACHE: Dict[Tuple[Any, SegmentProgram], PhysicalPlan] = {}
 _SEGMENT_CACHE_CAP = 256
 #: Thread-backend workers share the cache: evicting by iteration while
 #: a sibling inserts raises "dictionary changed size during iteration".
@@ -212,10 +213,10 @@ _SEGMENT_CACHE_LOCK = threading.Lock()
 def compiled_segment_for(program: SegmentProgram,
                          tag: Optional[Tuple] = None,
                          stats=None,
-                         sr=None) -> CodegenPlan:
-    """The fused plan for a program — the pipeline a serial
-    ``engine="codegen"`` query takes — compiled at most once per
-    worker per ``(tag, program)``.  Hit/miss counts land in ``stats``
+                         sr=None) -> PhysicalPlan:
+    """The fused plan for a program — the pipeline a serial query
+    takes — compiled at most once per worker per ``(tag, program)``.
+    Hit/miss counts land in ``stats``
     (an :class:`~repro.engine.physical.EngineStats`), which the
     exchange merges back into the parent — so ``:explain`` shows how
     often workers reused a resident segment.  The tag (the planner's
@@ -282,10 +283,7 @@ def execute_program(program: SegmentProgram,
     evaluator = Evaluator(track_stats=False, governor=governor,
                           semiring=sr)
     ctx = ExecContext(slots, evaluator, stats=stats, tick_interval=every)
-    if plan.root_segment is None:
-        # a root the compiler does not fuse (nest): collect it through
-        # the stream nodes, unsealed — not plan.execute's Bag per morsel
-        return ctx.collect(plan.root)
+    # unsealed — not plan.execute's Bag per morsel
     return plan.root_segment.fn(ctx)
 
 

@@ -1,38 +1,34 @@
-"""Physical plan IR: pipelined operator nodes over multiplicity streams.
+"""Physical plan IR: the operator nodes a lowered plan is made of.
 
 A physical plan is a tree of :class:`PhysicalNode` objects produced by
-the lowering pass (:mod:`repro.engine.lower`).  Execution is a pull
-model: every node exposes :meth:`PhysicalNode.rows`, a generator of
-``(value, multiplicity)`` pairs in which the same value may appear more
-than once — downstream consumers and the final materialisation sum the
-counts.  Streaming nodes (map, select, scale, dedup, flatten) never
-materialise their input; hash nodes materialise exactly the sides the
-kernel needs (:mod:`repro.engine.kernels`).
+the lowering pass (:mod:`repro.engine.lower`).  Nodes are plan IR only
+— a constructor, :meth:`~PhysicalNode.children`,
+:meth:`~PhysicalNode.label`, the ``kernel`` name and the lowering-time
+estimate; the step builder (:mod:`repro.engine.codegen`) turns the
+tree into the step programs that execute it, and nothing in a node
+changes after lowering, so one cached plan runs from many threads.
 
-Governance: the :class:`ExecContext` carries the run's
-:class:`~repro.guard.ResourceGovernor`.  Each node ticks the governor
-once when it starts producing and once every ``_TICK_EVERY`` emitted
-rows, and every materialisation point (hash builds, shared
-intermediates, the sealed result) enforces the intermediate-size
-budget — so step budgets, deadlines, cancellation, and injected faults
-apply to engine execution exactly as they do to the tree walker.
+Everything a run *does* write lives on its :class:`ExecContext`: the
+bindings, the shared-intermediate memo, the
+:class:`EngineStats` counters, and the rows each node's step produced
+(``actual_rows``; ``:explain`` prints them next to the estimates).
 
-Every node records the number of rows it emitted during the last
-execution (``actual_rows``) next to the lowering-time estimate
-(``estimated``); ``:explain`` in the CLI prints both.
+Governance: the context carries the run's
+:class:`~repro.guard.ResourceGovernor`.  Every step ticks it in
+proportion to the rows it produced and every materialised dict
+honours the intermediate-size budget — so step budgets, deadlines,
+cancellation, and injected faults apply to engine execution exactly
+as they do to the tree walker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import (
-    Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple,
-)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.bag import Bag
 from repro.core.database import encoding_size
 from repro.core.errors import UnboundVariableError
-from repro.engine import kernels
 from repro.planner.stats import BagStats
 
 __all__ = [
@@ -90,9 +86,10 @@ class EngineStats:
     bytes_shipped: int = 0
     segment_cache_hits: int = 0
     segment_cache_misses: int = 0
-    #: Codegen counters: fused-segment executions and barrier-leaf
-    #: fallbacks to the stream kernels (``engine=codegen`` only; the
-    #: ``:explain`` codegen footer prints both).
+    #: Step-program counters: fused-segment executions, and steps
+    #: that ran an operator with no columnar twin on its dict kernel
+    #: (nest, unnest, flatten, powerset/powerbag) or on the oracle;
+    #: the ``:explain`` footer prints both.
     fused_segments: int = 0
     barrier_fallbacks: int = 0
     #: Execution-feedback counters: per-relation total rows observed
@@ -162,8 +159,8 @@ class ExecContext:
     """
 
     __slots__ = ("bindings", "evaluator", "governor", "stats", "memo",
-                 "powerset_budget", "parallel", "semiring", "_env",
-                 "_tick_interval", "_last_tick_at")
+                 "actual_rows", "powerset_budget", "parallel",
+                 "semiring", "_env", "_tick_interval", "_last_tick_at")
 
     def __init__(self, bindings: Mapping[str, Any], evaluator,
                  stats: Optional[EngineStats] = None, parallel=None,
@@ -173,6 +170,10 @@ class ExecContext:
         self.governor = evaluator.governor
         self.stats = stats if stats is not None else EngineStats()
         self.memo: Dict[int, Dict[Any, int]] = {}
+        #: ``id(node)`` -> rows its step produced in this run.  Kept
+        #: here, not on the node: plans are shared through the plan
+        #: cache and run concurrently.
+        self.actual_rows: Dict[int, int] = {}
         self.powerset_budget = evaluator.powerset_budget
         #: Multiplicity semiring (None = N fast path); shared with the
         #: lambda/oracle evaluator so fallbacks agree with the kernels.
@@ -235,71 +236,31 @@ class ExecContext:
         governor.check_size(size, self.evaluator.stats)
 
     def collect(self, node: "PhysicalNode") -> Dict[Any, int]:
-        """Materialise a child node under governance."""
-        if self.governor is None:
-            counts = kernels.collect(node.rows(self), sr=self.semiring)
-        else:
-            counts = kernels.collect(
-                node.rows(self), tick=self.tick,
-                every=self._tick_interval,
-                get_every=lambda: self._tick_interval,
-                sr=self.semiring)
+        """Build and run ``node``'s steps; the counts dict, unsealed."""
+        from repro.engine.codegen import compile_node
+        counts = compile_node(node, self.semiring).fn(self)
         self.check_size(counts)
         return counts
 
 
 class PhysicalNode:
-    """Base class of physical operators.
+    """Base class of physical operators: plan IR, no behaviour."""
 
-    Subclasses implement ``_rows(ctx)``; the public :meth:`rows`
-    wrapper does the bookkeeping every node shares — kernel counters,
-    governor ticks, and the emitted-row counts that ``:explain``
-    reports as *actual* cardinalities.
-    """
-
-    __slots__ = ("estimated", "actual_rows")
+    __slots__ = ("estimated",)
 
     #: Kernel label shown by ``:explain`` (subclasses override).
     kernel = "?"
 
     def __init__(self, estimated: Optional[BagStats] = None):
         self.estimated = estimated
-        self.actual_rows: Optional[int] = None
 
     def children(self) -> Tuple["PhysicalNode", ...]:
         return ()
-
-    def _rows(self, ctx: ExecContext) -> Iterator[Tuple[Any, int]]:
-        raise NotImplementedError
-
-    def rows(self, ctx: ExecContext) -> Iterator[Tuple[Any, int]]:
-        ctx.stats.record_kernel(self.kernel)
-        ctx.tick()
-        emitted = 0
-        pending = 0
-        governed = ctx.governor is not None
-        for pair in self._rows(ctx):
-            emitted += 1
-            if governed:
-                pending += 1
-                if pending >= ctx.tick_interval:
-                    pending = 0
-                    ctx.tick()
-            yield pair
-        self.actual_rows = emitted
-        ctx.stats.rows_emitted += emitted
-
-    def execute(self, ctx: ExecContext) -> Any:
-        """Materialise this node's stream into a sealed Bag."""
-        counts = ctx.collect(self)
-        return Bag.from_counts(counts)
 
     def label(self) -> str:
         parts = [f"{type(self).__name__}  kernel={self.kernel}"]
         if self.estimated is not None:
             parts.append(f"est card {self.estimated.cardinality:g}")
-        if self.actual_rows is not None:
-            parts.append(f"actual rows {self.actual_rows}")
         return "  ".join(parts)
 
 
@@ -317,28 +278,10 @@ class ScanBag(PhysicalNode):
         super().__init__(estimated)
         self.name = name
 
-    def _rows(self, ctx):
-        value = ctx.lookup(self.name)
-        if type(value) is dict:
-            # a shard slot (execute_program binds count dicts): already
-            # in dictionary form, and not a relation scan to observe
-            yield from value.items()
-            return
-        if not isinstance(value, Bag):
-            raise UnboundVariableError(
-                f"binding {self.name!r} is not a bag "
-                f"(got {type(value).__name__})")
-        # feedback: one observation per scan (O(1), the cardinality
-        # is cached on the bag) so catalogs can absorb actuals
-        ctx.stats.record_scan(self.name, value.cardinality)
-        yield from value.items()
-
     def label(self):
         return f"ScanBag {self.name}  kernel={self.kernel}" + (
             f"  est card {self.estimated.cardinality:g}"
-            if self.estimated is not None else "") + (
-            f"  actual rows {self.actual_rows}"
-            if self.actual_rows is not None else "")
+            if self.estimated is not None else "")
 
 
 class ConstSource(PhysicalNode):
@@ -350,11 +293,6 @@ class ConstSource(PhysicalNode):
     def __init__(self, value: Bag, estimated=None):
         super().__init__(estimated)
         self.value = value
-
-    def _rows(self, ctx):
-        sr = ctx.semiring
-        value = self.value if sr is None else sr.adapt_bag(self.value)
-        yield from value.items()
 
 
 class OracleEval(PhysicalNode):
@@ -372,44 +310,28 @@ class OracleEval(PhysicalNode):
         super().__init__(estimated)
         self.expr = expr
 
-    def _rows(self, ctx):
-        result = ctx.eval_oracle(self.expr)
-        if not isinstance(result, Bag):
-            raise UnboundVariableError(
-                f"oracle subtree produced a non-bag "
-                f"{type(result).__name__} in bag position")
-        yield from result.items()
-
-    def execute(self, ctx: ExecContext) -> Any:
-        # At the root, a non-bag result (tuple/atom) is returned as-is.
-        ctx.stats.record_kernel(self.kernel)
-        return ctx.eval_oracle(self.expr)
-
 
 class SharedScan(PhysicalNode):
     """A common subexpression: materialised once per run, then served
     from the run memo (the within-run intermediate-sharing half of the
-    plan cache)."""
+    plan cache).
 
-    __slots__ = ("inner",)
+    ``refs`` is how many times the plan reads the node; the lowering
+    pass counts as it hands the node out.  Its CSE wraps every
+    syntactically repeated subtree, which marks more nodes than the
+    physical DAG re-reads: a node read once gains nothing from the
+    memo, and the step builder fuses straight through it."""
+
+    __slots__ = ("inner", "refs")
     kernel = "shared"
 
     def __init__(self, inner: PhysicalNode, estimated=None):
         super().__init__(estimated)
         self.inner = inner
+        self.refs = 0
 
     def children(self):
         return (self.inner,)
-
-    def _rows(self, ctx):
-        counts = ctx.memo.get(id(self))
-        if counts is None:
-            counts = ctx.collect(self.inner)
-            ctx.memo[id(self)] = counts
-            ctx.stats.shared_materialized += 1
-        else:
-            ctx.stats.shared_reused += 1
-        yield from counts.items()
 
 
 # ----------------------------------------------------------------------
@@ -430,28 +352,19 @@ class _BinaryNode(PhysicalNode):
 
 
 class HashUnion(_BinaryNode):
-    """``(+)``: fully pipelined — both streams pass through and the
-    consumer sums counts."""
+    """``(+)``: the columns concatenate and the consumer sums
+    counts."""
 
     __slots__ = ()
     kernel = "additive-union"
 
-    def _rows(self, ctx):
-        return kernels.k_additive_union(self.left.rows(ctx),
-                                        self.right.rows(ctx))
-
 
 class HashDifference(_BinaryNode):
-    """``-`` (monus): right side builds a hash, left side builds too
-    (exact counts needed on both)."""
+    """``-`` (monus): both sides as dicts (exact counts needed on
+    both)."""
 
     __slots__ = ()
     kernel = "monus"
-
-    def _rows(self, ctx):
-        right = ctx.collect(self.right)
-        left = ctx.collect(self.left)
-        return kernels.k_monus(left, right, sr=ctx.semiring)
 
 
 class HashIntersect(_BinaryNode):
@@ -461,11 +374,6 @@ class HashIntersect(_BinaryNode):
     __slots__ = ()
     kernel = "min-intersect"
 
-    def _rows(self, ctx):
-        small = ctx.collect(self.left)
-        large = ctx.collect(self.right)
-        return kernels.k_min_intersect(small, large, sr=ctx.semiring)
-
 
 class HashMaxUnion(_BinaryNode):
     """``u`` (max): both sides materialised."""
@@ -473,14 +381,9 @@ class HashMaxUnion(_BinaryNode):
     __slots__ = ()
     kernel = "max-union"
 
-    def _rows(self, ctx):
-        left = ctx.collect(self.left)
-        right = ctx.collect(self.right)
-        return kernels.k_max_union(left, right, sr=ctx.semiring)
-
 
 # ----------------------------------------------------------------------
-# Streaming unary operators
+# Unary operators
 # ----------------------------------------------------------------------
 
 class _UnaryNode(PhysicalNode):
@@ -495,21 +398,18 @@ class _UnaryNode(PhysicalNode):
 
 
 class HashDedup(_UnaryNode):
-    """``eps``: streaming dedup over an O(distinct) seen-set."""
+    """``eps``: every distinct value once, with count one."""
 
     __slots__ = ()
     kernel = "dedup"
 
-    def _rows(self, ctx):
-        return kernels.k_dedup(self.child.rows(ctx), sr=ctx.semiring)
-
 
 class StreamingMap(_UnaryNode):
-    """``MAP``: pipelined; ``fn`` is a compiled closure when the
-    lowering pass recognised the lambda shape, otherwise an
-    evaluator-backed application."""
+    """``MAP``: ``fn`` is a compiled closure when the lowering pass
+    recognised the lambda shape, otherwise the step applies ``lam``
+    through the evaluator."""
 
-    __slots__ = ("lam", "fn", "compiled")
+    __slots__ = ("lam", "fn")
     kernel = "map"
 
     def __init__(self, child: PhysicalNode, lam,
@@ -517,31 +417,20 @@ class StreamingMap(_UnaryNode):
         super().__init__(child, estimated)
         self.lam = lam
         self.fn = fn
-        self.compiled = fn is not None
-
-    def _rows(self, ctx):
-        fn = self.fn
-        if fn is None:
-            lam = self.lam
-            fn = lambda value: ctx.apply_lambda(lam, value)  # noqa: E731
-        return kernels.k_map(self.child.rows(ctx), fn)
 
 
 class StreamingSelect(_UnaryNode):
-    """``sigma``: pipelined filter; predicate compiled when possible."""
+    """``sigma``: a filter; ``make_predicate(ctx)`` is the compiled
+    predicate when the lambdas allow, else one applying them through
+    the run's evaluator."""
 
-    __slots__ = ("make_predicate", "compiled")
+    __slots__ = ("make_predicate",)
     kernel = "select"
 
-    def __init__(self, child: PhysicalNode, make_predicate, compiled:
-                 bool, estimated=None):
+    def __init__(self, child: PhysicalNode, make_predicate,
+                 estimated=None):
         super().__init__(child, estimated)
         self.make_predicate = make_predicate
-        self.compiled = compiled
-
-    def _rows(self, ctx):
-        return kernels.k_select(self.child.rows(ctx),
-                                self.make_predicate(ctx))
 
 
 class MultiplicityScale(_UnaryNode):
@@ -555,27 +444,19 @@ class MultiplicityScale(_UnaryNode):
         super().__init__(child, estimated)
         self.factor = factor
 
-    def _rows(self, ctx):
-        return kernels.k_scale(self.child.rows(ctx), self.factor,
-                               sr=ctx.semiring)
-
     def label(self):
         return super().label() + f"  x{self.factor}"
 
 
 class FlattenBags(_UnaryNode):
-    """``delta``: pipelined flatten, scaling inner by outer counts."""
+    """``delta``: flatten, scaling inner by outer counts."""
 
     __slots__ = ()
     kernel = "flatten"
 
-    def _rows(self, ctx):
-        return kernels.k_flatten(self.child.rows(ctx),
-                                 sr=ctx.semiring)
-
 
 class NestBuild(_UnaryNode):
-    """``nest_J``: grouping kernel (materialises its input)."""
+    """``nest_J``: the grouping kernel."""
 
     __slots__ = ("indices",)
     kernel = "nest-build"
@@ -585,13 +466,9 @@ class NestBuild(_UnaryNode):
         super().__init__(child, estimated)
         self.indices = indices
 
-    def _rows(self, ctx):
-        return kernels.k_nest(ctx.collect(self.child), self.indices,
-                              sr=ctx.semiring)
-
 
 class UnnestExpand(_UnaryNode):
-    """``unnest_i``: pipelined expansion of a bag-valued attribute."""
+    """``unnest_i``: expansion of a bag-valued attribute."""
 
     __slots__ = ("index",)
     kernel = "unnest"
@@ -599,10 +476,6 @@ class UnnestExpand(_UnaryNode):
     def __init__(self, child: PhysicalNode, index: int, estimated=None):
         super().__init__(child, estimated)
         self.index = index
-
-    def _rows(self, ctx):
-        return kernels.k_unnest(self.child.rows(ctx), self.index,
-                                sr=ctx.semiring)
 
 
 class PowersetExpand(_UnaryNode):
@@ -619,21 +492,13 @@ class PowersetExpand(_UnaryNode):
     def kernel(self) -> str:  # type: ignore[override]
         return "powerbag" if self.duplicate_aware else "powerset"
 
-    def _rows(self, ctx):
-        counts = ctx.collect(self.child)
-        if self.duplicate_aware:
-            return kernels.k_powerbag(counts, ctx.powerset_budget,
-                                      sr=ctx.semiring)
-        return kernels.k_powerset(counts, ctx.powerset_budget,
-                                  sr=ctx.semiring)
-
 
 # ----------------------------------------------------------------------
 # Products and joins
 # ----------------------------------------------------------------------
 
 class NestedLoopProduct(_BinaryNode):
-    """``x``: stream the left side against a materialised right side.
+    """``x``: the left columns against a materialised right side.
 
     The lowering pass uses this when no equality predicate can be
     fused, or when the estimated inputs are too small for a hash join
@@ -642,11 +507,6 @@ class NestedLoopProduct(_BinaryNode):
 
     __slots__ = ()
     kernel = "nested-loop-product"
-
-    def _rows(self, ctx):
-        build = ctx.collect(self.right)
-        return kernels.k_product(self.left.rows(ctx), build,
-                                 sr=ctx.semiring)
 
 
 class HashJoin(_BinaryNode):
@@ -668,37 +528,21 @@ class HashJoin(_BinaryNode):
         self.right_key = right_key
         self.build_right = build_right
 
-    @staticmethod
-    def _key_fn(indices: Tuple[int, ...]):
-        if len(indices) == 1:
-            index = indices[0]
-            return lambda tup: tup.attribute(index)
-        return lambda tup: tuple(tup.attribute(i) for i in indices)
-
-    def _rows(self, ctx):
-        left_key = self._key_fn(self.left_key)
-        right_key = self._key_fn(self.right_key)
-        if self.build_right:
-            build = ctx.collect(self.right)
-            return kernels.k_hash_join(self.left.rows(ctx), build,
-                                       left_key, right_key,
-                                       probe_is_left=True,
-                                       sr=ctx.semiring)
-        build = ctx.collect(self.left)
-        return kernels.k_hash_join(self.right.rows(ctx), build,
-                                   right_key, left_key,
-                                   probe_is_left=False,
-                                   sr=ctx.semiring)
-
     def label(self):
         keys = (f"L{list(self.left_key)}=R{list(self.right_key)}"
                 f"  build={'right' if self.build_right else 'left'}")
         return super().label() + "  " + keys
 
 
-def render_plan(node: PhysicalNode, indent: int = 0) -> str:
-    """Render a physical plan tree as text (used by ``:explain``)."""
-    lines = ["  " * indent + node.label()]
+def render_plan(node: PhysicalNode, indent: int = 0,
+                actuals: Optional[Mapping[int, int]] = None) -> str:
+    """Render a physical plan tree as text (used by ``:explain``).
+    ``actuals`` is a run's ``ExecContext.actual_rows``: a node whose
+    step ran shows the rows it produced next to its estimate."""
+    line = "  " * indent + node.label()
+    if actuals and id(node) in actuals:
+        line += f"  actual rows {actuals[id(node)]}"
+    lines = [line]
     for child in node.children():
-        lines.append(render_plan(child, indent + 1))
+        lines.append(render_plan(child, indent + 1, actuals))
     return "\n".join(lines)

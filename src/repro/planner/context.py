@@ -41,13 +41,12 @@ OPT_LEVELS = {
        "reordering, no sharing)",
     1: "normalize + cost-based lowering (the default)",
     2: "level 1 plus the algebraic rewrite fixpoint",
-    3: "level 2 plus columnar plan-to-steps codegen "
-       "(fused segments; engine=codegen)",
+    3: "the same passes as level 2 (the engine=codegen default)",
 }
 
 #: Stage-level toggle names plus every statically-registered rule name.
 def toggleable_passes() -> Tuple[str, ...]:
-    names = ["normalize", "rewrite", "cost-lowering", "codegen"]
+    names = ["normalize", "rewrite", "cost-lowering"]
     names.extend(rule.name for rule in ALL_RULES)
     names.append("push-select-product")
     return tuple(names)
@@ -129,8 +128,6 @@ class PassConfig:
             return self._active("rewrite", self.opt_level >= 2)
         if stage == "cost-lowering":
             return self._active("cost-lowering", self.opt_level >= 1)
-        if stage == "codegen":
-            return self._active("codegen", self.opt_level >= 3)
         return True
 
     def rule_active(self, rule: Rule) -> bool:
@@ -183,7 +180,8 @@ class PlanContext:
     engine:
         ``"tree"`` (the oracle walker — the pipeline stops after the
         logical stages), ``"physical"``, ``"parallel"``, or
-        ``"codegen"`` (the fused columnar runtime).
+        ``"codegen"`` (the physical engine under its older name; the
+        caller picks opt level 3 as its default).
     schema:
         Optional ``name -> Type`` mapping; enables the typecheck stage
         and the schema-driven product pushdown rule.

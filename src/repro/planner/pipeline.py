@@ -1,7 +1,7 @@
 """The staged compilation pipeline — the one front door.
 
 ``compile()`` runs ``typecheck -> normalize -> rewrite -> lower ->
-parallelize`` over a logical expression, driven by the
+parallelize -> codegen`` over a logical expression, driven by the
 :class:`~repro.planner.context.PassConfig` and recording a
 :class:`~repro.planner.report.PlanReport` along the way.  Every
 execution entry point in the repo (``core.eval.evaluate``,
@@ -55,19 +55,16 @@ class CompiledPlan:
 
 
 def _combined_tag(config: PassConfig, policy,
-                  stats_tag: Any = None,
-                  codegen: bool = False) -> Any:
-    """Cache tag: pass configuration, parallel policy, the statistics
-    fingerprint, and whether the codegen stage will transform the
-    plan — stale-stats plans can't collide with fresh ones because an
-    ANALYZE bumps the catalog epoch inside ``stats_tag``, and a fused
-    ``CodegenPlan`` can never be served to a stream-engine caller (or
-    vice versa) because the codegen component differs."""
+                  stats_tag: Any = None) -> Any:
+    """Cache tag: pass configuration, parallel policy, and the
+    statistics fingerprint — stale-stats plans can't collide with
+    fresh ones because an ANALYZE bumps the catalog epoch inside
+    ``stats_tag``.  The engine name is not a component: every
+    non-tree engine executes the same plan."""
     parallel = None
     if policy is not None:
         parallel = ("parallel", policy.threshold)
-    return (config.cache_tag(), parallel, stats_tag,
-            ("codegen",) if codegen else None)
+    return (config.cache_tag(), parallel, stats_tag)
 
 
 def _left_arity_fn(schema: Mapping[str, Any]
@@ -116,15 +113,12 @@ def compile(expr: Expr, context: Optional[PlanContext] = None, *,
     report = PlanReport(config.describe())
 
     # -- plan cache: a hit skips every stage ---------------------------
-    codegen_active = (ctx.engine == "codegen"
-                      and config.stage_active("codegen"))
     key = None
     if ctx.engine != "tree" and ctx.cache is not None:
         from repro.engine.cache import PlanCache
         key = PlanCache.key_for(expr, ctx.arities,
                                 _combined_tag(config, ctx.parallel,
-                                              ctx.stats_tag(),
-                                              codegen_active))
+                                              ctx.stats_tag()))
         plan = ctx.cache.get(key)
         if plan is not None:
             if ctx.engine_stats is not None:
@@ -201,7 +195,8 @@ def compile(expr: Expr, context: Optional[PlanContext] = None, *,
         if notes:
             record.note = "; ".join(notes)
         if trees:
-            record.tree = plan.render()
+            from repro.engine.physical import render_plan
+            record.tree = render_plan(plan.root)
     report.add(record)
     if ctx.parallel is not None:
         from repro.engine.parallel.exchange import Gather
@@ -212,22 +207,15 @@ def compile(expr: Expr, context: Optional[PlanContext] = None, *,
                   + ("exchanges inserted" if inserted
                      else "below threshold, serial plan kept"))))
 
-    # -- codegen: fuse pipeline segments into columnar step programs --
-    if codegen_active:
-        record = StageRecord("codegen", tree="")
-        with _StageTimer(record):
-            from repro.engine.codegen import compile_codegen
-            plan = compile_codegen(plan, semiring=semiring)
-            record.note = (f"{len(plan.segments)} fused segment(s), "
-                           f"{len(plan.barriers)} barrier leaf(s)")
-            if trees:
-                record.tree = plan.render()
-        report.add(record)
-    elif ctx.engine == "codegen":
-        report.add(StageRecord(
-            "codegen", tree="",
-            note=(f"skipped (codegen pass inactive at opt-level "
-                  f"{config.opt_level}); streaming plan kept")))
+    # -- codegen: the plan's step programs, its one executable form --
+    record = StageRecord("codegen", tree="")
+    with _StageTimer(record):
+        from repro.engine.codegen import compile_codegen
+        compile_codegen(plan, semiring=semiring)
+        record.note = f"{len(plan.segments)} fused segment(s)"
+        if trees:
+            record.tree = plan.render()
+    report.add(record)
 
     if key is not None:
         ctx.cache.put(key, plan)

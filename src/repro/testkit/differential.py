@@ -7,7 +7,14 @@ paths:
 backend                 what it exercises
 ======================  ================================================
 ``oracle``              the tree-walker of :mod:`repro.core.eval`
-``engine``              the physical kernel engine, *cold* (no cache)
+``engine``              the physical engine, *cold* (no cache): fused
+                        step programs over the bulk kernels of
+                        :mod:`repro.engine.columnar` and the dict
+                        kernels of :mod:`repro.engine.kernels` —
+                        segment fusion, the super-kernels
+                        (sym-diff-dedup, in-place dedup-union, scale
+                        folding) and the dict/column currency
+                        conversions on trial
 ``engine-warm``         the engine through a shared plan cache, twice —
                         the second run must hit the cache, so canonical
                         keys and plan/data separation are on trial
@@ -27,15 +34,9 @@ backend                 what it exercises
                         no reordering, no sharing) — the purely
                         syntax-directed plan on trial against the
                         optimized ones
-``engine-codegen``      the columnar codegen engine (opt level 3):
-                        plans compile to fused step programs over
-                        the bulk kernels of
-                        :mod:`repro.engine.columnar`, with
-                        powerset/flatten subtrees running as stream
-                        barrier leaves — segment fusion, the
-                        super-kernels (sym-diff-dedup, in-place
-                        dedup-union, scale folding), and the
-                        dict/column currency conversions on trial
+``engine-opt2``         the same engine after the planner's full
+                        rewrite fixpoint (opt level 2): the plans the
+                        rewritten trees lower to on trial
 ``optimized``           the planner's full rewrite fixpoint (opt
                         level 2), then the oracle on the rewritten
                         tree (rule soundness)
@@ -45,16 +46,8 @@ backend                 what it exercises
                         the mini-SQL pipeline end to end
 ======================  ================================================
 
-``engine-opt2`` (the physical engine at opt level 2) is also
-recognized — CI's conformance leg fuzzes ``oracle`` vs ``engine-opt0``
-vs ``engine-opt2`` — but is not in :data:`DEFAULT_BACKENDS`, since
-``optimized`` already covers rewrite soundness there.  So is
-``engine-parallel-codegen`` (the parallel executor under the opt-3
-pass config): workers execute the compiled columnar segment closures
-through the worker-resident segment cache, keyed by a *different*
-``PassConfig.cache_tag()`` than ``engine-parallel``'s — CI's
-parallel-parity job fuzzes it against the oracle.  And so is
-``engine-parallel-process``: ``engine-parallel``'s forced multi-shard
+``engine-parallel-process`` is also recognized but is not in
+:data:`DEFAULT_BACKENDS`: ``engine-parallel``'s forced multi-shard
 split on the process backend, so generated shards — not only fixed
 cases — cross the shard codec (:mod:`repro.engine.parallel.codec`)
 through the resident worker pool.
@@ -122,19 +115,37 @@ __all__ = [
 
 #: Backend execution order; the first ``ok`` outcome is the reference.
 DEFAULT_BACKENDS = ("oracle", "engine", "engine-warm", "engine-parallel",
-                    "engine-chaos", "engine-opt0", "engine-codegen",
+                    "engine-chaos", "engine-opt0", "engine-opt2",
                     "optimized", "surface", "sql")
 
-#: Valid but non-default backends: CI's opt0-vs-opt2 fuzz leg, the
-#: parallel-parity job's fused-columnar leg (the parallel backend at
-#: opt level 3, i.e. workers executing codegen-stage plans through
-#: the worker-resident compiled-segment cache) and its process-backend
-#: leg (generated shards through the shard codec), and the semiring
-#: tri-equivalence legs (Bool-semiring engine vs the relational
-#: SetEvaluator vs δ of the N result).
-EXTRA_BACKENDS = ("engine-opt2", "engine-parallel-codegen",
-                  "engine-parallel-process", "engine-boolean", "ralg",
+#: Valid but non-default backends: the parallel-parity job's
+#: process-backend leg (generated shards through the shard codec), and
+#: the semiring tri-equivalence legs (Bool-semiring engine vs the
+#: relational SetEvaluator vs δ of the N result).
+EXTRA_BACKENDS = ("engine-parallel-process", "engine-boolean", "ralg",
                   "delta-bag")
+
+#: Threshold 0 forces exchanges wherever a segment compiles, and
+#: ``min_morsel_rows=1`` disables adaptive granularity, so even tiny
+#: fuzz bags exercise the partition machinery and the multi-shard merge.
+_FORCED_EXCHANGES = dict(engine="parallel", workers=2,
+                         parallel_threshold=0.0, min_morsel_rows=1)
+
+#: The backends that are the one executor, cold, under other options:
+#: backend -> keyword arguments of ``repro.engine.evaluate``.
+_ENGINE_OPTIONS: Dict[str, Dict[str, Any]] = {
+    "engine": {},
+    "engine-opt0": {"opt_level": 0},
+    "engine-opt2": {"opt_level": 2},
+    "engine-parallel": _FORCED_EXCHANGES,
+    # every shard and every result crosses the shard codec, through
+    # the resident worker pool
+    "engine-parallel-process": dict(_FORCED_EXCHANGES,
+                                    parallel_backend="process"),
+    # inputs deep-dedup to sets and every kernel takes its generic
+    # branch; compared with the independent set-semantics evaluators
+    "engine-boolean": {"semiring": "bool"},
+}
 
 #: Backends that evaluate under set semantics: they form their own
 #: comparison group (their results legitimately differ from the N
@@ -303,91 +314,29 @@ class Harness:
         return CaseReport(case=case, outcomes=outcomes,
                           mismatches=mismatches, laws=laws)
 
+    def _engine(self, case: Case, cache=None, **options) -> Any:
+        return engine_evaluate(case.expr, case.database, cache=cache,
+                               governor=self.governor(),
+                               catalog=self.catalog, **options)
+
     def _run_backend(self, backend: str, case: Case) -> BackendOutcome:
         try:
             if backend == "oracle":
                 value = self._oracle(case.expr, case)
-            elif backend == "engine":
-                value = engine_evaluate(
-                    case.expr, case.database, cache=None,
-                    governor=self.governor(), catalog=self.catalog)
+            elif backend in _ENGINE_OPTIONS:
+                value = self._engine(case, **_ENGINE_OPTIONS[backend])
             elif backend == "engine-warm":
-                engine_evaluate(case.expr, case.database,
-                                cache=self.cache,
-                                governor=self.governor(),
-                                catalog=self.catalog)
-                value = engine_evaluate(case.expr, case.database,
-                                        cache=self.cache,
-                                        governor=self.governor(),
-                                        catalog=self.catalog)
-            elif backend == "engine-parallel":
-                # threshold 0 forces exchanges wherever a segment
-                # compiles, and min_morsel_rows=1 disables adaptive
-                # granularity, so even tiny fuzz bags exercise the
-                # partition machinery and the multi-shard merge
-                value = engine_evaluate(
-                    case.expr, case.database, cache=None,
-                    governor=self.governor(), engine="parallel",
-                    workers=2, parallel_threshold=0.0,
-                    min_morsel_rows=1, catalog=self.catalog)
-            elif backend == "engine-parallel-codegen":
-                # the parallel backend at opt level 3: workers execute
-                # the same fused-pipeline plans the codegen stage
-                # produces, through the worker-resident compiled
-                # segment cache
-                value = engine_evaluate(
-                    case.expr, case.database, cache=None,
-                    governor=self.governor(), engine="parallel",
-                    workers=2, parallel_threshold=0.0,
-                    min_morsel_rows=1, opt_level=3,
-                    catalog=self.catalog)
-            elif backend == "engine-parallel-process":
-                # the same forced multi-shard split on the process
-                # backend: every shard and every result crosses the
-                # shard codec, through the resident worker pool
-                value = engine_evaluate(
-                    case.expr, case.database, cache=None,
-                    governor=self.governor(), engine="parallel",
-                    workers=2, parallel_backend="process",
-                    parallel_threshold=0.0, min_morsel_rows=1,
-                    catalog=self.catalog)
+                self._engine(case, cache=self.cache)
+                value = self._engine(case, cache=self.cache)
             elif backend == "engine-chaos":
                 # the parallel executor with seeded worker crashes
                 # injected: the resilience layer must absorb them
                 # (retry, then the degradation ladder) and still
                 # produce the same bag — a crash that escapes is a
                 # mismatch, not an acceptable outcome
-                value = engine_evaluate(
-                    case.expr, case.database, cache=None,
-                    governor=self.governor(), engine="parallel",
-                    workers=2, parallel_threshold=0.0,
-                    min_morsel_rows=1,
-                    resilience=self._chaos_resilience(case),
-                    catalog=self.catalog)
-            elif backend == "engine-opt0":
-                value = engine_evaluate(
-                    case.expr, case.database, cache=None,
-                    governor=self.governor(), opt_level=0,
-                    catalog=self.catalog)
-            elif backend == "engine-codegen":
-                value = engine_evaluate(
-                    case.expr, case.database, cache=None,
-                    governor=self.governor(), engine="codegen",
-                    catalog=self.catalog)
-            elif backend == "engine-opt2":
-                value = engine_evaluate(
-                    case.expr, case.database, cache=None,
-                    governor=self.governor(), opt_level=2,
-                    catalog=self.catalog)
-            elif backend == "engine-boolean":
-                # the physical engine under the Bool semiring: inputs
-                # deep-dedup to sets, every kernel takes its generic
-                # branch, and the result must match the independent
-                # set-semantics evaluators below
-                value = engine_evaluate(
-                    case.expr, case.database, cache=None,
-                    governor=self.governor(), semiring="bool",
-                    catalog=self.catalog)
+                value = self._engine(
+                    case, resilience=self._chaos_resilience(case),
+                    **_FORCED_EXCHANGES)
             elif backend == "ralg":
                 from repro.relational.ralg import SetEvaluator
                 value = SetEvaluator(governor=self.governor()).run(

@@ -7,7 +7,7 @@ Four properties the old source text gave for free are pinned here:
 * no ``compile()``/``exec()`` on any engine's path to an answer;
 * late binding — a plan already in a :class:`PlanCache` sees a
   ``columnar.c_*`` kernel patched afterwards;
-* re-entrancy — one cached :class:`CodegenPlan` run from many threads
+* re-entrancy — one cached :class:`PhysicalPlan` run from many threads
   at once over different databases;
 * governance parity — :class:`EngineStats` counters, the governor's
   step total and the ``max_steps``/``max_size`` verdicts of a fixed
@@ -24,17 +24,25 @@ import pytest
 
 import repro.engine.columnar as columnar
 from repro.core.bag import Bag, Tup
-from repro.core.errors import BudgetExceeded
+from repro.core.database import encoding_size
+from repro.core.errors import (
+    BudgetExceeded, GovernedError, ReproError, UnboundVariableError,
+)
 from repro.core.eval import Evaluator, evaluate as tree_evaluate
 from repro.core.expr import (
-    AdditiveUnion, Attribute, Cartesian, Dedup, Lam, Map, Powerset,
-    Select, Subtraction, Tupling, Var, var,
+    AdditiveUnion, Attribute, BagDestroy, Bagging, Cartesian, Const,
+    Dedup, Lam, Map, MaxUnion, Powerset, Select, Subtraction, Tupling,
+    Var, var,
 )
+from repro.core.nest import Nest, Unnest
+from repro.core.types import TupleType
 from repro.engine import EngineStats, PlanCache, evaluate, plan_for
-from repro.engine.codegen import CodegenPlan
+from repro.engine.lower import PhysicalPlan
 from repro.engine.parallel.partition import clear_segment_cache
 from repro.engine.physical import ExecContext
 from repro.guard import Limits, ResourceGovernor
+from repro.testkit import generate_case
+from repro.testkit.differential import DEFAULT_LIMITS
 from repro.workloads import random_multigraph, random_relation
 from tests.test_columnar import (
     _scale_cascade, _sym_diff_chain, _union_dedup_cascade,
@@ -226,7 +234,7 @@ def test_one_plan_runs_from_eight_threads_at_once():
         for i in range(8)]
     expected = [tree_evaluate(expr, db) for db in databases]
     plan = plan_for(expr, databases[0], engine="codegen")
-    assert isinstance(plan, CodegenPlan) and len(plan.segments) > 1
+    assert isinstance(plan, PhysicalPlan) and len(plan.segments) > 1
     wrong, errors = [], []
 
     def worker(index):
@@ -258,3 +266,144 @@ if __name__ == "__main__":  # regenerate FROZEN (run at the parent)
     for name in PLANS:
         for sr in ("nat", "bool"):
             print(f"    ({name!r}, {sr!r}): {observe(name, sr)!r},")
+
+
+# ----------------------------------------------------------------------
+# Steps with no columnar twin: nest, unnest, flatten, powerset, oracle
+# ----------------------------------------------------------------------
+
+def _barrier_exprs(name, arity):
+    """One expression per twin-less step, over relation ``name``."""
+    rel = var(name)
+    boxed = Map(Lam("t", Bagging(_T)), rel)      # {{ {{t}} : t in R }}
+    return {
+        "nest": Nest(rel, arity),
+        "unnest": Unnest(Nest(rel, arity), arity),
+        "flatten": BagDestroy(boxed),
+        "powerset": Powerset(rel),
+        # Bagging is object-typed: lowering hands it to the oracle
+        "oracle": Bagging(rel),
+    }
+
+
+#: position -> how the barrier expression ``x`` sits in the plan
+_POSITIONS = {
+    "root": lambda x: x,
+    "under-a-fused-parent": lambda x: Dedup(AdditiveUnion(x, x)),
+    "shared-by-two-parents": lambda x: AdditiveUnion(
+        Dedup(x), MaxUnion(x, Dedup(x))),
+}
+
+_BARRIER_ENGINES = {
+    "physical": {"engine": "physical"},
+    "parallel-thread": {"engine": "parallel", "workers": 2,
+                        "parallel_threshold": 0.0, "min_morsel_rows": 1},
+}
+
+
+def _generated_relations(wanted):
+    """``(case, relation name, arity)`` for the first ``wanted``
+    generated databases holding a relation of arity >= 2."""
+    found = []
+    for index in range(200):
+        case = generate_case(18, index, fragment="balg1")
+        for name in sorted(case.database):
+            element = getattr(case.schema[name], "element", None)
+            if (isinstance(element, TupleType) and element.arity >= 2
+                    and not case.database[name].is_empty()):
+                found.append((case, name, element.arity))
+                break
+        if len(found) == wanted:
+            return found
+    raise AssertionError("the generator ran dry")
+
+
+def _outcome(expr, database, semiring, **options):
+    try:
+        return evaluate(expr, database, semiring=semiring, cache=None,
+                        limits=DEFAULT_LIMITS, **options)
+    except ReproError as error:
+        return type(error)
+
+
+@pytest.mark.parametrize("semiring",
+                         ["nat", "bool", "tropical", "provenance"])
+@pytest.mark.parametrize("position", sorted(_POSITIONS))
+def test_barrier_steps_agree_with_the_tree_walker(position, semiring):
+    for case, name, arity in _generated_relations(6):
+        for step, barrier in _barrier_exprs(name, arity).items():
+            expr = _POSITIONS[position](barrier)
+            expected = _outcome(expr, case.database, semiring,
+                                engine="tree")
+            for engine, options in _BARRIER_ENGINES.items():
+                got = _outcome(expr, case.database, semiring, **options)
+                assert got == expected, (step, engine, case.label())
+
+
+def test_a_shared_barrier_runs_once_and_counts_per_step():
+    case, name, arity = _generated_relations(1)[0]
+    expr = _POSITIONS["shared-by-two-parents"](Nest(var(name), arity))
+    stats = EngineStats()
+    evaluate(expr, case.database, cache=None, stats=stats)
+    assert stats.kernel_counts["nest-build"] == 1
+    assert stats.barrier_fallbacks == 1
+    assert (stats.shared_materialized, stats.shared_reused) == (2, 2)
+    # nested barriers are one step each, not one fallback per subtree
+    stats = EngineStats()
+    evaluate(Unnest(Nest(var(name), arity), arity), case.database,
+             cache=None, stats=stats)
+    assert stats.barrier_fallbacks == 2 and stats.fused_segments == 1
+
+
+def test_a_root_oracle_hands_back_a_non_bag_value_as_is():
+    expr = Tupling(Const("a"), Const("b"))
+    stats = EngineStats()
+    assert evaluate(expr, {}, cache=None, stats=stats) == Tup("a", "b")
+    assert stats.oracle_fallbacks == 1 and stats.fused_segments == 1
+    # ... but not from bag position
+    with pytest.raises(UnboundVariableError, match="bag position"):
+        ExecContext({}, Evaluator(track_stats=False)).collect(
+            plan_for(expr, {}).root)
+
+
+def _governed(expr, database, stats=None, **options):
+    with pytest.raises(GovernedError) as info:
+        evaluate(expr, database, cache=None, stats=stats, opt_level=0,
+                 **options)
+    return type(info.value), info.value.details
+
+
+@pytest.mark.parametrize("options", sorted(_BARRIER_ENGINES))
+def test_verdicts_from_inside_a_barrier_step_are_the_tree_walkers(
+        options):
+    options = _BARRIER_ENGINES[options]
+    relation = Bag([Tup(i % 3, i) for i in range(8)])
+    database = {"R": relation}
+
+    # powerset budget: checked before the first subbag, by the kernel
+    expr = Dedup(Powerset(var("R")))
+    assert _governed(expr, database, powerset_budget=200, **options) \
+        == _governed(expr, database, powerset_budget=200, engine="tree") \
+        == (BudgetExceeded, {"budget": "powerset", "limit": 200,
+                             "observed": 256})
+
+    # steps: the third tick is the nest step's epilogue
+    expr = Unnest(Nest(var("R"), 2), 2)
+    stats = EngineStats()
+    limits = Limits(max_steps=2)
+    assert _governed(expr, database, stats, limits=limits,
+                     engine="physical") \
+        == _governed(expr, database, limits=limits, engine="tree") \
+        == (BudgetExceeded, {"budget": "steps", "limit": 2,
+                             "observed": 3})
+    assert stats.kernel_counts == {"scan": 1, "nest-build": 1}
+
+    # size: the input fits, the powerset the step materialises does not
+    expr = Powerset(var("R"))
+    limits = Limits(max_size=encoding_size(relation))
+    verdict = _governed(expr, database, limits=limits, **options)
+    assert verdict == _governed(expr, database, limits=limits,
+                                engine="tree")
+    assert verdict[1]["budget"] == "size"
+    assert verdict[1]["observed"] == encoding_size(
+        tree_evaluate(expr, database))

@@ -7,11 +7,11 @@ Three layers:
   kernels of :mod:`repro.engine.columnar` pinned one by one;
 * **compiler** — segment fusion, super-kernel pattern matches
   (sym-diff-dedup, in-place dedup-union, scale folding), barrier
-  fallbacks, SharedScan transparency, plan-cache key isolation from
-  the stream plans, and the ``:explain`` counters;
+  steps, SharedScan transparency, the one plan every engine and opt
+  level executes, and the ``:explain`` counters;
 * **mutation teeth** — the monus count-clamp, the join multiplicity
   product, and the dedup count-collapse each get a deliberately
-  broken kernel; the ``oracle`` vs ``engine-codegen`` differential
+  broken kernel; the ``oracle`` vs ``engine-opt2`` differential
   must catch every mutant within 10 generated cases (a segment's
   steps look kernels up on the module object when they run, so
   patching ``repro.engine.columnar`` attributes reaches inside
@@ -35,7 +35,7 @@ from repro.core.types import TupleType
 from repro.engine import (
     EngineStats, PlanCache, evaluate, explain_physical, plan_for,
 )
-from repro.engine.codegen import CodegenPlan, compile_codegen
+from repro.engine.lower import PhysicalPlan
 from repro.engine.columnar import (
     ColumnarBag, c_add_union, c_dedup, c_hash_join, c_map, c_max_union,
     c_min_intersect, c_monus, c_product, c_scale, c_scale_dict,
@@ -44,6 +44,7 @@ from repro.engine.columnar import (
 )
 from repro.planner.pipeline import _combined_tag
 from repro.planner import PassConfig
+from repro.planner.context import toggleable_passes
 from repro.testkit import Case, Harness, generate_case
 from repro.workloads import random_multigraph, random_relation
 from tests.strategies import input_bags
@@ -206,20 +207,18 @@ class TestCodegenCompiler:
         stats = EngineStats()
         fused = evaluate(expr, database, engine="codegen", cache=None,
                          stats=stats, **kwargs)
-        streamed = evaluate(expr, database, engine="physical",
-                            cache=None, **kwargs)
-        assert fused == streamed
+        walked = evaluate(expr, database, engine="tree", **kwargs)
+        assert fused == walked
         return stats
 
     def test_sym_diff_chain_fuses_to_super_kernel(self):
         expr = _sym_diff_chain(3)
         plan = plan_for(expr, {"X": self.X, "Y": self.Y},
                         engine="codegen")
-        assert isinstance(plan, CodegenPlan)
+        assert isinstance(plan, PhysicalPlan)
         kernels = [k for segment in plan.segments
                    for k in segment.kernels]
         assert "sym-diff-dedup" in kernels
-        assert not plan.barriers
         stats = self._parity(expr, {"X": self.X, "Y": self.Y})
         assert stats.fused_segments > 0
         assert stats.barrier_fallbacks == 0
@@ -251,15 +250,14 @@ class TestCodegenCompiler:
         stats = self._parity(expr, database)
         assert stats.barrier_fallbacks == 1
 
-    def test_whole_plan_barrier_still_streams(self):
+    def test_a_barrier_at_the_root_is_a_step_like_any_other(self):
         expr = Powerset(var("S"))
         database = {"S": random_relation(3, arity=1, seed=5)}
         plan = plan_for(expr, database, engine="codegen")
-        assert isinstance(plan, CodegenPlan)
-        assert plan.root_segment is None
+        assert plan.kernels() == ("scan", "powerset")
         stats = self._parity(expr, database)
         assert stats.barrier_fallbacks == 1
-        assert stats.fused_segments == 0
+        assert stats.fused_segments == 1
 
     def test_sym_diff_super_kernel_absorbs_the_sharing(self):
         # every chain level mentions the previous level twice, but the
@@ -292,62 +290,68 @@ class TestCodegenCompiler:
         self._parity(expr, {"B": bag, "C": other})
         assert bag._counts == before
 
-    def test_opt_levels_below_3_keep_the_stream_plan(self):
-        from repro.engine.lower import PhysicalPlan
+    def test_every_engine_and_opt_level_runs_fused_segments(self):
         expr = _sym_diff_chain(2)
         database = {"X": self.X, "Y": self.Y}
-        for level in (0, 1, 2):
-            plan = plan_for(expr, database, engine="codegen",
-                            opt_level=level)
-            assert isinstance(plan, PhysicalPlan)
-            assert not isinstance(plan, CodegenPlan)
-        # and without engine="codegen" the pass never runs, even at 3
-        plan = plan_for(expr, database, opt_level=3)
-        assert not isinstance(plan, CodegenPlan)
+        for engine in ("physical", "codegen", "parallel"):
+            for level in (0, 1, 2, 3):
+                stats = EngineStats()
+                evaluate(expr, database, engine=engine, opt_level=level,
+                         cache=None, stats=stats)
+                assert stats.fused_segments >= 1, (engine, level)
+                plan = plan_for(expr, database, engine=engine,
+                                opt_level=level)
+                assert isinstance(plan, PhysicalPlan)
+                assert plan.root_segment in plan.segments
 
-    def test_stream_plans_identical_with_codegen_available(self):
-        # opt 0/1/2 plans must be byte-identical to the stream
-        # pipeline's output: the codegen stage may only ever add a
-        # trailing compilation step, never perturb lowering
+    def test_the_engine_name_only_picks_the_default_level(self):
         expr = _sym_diff_chain(2)
         database = {"X": self.X, "Y": self.Y}
-        for level in (0, 1, 2):
-            stream = plan_for(expr, database, opt_level=level)
-            via_codegen_engine = plan_for(expr, database,
-                                          engine="codegen",
-                                          opt_level=level)
-            assert stream.render() == via_codegen_engine.render()
+        for level in (0, 1, 2, 3):
+            physical = plan_for(expr, database, opt_level=level)
+            codegen = plan_for(expr, database, engine="codegen",
+                               opt_level=level)
+            assert physical.render() == codegen.render()
+        # levels 2 and 3 run the same passes
+        assert (plan_for(expr, database, opt_level=3).render()
+                == plan_for(expr, database, opt_level=2).render())
+        assert (plan_for(expr, database, engine="codegen").render()
+                == plan_for(expr, database, opt_level=3).render())
 
-    def test_cache_tag_isolates_codegen_keys(self):
+    def test_cache_tag_has_no_engine_component(self):
         config = PassConfig.for_level(3)
-        assert _combined_tag(config, None, codegen=True) != \
-            _combined_tag(config, None, codegen=False)
+        assert _combined_tag(config, None) == (config.cache_tag(), None,
+                                               None)
+        assert "codegen" not in toggleable_passes()
+        with pytest.raises(TypeError):
+            _combined_tag(config, None, codegen=True)
 
-    def test_shared_cache_never_crosses_engines(self):
+    def test_physical_and_codegen_share_a_cache_entry(self):
         cache = PlanCache(capacity=8)
         stats = EngineStats()
         expr = _sym_diff_chain(2)
         database = {"X": self.X, "Y": self.Y}
         first = evaluate(expr, database, engine="codegen", cache=cache,
                          stats=stats)
-        assert stats.cache_misses == 1
-        repeat = evaluate(expr, database, engine="codegen",
-                          cache=cache, stats=stats)
-        assert repeat == first
-        assert stats.cache_hits == 1
+        assert (stats.cache_misses, stats.cache_hits) == (1, 0)
+        # the same config from the other engine name: the same entry
         crossed = evaluate(expr, database, engine="physical",
-                           cache=cache, stats=stats)
+                           opt_level=3, cache=cache, stats=stats)
         assert crossed == first
-        assert stats.cache_misses == 2  # isolated key: no false hit
-        assert stats.cache_hits == 1
+        assert (stats.cache_misses, stats.cache_hits) == (1, 1)
+        # another level is another plan
+        evaluate(expr, database, engine="physical", cache=cache,
+                 stats=stats)
+        assert (stats.cache_misses, stats.cache_hits) == (2, 1)
 
     def test_explain_reports_fusion_counters(self):
-        text = explain_physical(_sym_diff_chain(2), engine="codegen",
-                                X=self.X, Y=self.Y)
-        assert "-- codegen --" in text
-        assert "fused segments" in text
-        assert "barrier fallbacks" in text
-        assert "sym-diff-dedup" in text
+        for engine in ("physical", "codegen"):
+            text = explain_physical(_sym_diff_chain(2), engine=engine,
+                                    X=self.X, Y=self.Y)
+            assert "-- codegen --" in text
+            assert "fused segments" in text
+            assert "barrier fallbacks" in text
+            assert "sym-diff-dedup" in text
 
     def test_compile_codegen_render_lists_segments(self):
         plan = plan_for(_sym_diff_chain(2), {"X": self.X, "Y": self.Y},
@@ -362,7 +366,7 @@ class TestCodegenCompiler:
 # ----------------------------------------------------------------------
 
 def _detect(patches, cases=10, case_for=None):
-    """Run oracle vs engine-codegen over a fixed generated stream with
+    """Run oracle vs engine-opt2 over a fixed generated stream with
     columnar kernels mutated (``patches`` maps kernel name to a
     ``patch(original)`` wrapper); return the 1-based index of the
     first mismatch, or None if the mutants survive all ``cases``.
@@ -372,7 +376,7 @@ def _detect(patches, cases=10, case_for=None):
     for name, patch in patches.items():
         setattr(columnar, name, patch(originals[name]))
     try:
-        harness = Harness(backends=("oracle", "engine-codegen"),
+        harness = Harness(backends=("oracle", "engine-opt2"),
                           metamorphic=False)
         for index in range(cases):
             if case_for is not None:

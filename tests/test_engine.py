@@ -33,10 +33,10 @@ from repro.engine import (
     EngineStats, PlanCache, canonical_key, default_cache, evaluate,
     explain_physical, lower, plan_for,
 )
-from repro.engine import kernels
+from repro.engine import columnar, kernels
 from repro.engine.physical import (
     HashJoin, MultiplicityScale, NestedLoopProduct, OracleEval,
-    ScanBag, SharedScan,
+    PhysicalNode, ScanBag, SharedScan,
 )
 from repro.guard import Limits
 from repro.optimizer.cardinality import estimate, stats_of
@@ -143,37 +143,28 @@ class TestEngineSemanticsUnits:
 
 
 class TestKernels:
+    """What the row kernels' unit checks asserted that
+    ``tests/test_columnar.py`` does not already assert of the bulk
+    twins: values only one side has, and first-occurrence order."""
+
     def test_monus(self):
         left = {"a": 5, "b": 2}
         right = {"a": 3, "b": 2, "c": 9}
-        assert dict(kernels.k_monus(left, right)) == {"a": 2}
+        assert columnar.c_monus(left, right) == {"a": 2}
 
     def test_min_intersect(self):
         small = {"a": 2, "z": 1}
         large = {"a": 5, "b": 2}
-        assert dict(kernels.k_min_intersect(small, large)) == {"a": 2}
+        assert columnar.c_min_intersect(small, large) == {"a": 2}
 
     def test_max_union(self):
         left = {"a": 2}
         right = {"a": 5, "b": 1}
-        assert dict(kernels.k_max_union(left, right)) == \
-            {"a": 5, "b": 1}
+        assert columnar.c_max_union(left, right) == {"a": 5, "b": 1}
 
     def test_dedup_streams_first_occurrence(self):
-        rows = [("a", 2), ("b", 1), ("a", 9)]
-        assert list(kernels.k_dedup(rows)) == [("a", 1), ("b", 1)]
-
-    def test_scale(self):
-        assert list(kernels.k_scale([("a", 2)], 3)) == [("a", 6)]
-
-    def test_hash_join_counts_multiply(self):
-        left = [(Tup("a", 1), 2)]
-        right = [(Tup(1, "x"), 3)]
-        build = kernels.collect(right)
-        joined = dict(kernels.k_hash_join(
-            left, build, probe_key=lambda t: (t[1],),
-            build_key=lambda t: (t[0],), probe_is_left=True))
-        assert joined == {Tup("a", 1, 1, "x"): 6}
+        assert list(columnar.c_dedup(["a", "b", "a"]).items()) == \
+            [("a", 1), ("b", 1)]
 
 
 class TestLoweringDecisions:
@@ -250,7 +241,7 @@ def _walk_plan(node):
     yield node
     for name in ("child", "left", "right", "inner"):
         sub = getattr(node, name, None)
-        if sub is not None and hasattr(sub, "rows"):
+        if isinstance(sub, PhysicalNode):
             yield from _walk_plan(sub)
 
 
@@ -316,6 +307,28 @@ class TestExplainPhysical:
                                 B=Bag.of("a"))
         assert "actual rows" not in text
 
+    def test_actuals_belong_to_the_run_not_the_cached_plan(self):
+        cache = PlanCache(capacity=4)
+        expr = Dedup(var("B"))
+        first = explain_physical(expr, cache=cache,
+                                 B=Bag.of("a", "a", "b"))
+        assert "actual rows 2" in first
+        # the same cached plan, another database, no execution: the
+        # first run's counts are not on the plan to leak into this
+        again = explain_physical(expr, cache=cache, execute=False,
+                                 B=Bag.of("x"))
+        assert cache.stats.hits == 1
+        assert "actual rows" not in again
+
+    def test_rejects_engines_that_have_no_physical_plan(self):
+        bag = Bag.of("a")
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            explain_physical(var("B"), engine="bogus", B=bag)
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            evaluate(var("B"), engine="bogus", B=bag)
+        with pytest.raises(ValueError, match="no physical plan"):
+            explain_physical(var("B"), engine="tree", B=bag)
+
 
 class TestEstimatorVsEngineMeasurements:
     """Satellite regression: cardinality estimates vs the engine's
@@ -378,10 +391,14 @@ class TestEstimatorVsEngineMeasurements:
                         stats=stats)
         from repro.core.eval import Evaluator
         from repro.engine.physical import ExecContext
-        plan.execute(ExecContext({"B": bag},
-                                 Evaluator(track_stats=False),
-                                 stats=stats))
-        assert plan.root.actual_rows == 2
+        ctx = ExecContext({"B": bag}, Evaluator(track_stats=False),
+                          stats=stats)
+        plan.execute(ctx)
+        # per-run state, not plan state: the cached plan is untouched
+        assert ctx.actual_rows[id(plan.root)] == 2
+        assert not hasattr(plan.root, "actual_rows")
+        assert "actual rows 2" in plan.render(ctx.actual_rows)
+        assert "actual rows" not in plan.render()
         assert stats.kernel_counts.get("dedup") == 1
         assert stats.rows_emitted > 0
 

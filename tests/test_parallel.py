@@ -30,7 +30,8 @@ from repro.core.expr import (
 from repro.core.nest import Nest, Unnest
 from repro.engine import EngineStats, PlanCache, evaluate, plan_for
 from repro.engine import explain_physical
-from repro.engine.codegen import CodegenPlan, FusedSegment
+from repro.engine.codegen import FusedSegment
+from repro.engine.lower import PhysicalPlan
 from repro.engine.parallel import (
     PARTITION_COMPAT, Exchange, Gather, ParallelConfig, ParallelPolicy,
     Partition, SharedBudget, WorkerGovernor, compile_parallel_segment,
@@ -202,7 +203,7 @@ class TestSegmentCompiler:
         segment = compile_parallel_segment(
             Dedup((var("A") + var("B")) - var("C")), lambda e: None)
         plan = compiled_segment_for(segment.program)
-        assert isinstance(plan, CodegenPlan)
+        assert isinstance(plan, PhysicalPlan)
         assert isinstance(plan.root_segment, FusedSegment)
         from repro.engine.parallel import partition
         for name in ("_compile_step", "_predicate_for", "_mapper_for",
@@ -300,6 +301,50 @@ class TestParallelEquality:
                           cache=None, stats=stats)  # default threshold
         assert result == evaluate(expr, small, cache=None)
         assert stats.partitions_created == 0  # exchange refused
+
+    def test_under_threshold_never_builds_the_recogniser(self,
+                                                        monkeypatch):
+        from repro.engine.parallel import partition
+
+        def forbidden(expr, arity_of):
+            raise AssertionError(f"recogniser entered for {expr!r}")
+
+        monkeypatch.setattr(partition, "compile_parallel_segment",
+                            forbidden)
+        small = {"R": Bag.from_counts({Tup(i, i % 3): 2
+                                       for i in range(9)}),
+                 "S": Bag.from_counts({Tup(i % 3, i): 1
+                                       for i in range(7)})}
+        for expr in (_JOIN, Dedup(var("R") + var("R")),
+                     Nest(Dedup(var("R") - var("S")), 2),
+                     Dedup(Powerset(Dedup(var("S"))) + Powerset(var("S")))):
+            plan = plan_for(expr, small, policy=ParallelPolicy())
+            assert "Exchange" not in plan.render()
+        # without statistics no leaf has an estimate: refused as early
+        from repro.engine import lower
+        lower(_JOIN, None, parallel=ParallelPolicy())
+
+    def test_the_early_refusal_is_the_recognisers_verdict(self,
+                                                          monkeypatch):
+        """The input bound only ever refuses what the recogniser's own
+        leaf sum would have refused: same plans at every threshold."""
+        from repro.engine.lower import Lowering
+        from repro.testkit import generate_case
+        cases = [generate_case(5, index, fragment="mixed")
+                 for index in range(40)]
+
+        def renders():
+            return [plan_for(case.expr, case.database,
+                             policy=ParallelPolicy(threshold)).render()
+                    for case in cases
+                    for threshold in (0.5, 3.0, 8.0, 40.0, 1024.0)]
+
+        early = renders()
+        monkeypatch.setattr(Lowering, "_input_bound",
+                            lambda self, expr: float("inf"))
+        assert renders() == early
+        assert any("Exchange" in text for text in early)
+        assert any("Exchange" not in text for text in early)
 
     def test_exchange_counters_populate(self):
         stats = EngineStats()
