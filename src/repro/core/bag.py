@@ -86,8 +86,10 @@ class Tup:
 
         The one constructor for callers that only rearrange values a
         checked constructor has seen: :meth:`concat` (one per join
-        output row) and the shard decoder (one per row off the
-        wire)."""
+        output row), the shard decoder (one per row off the wire) and
+        projection — a rearrangement lambda's index plan (one per
+        mapped row) and the fused join-project kernels (one per
+        *distinct* projected row)."""
         out = Tup.__new__(Tup)
         out._items = items
         out._hash = None

@@ -31,6 +31,13 @@ compiles into its own segment, materialised once per run via
 ``ctx.memo``.  A ``SharedScan`` read once is *transparent* and fuses
 straight through into the consuming segment.
 
+One step covers two plan nodes: a rearrangement map (``picks`` on the
+:class:`~repro.engine.physical.StreamingMap`, recognised at lowering)
+directly on a product or a join runs *inside* that node's quadratic
+kernel (:func:`_s_join_project`, ``picks=``), which sums every pair
+under its picked item tuple instead of building the joined rows; the
+step records both nodes as their two steps would have.
+
 Every step ends in the same epilogue (:func:`_record`): kernel and row
 counters, the node's actual rows, governor ticks in proportion to the
 rows produced, and the intermediate-size budget on a materialised
@@ -67,10 +74,16 @@ _DICT_KERNEL = {HashDifference: "c_monus",
                 HashMaxUnion: "c_max_union",
                 HashUnion: "c_add_union"}
 
+#: The quadratic nodes and the columnar kernel of each; a
+#: rearrangement map directly on one fuses into that kernel call.
+_PAIR_KERNEL = {HashJoin: "c_hash_join", NestedLoopProduct: "c_product"}
+
 #: A step: ``(function, kernel, node, out, *operands)``.  ``kernel``
 #: and ``node`` are what the epilogue records (``None`` for a step
-#: that only changes a value's currency); ``out`` is the register the
-#: step fills (a column step fills two: positions 3 and 4).
+#: that only changes a value's currency; a pair of each for the fused
+#: join-project step, which records both nodes); ``out`` is the
+#: register the step fills (a column step fills two: positions 3 and
+#: 4).
 Step = Tuple[Any, ...]
 
 
@@ -273,6 +286,23 @@ def _s_hash_join(ctx, R, step):
     _record(ctx, step, len(pairs[0]))
 
 
+def _s_join_project(ctx, R, step):
+    """r{3} = _col.{7}(r{4}, r{5}, r{6}, ..., _tickof(ctx){sr},
+    picks={9})  # {1[0]} + {1[1]}"""
+    # pi over a product / join in the one kernel call: the pairs are
+    # summed under their picked item tuples and never built, and both
+    # plan nodes are recorded as their two steps would have been
+    (_, names, nodes, out, pv, pc, build, call, keys, picks, sized,
+     sr) = step
+    counts, pairs = getattr(columnar, call)(
+        R[pv], R[pc], R[build], *keys, _tickof(ctx), *sr, picks=picks)
+    R[out] = counts
+    for name, node in zip(names, nodes):
+        _record(ctx, (None, name, node), pairs)
+    if sized:
+        ctx.check_size(counts)
+
+
 def _s_shared(ctx, R, step):
     """r{3} = <shared>(ctx)"""
     _, _, node, out, inner = step
@@ -376,7 +406,13 @@ class FusedSegment:
     @property
     def kernels(self) -> List[str]:
         """The kernels one execution records, in step order."""
-        return [step[1] for step in self.steps if step[1] is not None]
+        names: List[str] = []
+        for step in self.steps:
+            if type(step[1]) is tuple:  # the fused join-project step
+                names.extend(step[1])
+            elif step[1] is not None:
+                names.append(step[1])
+        return names
 
     @property
     def inputs(self) -> List[str]:
@@ -457,9 +493,12 @@ class _Compiler:
 
     # -- recursive emission --------------------------------------------
 
-    def _emit_dict(self, seg: FusedSegment, node: PhysicalNode) -> int:
+    def _emit_dict(self, seg: FusedSegment, node: PhysicalNode,
+                   sized: bool = True) -> int:
         """Emit ``node`` and return the register holding its counts
-        dict."""
+        dict.  ``sized=False`` is a consumer that reads the dict as
+        columns: a fused join-project step then skips the size check,
+        as the map's unmaterialised columns always did."""
         node = self._resolve(node)
         sr = self._sr
         if isinstance(node, SharedScan):
@@ -499,9 +538,17 @@ class _Compiler:
         if isinstance(node, MultiplicityScale):
             factor, inner = self._fold_scales(node)
             if self._prefers_dict(inner):
-                child = self._emit_dict(seg, inner)
+                # the scaled dict is the one sized, as it always was
+                child = self._emit_dict(seg, inner, sized=False)
                 return seg.emit(_s_scale_dict, "scale", node, seg.reg(),
                                 child, factor, sr)
+        join = self._projected_join(node)
+        if join is not None:
+            pv, pc, build, keys = self._emit_join_sides(seg, join)
+            return seg.emit(_s_join_project, (join.kernel, node.kernel),
+                            (join, node), self._own(seg, seg.reg()),
+                            pv, pc, build, _PAIR_KERNEL[type(join)],
+                            keys, node.picks, sized, sr)
         if isinstance(node, _FOLLOWS_CHILD + _COLUMNS_NATIVE):
             # columns-native nodes (and scale / select over a columns
             # child): emit columns, then materialise
@@ -584,7 +631,8 @@ class _Compiler:
             out = seg.emit(_s_scale, "scale", node, seg.reg(), cnts,
                            factor, sr)
             return values, out, distinct
-        if isinstance(node, StreamingMap):
+        if (isinstance(node, StreamingMap)
+                and self._projected_join(node) is None):
             values, cnts, _ = self._emit_cols(seg, node.child)
             out = seg.emit(_s_map, "map", node, seg.reg(), values,
                            node.fn, node.lam)
@@ -595,30 +643,44 @@ class _Compiler:
             seg.emit(_s_select, "select", node, out_v, out_c, values,
                      cnts, node.make_predicate)
             return out_v, out_c, distinct
-        if isinstance(node, NestedLoopProduct):
-            pv, pc, _ = self._emit_cols(seg, node.left)
-            build = self._emit_dict(seg, node.right)
+        if isinstance(node, (NestedLoopProduct, HashJoin)):
+            pv, pc, build, keys = self._emit_join_sides(seg, node)
             out_v, out_c = seg.reg(), seg.reg()
-            seg.emit(_s_product, "nested-loop-product", node, out_v,
-                     out_c, pv, pc, build, sr)
-            return out_v, out_c, False
-        if isinstance(node, HashJoin):
-            sides = ((node.left, node.left_key),
-                     (node.right, node.right_key))
-            (probe, probe_key), (build_node, build_key) = (
-                sides if node.build_right else sides[::-1])
-            pv, pc, _ = self._emit_cols(seg, probe)
-            build = self._emit_dict(seg, build_node)
-            out_v, out_c = seg.reg(), seg.reg()
-            seg.emit(_s_hash_join, "hash-join", node, out_v, out_c, pv,
-                     pc, build, _key_fn(probe_key), _key_fn(build_key),
-                     node.build_right, sr)
+            seg.emit(_s_hash_join if keys else _s_product, node.kernel,
+                     node, out_v, out_c, pv, pc, build, *keys, sr)
             return out_v, out_c, False
         # a dict-producing node: decompose the dict into columns
-        source = self._emit_dict(seg, node)
+        source = self._emit_dict(seg, node, sized=False)
         out_v, out_c = seg.reg(), seg.reg()
         seg.emit(_s_split, None, None, out_v, out_c, source)
         return out_v, out_c, True
+
+    def _emit_join_sides(self, seg: FusedSegment, node: PhysicalNode
+                         ) -> Tuple[int, int, int, tuple]:
+        """Emit a product's or join's inputs: ``(probe values, probe
+        counts, build dict, the kernel's key arguments)`` — the keys
+        are ``()`` for a product."""
+        probe, build_node, keys = node.left, node.right, ()
+        if isinstance(node, HashJoin):
+            probe_key, build_key = node.left_key, node.right_key
+            if not node.build_right:
+                probe, build_node = build_node, probe
+                probe_key, build_key = build_key, probe_key
+            keys = (_key_fn(probe_key), _key_fn(build_key),
+                    node.build_right)
+        pv, pc, _ = self._emit_cols(seg, probe)
+        return pv, pc, self._emit_dict(seg, build_node), keys
+
+    def _projected_join(self, node: PhysicalNode
+                        ) -> Optional[PhysicalNode]:
+        """The product or join that ``node`` — a rearrangement map —
+        sits directly on (through SharedScans read once), which the
+        builder fuses with it into one kernel call; else ``None``."""
+        if isinstance(node, StreamingMap) and node.picks is not None:
+            child = self._resolve(node.child)
+            if isinstance(child, (HashJoin, NestedLoopProduct)):
+                return child
+        return None
 
     def _emit_values(self, seg: FusedSegment,
                      node: PhysicalNode) -> int:
@@ -626,7 +688,7 @@ class _Compiler:
         all a dedup consumer needs."""
         node = self._resolve(node)
         if self._prefers_dict(node):
-            return self._emit_dict(seg, node)
+            return self._emit_dict(seg, node, sized=False)
         if isinstance(node, MultiplicityScale):
             return self._emit_values(seg, node.child)
         if isinstance(node, HashUnion):
@@ -719,7 +781,8 @@ class _Compiler:
         node = self._resolve(node)
         if isinstance(node, _FOLLOWS_CHILD):
             return self._prefers_dict(node.child)
-        return not isinstance(node, _COLUMNS_NATIVE)
+        return (not isinstance(node, _COLUMNS_NATIVE)
+                or self._projected_join(node) is not None)
 
 
 def compile_node(node: PhysicalNode, semiring=None) -> FusedSegment:

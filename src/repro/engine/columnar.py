@@ -16,6 +16,14 @@ harness's ``engine`` backends and the mutation tests in
 zero-clamp, the join multiplicity product, or the dedup collapse of
 the count column is caught within a handful of generated cases).
 
+A *rearrangement* — the paper's ``pi_{i1..in}``, a MAP whose lambda
+only picks attributes of its own row — is an **index plan**:
+:func:`pick_getter` turns the picks into one ``operator.itemgetter``
+over a row's item tuple.  Directly on a product or a join the
+projection runs inside the quadratic kernel (``picks=``): each pair's
+count is summed under the picked raw item tuple and a ``Tup`` is built
+once per *distinct* output row, so the joined rows never exist.
+
 Governance: the quadratic kernels (:func:`c_product`,
 :func:`c_hash_join`) accept a ``tick`` callable and invoke it once
 per ``TICK_CHUNK`` output rows, so step budgets, deadlines, and
@@ -26,19 +34,21 @@ segment's steps tick proportionally to each result's size).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
 from repro.core.bag import Bag, Tup
 from repro.core.errors import BagTypeError
+from repro.core.ops import attribute as ops_attribute
 
 __all__ = [
     "ColumnarBag", "to_columnar", "from_columnar", "columnar_counts",
     "sum_counts", "TICK_CHUNK",
     "c_monus", "c_min_intersect", "c_max_union", "c_add_union",
     "c_dedup", "c_scale", "c_scale_dict", "c_map", "c_select",
-    "c_product", "c_hash_join", "c_sym_diff_dedup",
+    "c_product", "c_hash_join", "c_sym_diff_dedup", "pick_getter",
 ]
 
 #: Output rows between governor ticks inside a quadratic kernel.
@@ -279,34 +289,98 @@ def _require_tup(value: Any, operation: str) -> None:
             f"type {type(value).__name__}")
 
 
+def pick_getter(picks: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A rearrangement's index plan: the projected row's item tuple
+    read off a source row's item tuple, by the 1-based ``picks``, in
+    one C-level call.  A single pick is wrapped back into a 1-tuple (a
+    bare ``itemgetter`` would hand back the item itself).  A pick past
+    the row's arity raises ``IndexError``; callers turn that into
+    ``alpha_i``'s own error."""
+    if len(picks) == 1:
+        index = picks[0] - 1
+        return lambda items: (items[index],)
+    return itemgetter(*(pick - 1 for pick in picks))
+
+
+def _sum_picked(sums: Dict[tuple, Any], picks: Sequence[int],
+                getter: Callable[[tuple], tuple], items: tuple,
+                items_first: bool, count: Any,
+                matches: Iterable[Tuple[Tup, Any]], sr=None) -> None:
+    """One probe row against its matches under a fused projection:
+    each pair's count product is summed into ``sums`` under the picked
+    *raw* item tuple, so no joined ``Tup`` is built (raw-tuple
+    equality is ``Tup.__eq__``'s own definition: the grouping is the
+    one :func:`sum_counts` would make).  ``items_first`` says whether
+    the probe row is the left half of the pair."""
+    seen = sums.get
+    mul, add = (None, None) if sr is None else (sr.mul, sr.add)
+    try:
+        for other, other_count in matches:
+            row = (items + other._items if items_first
+                   else other._items + items)
+            key = getter(row)
+            if mul is None:
+                sums[key] = seen(key, 0) + count * other_count
+            else:
+                weight = mul(count, other_count)
+                prior = seen(key)
+                sums[key] = (weight if prior is None
+                             else add(prior, weight))
+    except IndexError:
+        # a pick past the pair's arity: alpha_i's error, text and all
+        joined = Tup.trusted(row)
+        for pick in picks:
+            ops_attribute(joined, pick)
+        raise
+
+
+def _picked_rows(sums: Dict[tuple, Any]) -> Dict[Tup, Any]:
+    """Wrap each *distinct* picked item tuple once (its items sit
+    inside validated source rows)."""
+    trusted = Tup.trusted
+    return {trusted(key): count for key, count in sums.items()}
+
+
 def c_product(probe_values: Sequence[Any], probe_counts: Sequence[int],
               build: Dict[Any, int],
               tick: Optional[Callable[[], None]] = None,
-              sr=None) -> Tuple[List[Any], List[int]]:
+              sr=None, picks: Optional[Sequence[int]] = None):
     """``B x B'`` against a materialised build dict: tuples
-    concatenate, counts multiply."""
+    concatenate, counts multiply.  Returns the ``(values, counts)``
+    columns — or, with ``picks`` (the rearrangement sitting directly
+    on the product), ``(counts dict of the projected rows, pairs
+    enumerated)``."""
     for value in build:
         _require_tup(value, "cartesian product")
     build_items = list(build.items())
     out_values: List[Any] = []
     out_counts: List[int] = []
+    sums: Dict[tuple, Any] = {}
+    getter = None if picks is None else pick_getter(picks)
     pending = 0
     mul = None if sr is None else sr.mul
     for left, lcount in zip(probe_values, probe_counts):
         _require_tup(left, "cartesian product")
-        out_values.extend(left.concat(right) for right, _ in build_items)
-        if mul is None:
-            out_counts.extend(lcount * rcount
-                              for _, rcount in build_items)
+        if getter is not None:
+            _sum_picked(sums, picks, getter, left._items, True, lcount,
+                        build_items, sr)
         else:
-            out_counts.extend(mul(lcount, rcount)
-                              for _, rcount in build_items)
+            out_values.extend(left.concat(right)
+                              for right, _ in build_items)
+            if mul is None:
+                out_counts.extend(lcount * rcount
+                                  for _, rcount in build_items)
+            else:
+                out_counts.extend(mul(lcount, rcount)
+                                  for _, rcount in build_items)
         if tick is not None:
             pending += len(build_items)
             if pending >= TICK_CHUNK:
                 pending = 0
                 tick()
-    return out_values, out_counts
+    if getter is None:
+        return out_values, out_counts
+    return _picked_rows(sums), len(probe_values) * len(build_items)
 
 
 def c_hash_join(probe_values: Sequence[Any],
@@ -316,11 +390,13 @@ def c_hash_join(probe_values: Sequence[Any],
                 build_key: Callable[[Tup], Any],
                 probe_is_left: bool,
                 tick: Optional[Callable[[], None]] = None,
-                sr=None) -> Tuple[List[Any], List[int]]:
+                sr=None, picks: Optional[Sequence[int]] = None):
     """Equi-join: hash the build dict on its key attributes, stream
     the probe columns; counts multiply and concatenation order follows
     ``probe_is_left`` (the logical product order, not the build
-    choice)."""
+    choice).  Returns the ``(values, counts)`` columns — or, with
+    ``picks`` (the rearrangement sitting directly on the join),
+    ``(counts dict of the projected rows, pairs enumerated)``."""
     table: Dict[Any, list] = {}
     for value, count in build.items():
         _require_tup(value, "hash join")
@@ -329,6 +405,9 @@ def c_hash_join(probe_values: Sequence[Any],
     out_counts: List[int] = []
     add_value = out_values.append
     add_count = out_counts.append
+    sums: Dict[tuple, Any] = {}
+    getter = None if picks is None else pick_getter(picks)
+    pairs = 0
     get = table.get
     pending = 0
     mul = None if sr is None else sr.mul
@@ -337,7 +416,11 @@ def c_hash_join(probe_values: Sequence[Any],
         matches = get(probe_key(value))
         if not matches:
             continue
-        if probe_is_left:
+        if getter is not None:
+            _sum_picked(sums, picks, getter, value._items,
+                        probe_is_left, count, matches, sr)
+            pairs += len(matches)
+        elif probe_is_left:
             for other, other_count in matches:
                 add_value(value.concat(other))
                 add_count(count * other_count if mul is None
@@ -352,4 +435,6 @@ def c_hash_join(probe_values: Sequence[Any],
             if pending >= TICK_CHUNK:
                 pending = 0
                 tick()
-    return out_values, out_counts
+    if getter is None:
+        return out_values, out_counts
+    return _picked_rows(sums), pairs

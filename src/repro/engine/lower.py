@@ -21,6 +21,12 @@ node:
 * MAP/selection lambdas built from projections, constants, tupling,
   and bagging compile to plain Python closures; anything else falls
   back to evaluator-backed application;
+* a MAP lambda that only rearranges attributes of its own row (the
+  paper's ``pi_{i1..in}``) is recognised once, here
+  (:func:`rearrangement_picks`): its closure is one ``itemgetter``
+  over the row's item tuple, and the
+  :class:`~repro.engine.physical.StreamingMap` carries the picks so
+  the step builder can fuse the projection into a join below it;
 * operators the pass does not know (IFP, machine encodings, anything
   object-typed) lower to :class:`~repro.engine.physical.OracleEval`,
   keeping the engine total over the whole language.
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.bag import Bag
+from repro.core.bag import Bag, Tup
 from repro.core.errors import BagTypeError
 from repro.core.expr import (
     AdditiveUnion, Attribute, Bagging, Cartesian, Const, Dedup, Expr,
@@ -47,6 +53,7 @@ from repro.core.expr import (
 from repro.core.nest import Nest, Unnest
 from repro.core.ops import attribute as ops_attribute
 from repro.core.expr import BagDestroy
+from repro.engine.columnar import pick_getter
 from repro.engine.physical import (
     ConstSource, FlattenBags, HashDedup, HashDifference, HashIntersect,
     HashJoin, HashMaxUnion, HashUnion, MultiplicityScale, NestBuild,
@@ -57,7 +64,7 @@ from repro.engine.physical import (
 from repro.planner.stats import BagStats, estimate
 
 __all__ = ["PhysicalPlan", "Lowering", "lower", "compile_object_lambda",
-           "compile_predicate", "equi_join_keys"]
+           "compile_predicate", "equi_join_keys", "rearrangement_picks"]
 
 #: Estimated product cardinality below which a nested-loop product is
 #: kept even when an equality predicate could fuse into a hash join.
@@ -271,7 +278,8 @@ class Lowering:
         if isinstance(expr, Map):
             fn = compile_object_lambda(expr.lam, self.semiring)
             return StreamingMap(self._lower(expr.operand), expr.lam,
-                                fn, estimated)
+                                fn, estimated,
+                                rearrangement_picks(expr.lam))
         if isinstance(expr, Select):
             return self._lower_select(expr, estimated)
         if isinstance(expr, Cartesian):
@@ -457,8 +465,52 @@ def compile_object_lambda(lam: Lam, sr=None
     non-N semiring: bagging mints ``sr.one`` and bag constants are
     adapted (cache keys include the semiring, so baking the adapted
     value into the closure is safe).
+
+    A rearrangement (:func:`rearrangement_picks`) runs as an index
+    plan instead: one ``itemgetter`` over the row's item tuple and
+    :meth:`Tup.trusted` — the items were validated when the source
+    row was built.  Anything that is not a plain ``Tup`` of sufficient
+    arity falls to the generic closure, which raises what it always
+    raised.
     """
-    return _compile_body(lam.body, lam.param, sr)
+    generic = _compile_body(lam.body, lam.param, sr)
+    picks = rearrangement_picks(lam)
+    if picks is None:
+        return generic
+    getter = pick_getter(picks)
+    trusted = Tup.trusted
+
+    def rearrange(value):
+        if type(value) is Tup:
+            try:
+                return trusted(getter(value._items))
+            except IndexError:
+                pass  # a pick past the arity: the generic path names it
+        return generic(value)
+
+    return rearrange
+
+
+def rearrangement_picks(lam: Lam) -> Optional[Tuple[int, ...]]:
+    """``(i1, ..., in)`` when the lambda is ``tau(alpha_i1(p), ...,
+    alpha_in(p))`` over its own parameter ``p`` — the paper's
+    ``pi_{i1..in}``, repeats and reorders included; ``None`` for any
+    other body (a constant, a nested attribute, a foreign variable).
+
+    This is the last check before an unchecked ``itemgetter(i - 1)``,
+    where ``i = 0`` would silently pick the *last* attribute: an index
+    that is not an ``int >= 1`` — however the node came to hold one —
+    refuses, and the lambda stays on the checked closure path."""
+    body = lam.body
+    if not isinstance(body, Tupling) or not body.parts:
+        return None
+    for part in body.parts:
+        if not (isinstance(part, Attribute)
+                and isinstance(part.operand, Var)
+                and part.operand.name == lam.param
+                and isinstance(part.index, int) and part.index >= 1):
+            return None
+    return tuple(part.index for part in body.parts)
 
 
 def _compile_body(body: Expr, param: str, sr=None
@@ -487,7 +539,6 @@ def _compile_body(body: Expr, param: str, sr=None
         parts = [_compile_body(part, param, sr) for part in body.parts]
         if any(part is None for part in parts):
             return None
-        from repro.core.bag import Tup
         return lambda value: Tup(*(part(value) for part in parts))
     if isinstance(body, Bagging):
         inner = _compile_body(body.item, param, sr)

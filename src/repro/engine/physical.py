@@ -407,16 +407,27 @@ class HashDedup(_UnaryNode):
 class StreamingMap(_UnaryNode):
     """``MAP``: ``fn`` is a compiled closure when the lowering pass
     recognised the lambda shape, otherwise the step applies ``lam``
-    through the evaluator."""
+    through the evaluator.  ``picks`` is set when the lambda is a
+    rearrangement ``pi_{i1..in}`` of its row (``fn`` is then the index
+    plan, and directly on a product or join the step builder fuses the
+    projection into that kernel)."""
 
-    __slots__ = ("lam", "fn")
+    __slots__ = ("lam", "fn", "picks")
     kernel = "map"
 
     def __init__(self, child: PhysicalNode, lam,
-                 fn: Optional[Callable[[Any], Any]], estimated=None):
+                 fn: Optional[Callable[[Any], Any]], estimated=None,
+                 picks: Optional[Tuple[int, ...]] = None):
         super().__init__(child, estimated)
         self.lam = lam
         self.fn = fn
+        self.picks = picks
+
+    def label(self):
+        if self.picks is None:
+            return super().label()
+        return (super().label()
+                + f"  π[{','.join(map(str, self.picks))}]")
 
 
 class StreamingSelect(_UnaryNode):

@@ -17,6 +17,7 @@ Four properties the old source text gave for free are pinned here:
 from __future__ import annotations
 
 import builtins
+import dataclasses
 import sys
 import threading
 
@@ -60,15 +61,15 @@ DB = {"X": X, "Y": Y, "R": R, "S": S,
 
 _SHARED = Subtraction(var("X"), var("Y"))
 _T = Var("t")
+_JOIN = Select(Lam("t", Attribute(_T, 2)), Lam("t", Attribute(_T, 3)),
+               Cartesian(var("R"), var("S")))
 
 #: name -> expression; the governance-parity plan list
 PLANS = {
     "sym-diff-chain": _sym_diff_chain(3),
     "scale-cascade": _scale_cascade(4),
     "union-dedup-cascade": _union_dedup_cascade(6),
-    "hash-join": Select(Lam("t", Attribute(_T, 2)),
-                        Lam("t", Attribute(_T, 3)),
-                        Cartesian(var("R"), var("S"))),
+    "hash-join": _JOIN,
     "select-map-chain": Map(
         Lam("t", Tupling(Attribute(_T, 2), Attribute(_T, 1))),
         Select(Lam("t", Attribute(_T, 1)), Lam("t", Attribute(_T, 2)),
@@ -77,6 +78,16 @@ PLANS = {
         Subtraction(_SHARED, var("Y")), Subtraction(var("Y"), _SHARED)),
     "barrier-leaf": AdditiveUnion(Powerset(var("P")),
                                   Powerset(var("Q"))),
+    # pi over a join / a product: one fused step since PR 19, which
+    # must count, tick and size as the two steps did
+    "join-project": Map(
+        Lam("t", Tupling(Attribute(_T, 1), Attribute(_T, 4))), _JOIN),
+    "product-project": Map(
+        Lam("t", Tupling(Attribute(_T, 4), Attribute(_T, 1))),
+        Cartesian(var("A0"), var("A1"))),
+    "dedup-join-project": Dedup(Map(
+        Lam("t", Tupling(Attribute(_T, 4), Attribute(_T, 4),
+                         Attribute(_T, 1))), _JOIN)),
 }
 
 
@@ -149,12 +160,138 @@ FROZEN = {
         (1, "additive-union:1 powerset:2 scan:2", 18, 0, 0, 2, 8, 13),
     ("barrier-leaf", "bool"):
         (1, "additive-union:1 powerset:2 scan:2", 18, 0, 0, 2, 8, 13),
+    # recorded at PR 18, where the join and the map were two steps
+    ("join-project", "nat"):
+        (1, "hash-join:1 map:1 scan:2", 33604, 0, 0, 0, 284, 48004),
+    ("join-project", "bool"):
+        (1, "hash-join:1 map:1 scan:2", 33604, 0, 0, 0, 284, 4801),
+    ("product-project", "nat"):
+        (1, "map:1 nested-loop-product:1 scan:2", 10939, 0, 0, 0, 96,
+         16189),
+    ("product-project", "bool"):
+        (1, "map:1 nested-loop-product:1 scan:2", 10939, 0, 0, 0, 96,
+         433),
+    ("dedup-join-project", "nat"):
+        (1, "dedup:1 hash-join:1 map:1 scan:2", 35204, 0, 0, 0, 297,
+         6401),
+    ("dedup-join-project", "bool"):
+        (1, "dedup:1 hash-join:1 map:1 scan:2", 35204, 0, 0, 0, 297,
+         6401),
 }
 
 
 @pytest.mark.parametrize("name, semiring", sorted(FROZEN))
 def test_governance_parity(name, semiring):
     assert observe(name, semiring) == FROZEN[name, semiring]
+
+
+# ----------------------------------------------------------------------
+# Verdicts raised from inside the fused join-project step
+# ----------------------------------------------------------------------
+
+class _SteppingClock:
+    """A clock that advances one second per reading: a deadline then
+    trips after a fixed number of governed steps, on any machine."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 1.0
+        return self.now
+
+
+#: plan -> limit kind -> a governor that stops the plan inside the
+#: quadratic kernel (steps, deadline: both scans recorded, the join or
+#: product not yet) or at the size check on the projected dict
+_MID_KERNEL = {
+    "join-project": {
+        "steps": lambda: ResourceGovernor(Limits(max_steps=22)),
+        "deadline": lambda: ResourceGovernor(
+            Limits(timeout=44.0), clock=_SteppingClock()),
+        "size": lambda: ResourceGovernor(Limits(max_size=400)),
+        # past the join's epilogue, inside the map's
+        "steps-in-the-map-epilogue": lambda: ResourceGovernor(
+            Limits(max_steps=200)),
+    },
+    "product-project": {
+        "steps": lambda: ResourceGovernor(Limits(max_steps=6)),
+        "deadline": lambda: ResourceGovernor(
+            Limits(timeout=12.0), clock=_SteppingClock()),
+        "size": lambda: ResourceGovernor(Limits(max_size=400)),
+    },
+}
+
+
+def mid_kernel_verdict(name, semiring, kind):
+    """``(subtype, details, partial EvalStats, kernels recorded)`` of
+    the governed failure."""
+    stats = EngineStats()
+    with pytest.raises(GovernedError) as info:
+        evaluate(PLANS[name], DB, engine="codegen", cache=None,
+                 stats=stats, governor=_MID_KERNEL[name][kind](),
+                 semiring=semiring)
+    error = info.value
+    return (type(error).__name__,
+            " ".join(f"{key}={value}" for key, value
+                     in sorted(error.details.items())),
+            dataclasses.astuple(error.stats),
+            " ".join(f"{kernel}:{count}" for kernel, count
+                     in sorted(stats.kernel_counts.items())))
+
+
+#: ``mid_kernel_verdict`` at PR 18 (two steps, joined rows built)
+FROZEN_VERDICTS = {
+    ("join-project", "nat", "steps"):
+        ("BudgetExceeded", "budget=steps limit=22 observed=23",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("join-project", "nat", "deadline"):
+        ("DeadlineExceeded", "steps=24 timeout=44.0",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("join-project", "nat", "size"):
+        ("BudgetExceeded", "budget=size limit=400 observed=48004",
+         ({}, 0, 0, 0, 0), "hash-join:1 map:1 scan:2"),
+    ("join-project", "nat", "steps-in-the-map-epilogue"):
+        ("BudgetExceeded", "budget=steps limit=200 observed=201",
+         ({}, 0, 0, 0, 0), "hash-join:1 map:1 scan:2"),
+    ("join-project", "provenance", "steps"):
+        ("BudgetExceeded", "budget=steps limit=22 observed=23",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("join-project", "provenance", "deadline"):
+        ("DeadlineExceeded", "steps=24 timeout=44.0",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("join-project", "provenance", "size"):
+        ("BudgetExceeded", "budget=size limit=400 observed=4801",
+         ({}, 0, 0, 0, 0), "hash-join:1 map:1 scan:2"),
+    ("join-project", "provenance", "steps-in-the-map-epilogue"):
+        ("BudgetExceeded", "budget=steps limit=200 observed=201",
+         ({}, 0, 0, 0, 0), "hash-join:1 map:1 scan:2"),
+    ("product-project", "nat", "steps"):
+        ("BudgetExceeded", "budget=steps limit=6 observed=7",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("product-project", "nat", "deadline"):
+        ("DeadlineExceeded", "steps=8 timeout=12.0",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("product-project", "nat", "size"):
+        ("BudgetExceeded", "budget=size limit=400 observed=16189",
+         ({}, 0, 0, 0, 0), "map:1 nested-loop-product:1 scan:2"),
+    ("product-project", "provenance", "steps"):
+        ("BudgetExceeded", "budget=steps limit=6 observed=7",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("product-project", "provenance", "deadline"):
+        ("DeadlineExceeded", "steps=8 timeout=12.0",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("product-project", "provenance", "size"):
+        ("BudgetExceeded", "budget=size limit=400 observed=433",
+         ({}, 0, 0, 0, 0), "map:1 nested-loop-product:1 scan:2"),
+}
+
+
+@pytest.mark.parametrize("name, semiring, kind", sorted(FROZEN_VERDICTS))
+def test_verdicts_from_inside_the_fused_join_project_step(
+        name, semiring, kind):
+    assert (mid_kernel_verdict(name, semiring, kind)
+            == FROZEN_VERDICTS[name, semiring, kind])
 
 
 # ----------------------------------------------------------------------
@@ -262,10 +399,15 @@ def test_one_plan_runs_from_eight_threads_at_once():
     assert not errors and not wrong
 
 
-if __name__ == "__main__":  # regenerate FROZEN (run at the parent)
+if __name__ == "__main__":  # regenerate FROZEN* (run at the parent)
     for name in PLANS:
         for sr in ("nat", "bool"):
             print(f"    ({name!r}, {sr!r}): {observe(name, sr)!r},")
+    for name, kinds in _MID_KERNEL.items():
+        for sr in ("nat", "provenance"):
+            for kind in kinds:
+                print(f"    ({name!r}, {sr!r}, {kind!r}):\n        "
+                      f"{mid_kernel_verdict(name, sr, kind)!r},")
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,15 @@ Three layers:
   must catch every mutant within 10 generated cases (a segment's
   steps look kernels up on the module object when they run, so
   patching ``repro.engine.columnar`` attributes reaches inside
-  compiled plans).
+  compiled plans).  The fused join-project path (``picks=``) gets
+  four mutants of its own, each caught by the kernel pins as well.
 """
 
 from __future__ import annotations
+
+import contextlib
+import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +32,7 @@ from hypothesis import strategies as st
 import repro.engine.columnar as columnar
 from repro.core.bag import Bag, Tup
 from repro.core.errors import BagTypeError
+from repro.core.derived import project_expr
 from repro.core.expr import (
     AdditiveUnion, Attribute, Cartesian, Dedup, Lam, Powerset, Select,
     Subtraction, Var, var,
@@ -47,6 +53,7 @@ from repro.planner import PassConfig
 from repro.planner.context import toggleable_passes
 from repro.testkit import Case, Harness, generate_case
 from repro.workloads import random_multigraph, random_relation
+from tests import rearrangement_sweep
 from tests.strategies import input_bags
 
 
@@ -162,6 +169,41 @@ class TestKernels:
             probe_is_left=True)
         assert out_v == [Tup("a", "b", "b", "c")] and out_c == [6]
 
+    def test_fused_projection_sums_on_raw_item_tuples(self):
+        _fused_projection_pins()
+
+    def test_fused_projection_is_the_projected_join(self):
+        # picks= against the unfused kernel, a closure and sum_counts
+        for picks in [(4, 4, 1), (2,), (3, 1)]:
+            pick = columnar.pick_getter(picks)
+            for probe, build, keys, probe_is_left in _JOIN_SIDES:
+                args = (list(probe), list(probe.values()), build, *keys,
+                        probe_is_left)
+                values, counts = c_hash_join(*args)
+                projected = sum_counts(
+                    [Tup(*pick(value.items())) for value in values],
+                    counts)
+                assert c_hash_join(*args, picks=picks) == (
+                    projected, len(values))
+            values, counts = c_product(list(_PL), list(_PL.values()),
+                                       _PR)
+            assert c_product(list(_PL), list(_PL.values()), _PR,
+                             picks=picks) == (
+                sum_counts([Tup(*pick(value.items()))
+                            for value in values], counts), len(values))
+
+    def test_fused_projection_rejects_a_pick_past_the_arity(self):
+        probe, build, keys, probe_is_left = _JOIN_SIDES[0]
+        with pytest.raises(BagTypeError,
+                           match="attribute index 5 out of range for "
+                                 "arity 4"):
+            c_hash_join(list(probe), list(probe.values()), build,
+                        *keys, probe_is_left, picks=(1, 5))
+        with pytest.raises(BagTypeError, match="index 7 out of range"):
+            c_product(list(_PL), list(_PL.values()), _PR, picks=(7,))
+        # no pair, no pick, no error
+        assert c_product([], [], _PR, picks=(7,)) == ({}, 0)
+
     def test_quadratic_kernels_tick(self):
         ticks = []
         build = {Tup(str(i),): 1 for i in range(columnar.TICK_CHUNK)}
@@ -172,6 +214,36 @@ class TestKernels:
     def test_sum_counts_sums_repeats(self):
         assert sum_counts([Tup("a",), Tup("a",)], [2, 5]) == \
             {Tup("a",): 7}
+
+
+#: ``sigma_{2=3}(L x R)`` on a fixed input whose ``pi_4`` images
+#: collide across probe rows, every count distinct
+_PL = {Tup("a", 1): 2, Tup("b", 1): 3, Tup("c", 2): 1}
+_PR = {Tup(1, "x"): 5, Tup(1, "y"): 1, Tup(2, "x"): 7}
+_KEY_L, _KEY_R = (lambda tup: tup.attribute(2),
+                  lambda tup: tup.attribute(1))
+#: (probe, build, (probe key, build key), probe_is_left): build right,
+#: then build left
+_JOIN_SIDES = [(_PL, _PR, (_KEY_L, _KEY_R), True),
+               (_PR, _PL, (_KEY_R, _KEY_L), False)]
+
+
+def _fused_projection_pins():
+    """The fused kernels on the fixed input: colliding images sum,
+    counts multiply, concatenation follows the logical left/right
+    order whichever side probes, and one pick is a 1-ary ``Tup``."""
+    for probe, build, keys, probe_is_left in _JOIN_SIDES:
+        args = (list(probe), list(probe.values()), build, *keys,
+                probe_is_left)
+        assert columnar.c_hash_join(*args, picks=(4,)) == (
+            {Tup("x"): 2 * 5 + 3 * 5 + 1 * 7, Tup("y"): 2 * 1 + 3 * 1},
+            5)
+        assert columnar.c_hash_join(*args, picks=(4, 1))[0] == {
+            Tup("x", "a"): 10, Tup("y", "a"): 2, Tup("x", "b"): 15,
+            Tup("y", "b"): 3, Tup("x", "c"): 7}
+    assert columnar.c_product(list(_PL), list(_PL.values()), _PR,
+                              picks=(3,)) == (
+        {Tup(1): (2 + 3 + 1) * (5 + 1), Tup(2): (2 + 3 + 1) * 7}, 9)
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +437,20 @@ class TestCodegenCompiler:
 # Mutation teeth: broken kernels must be caught within 10 cases
 # ----------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _mutated(patches):
+    """``repro.engine.columnar`` with each named attribute replaced by
+    ``patch(original)`` for the duration."""
+    originals = {name: getattr(columnar, name) for name in patches}
+    for name, patch in patches.items():
+        setattr(columnar, name, patch(originals[name]))
+    try:
+        yield
+    finally:
+        for name, original in originals.items():
+            setattr(columnar, name, original)
+
+
 def _detect(patches, cases=10, case_for=None):
     """Run oracle vs engine-opt2 over a fixed generated stream with
     columnar kernels mutated (``patches`` maps kernel name to a
@@ -372,10 +458,7 @@ def _detect(patches, cases=10, case_for=None):
     first mismatch, or None if the mutants survive all ``cases``.
     ``case_for(index)`` overrides the default mixed-fragment stream
     (returning None skips an index)."""
-    originals = {name: getattr(columnar, name) for name in patches}
-    for name, patch in patches.items():
-        setattr(columnar, name, patch(originals[name]))
-    try:
+    with _mutated(patches):
         harness = Harness(backends=("oracle", "engine-opt2"),
                           metamorphic=False)
         for index in range(cases):
@@ -389,9 +472,6 @@ def _detect(patches, cases=10, case_for=None):
             if report.mismatches:
                 return index + 1
         return None
-    finally:
-        for name, original in originals.items():
-            setattr(columnar, name, original)
 
 
 def _dedup_case(index):
@@ -454,6 +534,28 @@ def _join_case(index):
                 expr=expr, fragment="balg1")
 
 
+def _join_project_case(shape):
+    """A stream of ``tests/rearrangement_sweep.py`` cases of one shape
+    (``"join/repeat"``, ``"product/one"``, ...): a rearrangement
+    straight on a join or product over a generated database."""
+    def case_for(index):
+        for name, _, case in rearrangement_sweep.shapes(
+                random.Random(index)):
+            if name.startswith(shape):
+                return case
+        raise AssertionError(f"no shape {shape!r}")
+    return case_for
+
+
+def _caught_twice(patches, shape):
+    """A fused-path mutant is caught by the kernel pins and, within 10
+    generated cases, by the differential."""
+    _fused_projection_pins()
+    with _mutated(patches), pytest.raises(AssertionError):
+        _fused_projection_pins()
+    return _detect(patches, case_for=_join_project_case(shape))
+
+
 class TestMutationDetection:
     def test_monus_without_count_clamp_is_caught(self):
         def patch(orig):
@@ -505,3 +607,87 @@ class TestMutationDetection:
 
         assert _detect({"c_sym_diff_dedup": patch},
                        case_for=_sym_diff_case) is not None
+
+    def test_projected_join_overwriting_colliding_images_is_caught(self):
+        def patch(orig):
+            def patched(sums, *rest):
+                fresh = {}
+                orig(fresh, *rest)
+                sums.update(fresh)  # a later probe row's image wins
+            return patched
+
+        assert _caught_twice({"_sum_picked": patch},
+                             "join/repeat") is not None
+
+    def test_projected_join_in_build_probe_order_is_caught(self):
+        def patch(orig):
+            def patched(sums, picks, getter, items, items_first, *rest):
+                # probe + build, whichever side is the logical left
+                return orig(sums, picks, getter, items, True, *rest)
+            return patched
+
+        assert _caught_twice({"_sum_picked": patch},
+                             "join/cross-side") is not None
+
+    def test_projected_join_dropping_the_count_product_is_caught(self):
+        def patch(orig):
+            def patched(sums, picks, getter, items, items_first, count,
+                        matches, *rest):
+                return orig(sums, picks, getter, items, items_first, 1,
+                            [(other, 1) for other, _ in matches], *rest)
+            return patched
+
+        for shape in ("join/cross-side", "product/cross-side"):
+            assert _caught_twice({"_sum_picked": patch},
+                                 shape) is not None
+
+    def test_one_pick_projection_of_the_wrong_arity_is_caught(self):
+        def patch(orig):
+            # a bare itemgetter hands back the item, not a 1-tuple
+            return lambda picks: itemgetter(
+                *(pick - 1 for pick in picks))
+
+        for shape in ("join/one", "product/one"):
+            assert _caught_twice({"pick_getter": patch},
+                                 shape) is not None
+
+
+# ----------------------------------------------------------------------
+# One Tup per distinct output row
+# ----------------------------------------------------------------------
+
+def test_projected_join_builds_one_tup_per_distinct_row(monkeypatch):
+    """``pi_{1,4}(sigma_{2=3}(L x R))``: 144 joined pairs, 9 distinct
+    images — ``Tup.trusted`` (which ``concat`` would call once per
+    pair) runs once per distinct output row of each kernel call."""
+    database = {
+        "L": Bag([Tup(a, k) for a in range(3) for k in range(16)]),
+        "R": Bag([Tup(k, b) for k in range(16) for b in range(3)])}
+    expr = project_expr(
+        Select(Lam("t", Attribute(Var("t"), 2)),
+               Lam("t", Attribute(Var("t"), 3)),
+               Cartesian(var("L"), var("R"))), 1, 4)
+    expected = Bag.from_counts(
+        {Tup(a, b): 16 for a in range(3) for b in range(3)})
+    calls = []
+    trusted = Tup.trusted
+
+    def counting(items):
+        calls.append(items)
+        return trusted(items)
+
+    monkeypatch.setattr(Tup, "trusted", staticmethod(counting))
+    stats = EngineStats()
+    assert evaluate(expr, database, engine="physical", cache=None,
+                    stats=stats) == expected
+    assert stats.kernel_counts["hash-join"] == 1
+    assert stats.rows_emitted == 48 + 48 + 144 + 144
+    assert len(calls) == 9
+    # inside thread shards: once per distinct row of each shard
+    del calls[:]
+    stats = EngineStats()
+    assert evaluate(expr, database, engine="parallel", workers=2,
+                    parallel_threshold=0.0, min_morsel_rows=1,
+                    cache=None, stats=stats) == expected
+    assert stats.morsels_executed >= 2
+    assert 9 <= len(calls) <= 9 * stats.morsels_executed < 144
