@@ -80,20 +80,24 @@ class Tup:
         return self._items
 
     @staticmethod
-    def trusted(items: Tuple[Any, ...]) -> "Tup":
+    def trusted(items: Tuple[Any, ...], shape=None) -> "Tup":
         """Wrap an items tuple whose every item is already a validated
-        value, skipping the per-item check; hash and shape stay lazy.
+        value, skipping the per-item check; the hash stays lazy, and
+        so does the shape unless the caller derived it from the
+        sources' shapes and hands it in.
 
         The one constructor for callers that only rearrange values a
         checked constructor has seen: :meth:`concat` (one per join
-        output row), the shard decoder (one per row off the wire) and
+        output row), the shard decoder (one per row off the wire),
         projection — a rearrangement lambda's index plan (one per
         mapped row) and the fused join-project kernels (one per
-        *distinct* projected row)."""
+        *distinct* projected row) — and the nest / unnest kernels (one
+        per distinct group member and per group; one per spliced
+        row)."""
         out = Tup.__new__(Tup)
         out._items = items
         out._hash = None
-        out._shape = None
+        out._shape = shape
         return out
 
     def concat(self, other: "Tup") -> "Tup":
@@ -101,10 +105,10 @@ class Tup:
         if not isinstance(other, Tup):
             raise ValueConstructionError(
                 f"cannot concatenate Tup with {type(other).__name__}")
-        out = Tup.trusted(self._items + other._items)
+        shape = None
         if self._shape is not None and other._shape is not None:
-            out._shape = _concat_shape(self._shape, other._shape)
-        return out
+            shape = _concat_shape(self._shape, other._shape)
+        return Tup.trusted(self._items + other._items, shape)
 
     def __getitem__(self, index: int) -> Any:
         return self._items[index]
@@ -193,13 +197,26 @@ class Bag:
             clean[element] = count
         bag._shape = _check_homogeneous(clean.keys())
         bag._counts = clean
-        try:
-            bag._cardinality = sum(clean.values())
-        except TypeError:
-            # annotated bags: each non-integer annotation weighs one
-            bag._cardinality = sum(
-                count if isinstance(count, int) else 1
-                for count in clean.values())
+        bag._cardinality = _cardinality_of(clean)
+        bag._hash = None
+        return bag
+
+    @classmethod
+    def trusted(cls, counts: Dict[Any, Any], shape) -> "Bag":
+        """Seal ``counts`` as it stands — the :meth:`Tup.trusted`
+        contract extended to bags: every element is already a
+        validated value, every multiplicity is already positive (a
+        non-zero annotation), ``shape`` is the merged shape of the
+        elements (``None`` for none), and the bag keeps the dict.
+
+        One caller: the nest kernel
+        (:func:`repro.engine.kernels.k_nest`), which has checked
+        homogeneity per input row and derives each inner bag's shape
+        from the rows' own."""
+        bag = cls.__new__(cls)
+        bag._shape = shape
+        bag._counts = counts
+        bag._cardinality = _cardinality_of(counts)
         bag._hash = None
         return bag
 
@@ -327,6 +344,16 @@ class Bag:
         return "{{" + ", ".join(parts) + "}}"
 
 
+def _cardinality_of(counts: Mapping[Any, Any]) -> int:
+    """Elements counting duplicates; an annotation that is not an
+    integer weighs one."""
+    try:
+        return sum(counts.values())
+    except TypeError:
+        return sum(count if isinstance(count, int) else 1
+                   for count in counts.values())
+
+
 def canonical_key(value: Any) -> Tuple:
     """A total-order key over complex objects, used for deterministic
     display and for the lexicographic enumeration of Section 5.
@@ -388,17 +415,38 @@ def _flat_tup_shape(arity: int) -> tuple:
     return shape
 
 
+def _tup_shape(items: tuple) -> tuple:
+    """The shape of a tuple whose attributes have shapes ``items``."""
+    if all(item is _ATOM_SHAPE for item in items):
+        return _flat_tup_shape(len(items))
+    return ("tuple", items)
+
+
 def _concat_shape(left: tuple, right: tuple) -> tuple:
     """The shape of a tuple concatenation, interned per side-pair so
     every row of a join output carries the *same* shape object."""
     key = (left, right)
     shape = _CONCAT_SHAPE_CACHE.get(key)
     if shape is None:
-        items = left[1] + right[1]
-        if all(item is _ATOM_SHAPE for item in items):
-            shape = _flat_tup_shape(len(items))
-        else:
-            shape = ("tuple", items)
+        shape = _tup_shape(left[1] + right[1])
+        if len(_CONCAT_SHAPE_CACHE) < 4096:
+            _CONCAT_SHAPE_CACHE[key] = shape
+    return shape
+
+
+def _splice_shape(outer: tuple, index: int, member) -> tuple:
+    """The shape of an unnested row: tuple shape ``outer`` with its
+    bag-valued attribute ``index`` (1-based) replaced by the
+    attributes of the bag's members (shape ``member``; a member that
+    is not a tuple occupies one attribute).  Interned like
+    :func:`_concat_shape`, in the same cache (a three-part key never
+    meets a side-pair)."""
+    key = (outer, index, member)
+    shape = _CONCAT_SHAPE_CACHE.get(key)
+    if shape is None:
+        middle = member[1] if member[0] == "tuple" else (member,)
+        shape = _tup_shape(outer[1][:index - 1] + middle
+                           + outer[1][index:])
         if len(_CONCAT_SHAPE_CACHE) < 4096:
             _CONCAT_SHAPE_CACHE[key] = shape
     return shape
@@ -417,6 +465,7 @@ def _shape_of(value: Any):
     if isinstance(value, Tup):
         shape = value._shape
         if shape is None:
+            # _tup_shape, inlined: every seal of fresh rows walks here
             items = tuple(_shape_of(item) for item in value.items())
             if all(item is _ATOM_SHAPE for item in items):
                 shape = _flat_tup_shape(len(items))

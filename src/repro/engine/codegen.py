@@ -249,11 +249,14 @@ def _s_scale(ctx, R, step):
 
 def _s_map(ctx, R, step):
     """r{3} = _col.c_map(r{4}, <fn or lam via ctx>)"""
-    _, _, _, out, values, fn, lam = step
+    _, _, node, out, values, fn, lam = step
     if fn is None:
-        # an uncompiled lambda applies through the evaluator
+        # an uncompiled lambda applies through the evaluator, its
+        # closed sub-terms evaluated once (on the first row)
+        apply = ctx.lambda_applier(node.invariants)
+
         def fn(value):
-            return ctx.apply_lambda(lam, value)
+            return apply(lam, value)
     R[out] = mapped = columnar.c_map(R[values], fn)
     _record(ctx, step, len(mapped))
 

@@ -293,9 +293,12 @@ def pick_getter(picks: Sequence[int]) -> Callable[[tuple], tuple]:
     """A rearrangement's index plan: the projected row's item tuple
     read off a source row's item tuple, by the 1-based ``picks``, in
     one C-level call.  A single pick is wrapped back into a 1-tuple (a
-    bare ``itemgetter`` would hand back the item itself).  A pick past
-    the row's arity raises ``IndexError``; callers turn that into
-    ``alpha_i``'s own error."""
+    bare ``itemgetter`` would hand back the item itself) and no picks
+    at all — the grouping key of a nest over every attribute — read
+    the empty tuple.  A pick past the row's arity raises
+    ``IndexError``; callers turn that into ``alpha_i``'s own error."""
+    if not picks:
+        return lambda items: ()
     if len(picks) == 1:
         index = picks[0] - 1
         return lambda items: (items[index],)

@@ -10,11 +10,20 @@ pairs in which a value may repeat; :func:`collect` sums them back into
 a dict, ticking the governor as it goes, so a long expansion is
 governed inside the kernel and not only after it.
 
-No Bag is sealed and no typing pass runs until the engine's final
-result.  Static well-typedness is the lowering pass's problem (and the
-tree walker remains the semantics oracle); the kernels only enforce
-the checks that guard memory safety (powerset budgets) and value
-integrity (tuples where tuples are required).
+No outer Bag is sealed and no typing pass runs until the engine's
+final result.  Static well-typedness is the lowering pass's problem
+(and the tree walker remains the semantics oracle); the kernels only
+enforce the checks that guard memory safety (powerset budgets) and
+value integrity (tuples where tuples are required, and — in
+:func:`k_nest`, whose inner bags *are* sealed here — rows of one
+shape).
+
+Nest and unnest only rearrange values a checked constructor has seen,
+so they run on the trusted path: index plans
+(:func:`~repro.engine.columnar.pick_getter`) over raw item tuples,
+:meth:`Tup.trusted <repro.core.bag.Tup.trusted>` per output value,
+:meth:`Bag.trusted <repro.core.bag.Bag.trusted>` per group, shapes
+derived from the input rows' own instead of re-walked per member.
 
 Every kernel matches the operator semantics of :mod:`repro.core.ops`
 and :mod:`repro.core.nest` exactly; the differential harness checks
@@ -27,13 +36,17 @@ from typing import (
     Any, Callable, Dict, Iterable, Iterator, Optional, Tuple,
 )
 
-from repro.core.bag import Bag, Tup
-from repro.core.errors import BagTypeError, BudgetExceeded
+from repro.core.bag import (
+    Bag, Tup, _merge_shapes, _shape_of, _splice_shape, _tup_shape,
+)
+from repro.core.errors import (
+    BagTypeError, BudgetExceeded, HeterogeneousBagError,
+)
 from repro.core.ops import (
     powerbag_multiplicity, powerbag_total, powerset_cardinality,
     subbags,
 )
-from repro.engine.columnar import _require_tup
+from repro.engine.columnar import _require_tup, pick_getter
 
 __all__ = ["collect", "k_flatten", "k_nest", "k_unnest", "k_powerset",
            "k_powerbag"]
@@ -112,54 +125,101 @@ def k_nest(counts: Dict[Any, int], group_indices: Tuple[int, ...],
            sr=None) -> Iterator[Tuple[Any, int]]:
     """``nest_J(B)``: group by the complement of ``group_indices``,
     collecting the J-projections into an inner bag (the grouping
-    kernel; semantics of :func:`repro.core.nest.nest_bag`)."""
-    groups: Dict[Tup, Dict[Any, int]] = {}
-    rest_indices: Optional[Tuple[int, ...]] = None
+    kernel; semantics of :func:`repro.core.nest.nest_bag`).
+
+    Rows are grouped on the raw item tuple of their key under two
+    index plans; a ``Tup`` is wrapped once per member and per group,
+    and each inner bag is sealed once (:meth:`Bag.trusted`) with a
+    shape picked off the rows' own.  Homogeneity is checked here, per
+    input row, which is what licenses that: rows whose shapes only
+    *merge* (an empty inner bag beside a full one) take the checked
+    seal.  No two rows meet in one member — the two plans partition a
+    row's attributes and the rows are distinct — so a bucket is
+    filled by assignment."""
+    low, high = min(group_indices), max(group_indices)
+    pick_grouped = pick_getter(group_indices)
+    pick_rest = None      # the complement, known with the first arity
+    shape = None          # the rows' merged shape so far
+    uniform = True        # ... and every row's own shape equals it
+    groups: Dict[tuple, Dict[Tup, Any]] = {}
+    trusted = Tup.trusted
     for element, count in counts.items():
         _require_tup(element, "nest")
-        if max(group_indices) > element.arity or min(group_indices) < 1:
+        items = element._items
+        if high > len(items) or low < 1:
             raise BagTypeError(
                 f"nest indices {group_indices} out of range for arity "
-                f"{element.arity}")
-        if rest_indices is None:
-            rest_indices = tuple(i for i in range(1, element.arity + 1)
-                                 if i not in group_indices)
-        key = Tup(*(element.attribute(i) for i in rest_indices))
-        grouped = Tup(*(element.attribute(i) for i in group_indices))
-        bucket = groups.setdefault(key, {})
-        if sr is None:
-            bucket[grouped] = bucket.get(grouped, 0) + count
-        else:
-            existing = bucket.get(grouped)
-            count = sr.coerce(count)
-            bucket[grouped] = (count if existing is None
-                               else sr.add(existing, count))
+                f"{len(items)}")
+        row_shape = element._shape
+        if row_shape is None:  # a trusted upstream row, not yet walked
+            row_shape = _shape_of(element)
+        if row_shape is not shape and row_shape != shape:
+            if shape is None:
+                shape = row_shape
+                pick_rest = pick_getter(tuple(
+                    i for i in range(1, len(items) + 1)
+                    if i not in group_indices))
+            else:
+                merged = _merge_shapes(shape, row_shape)
+                if merged is None:
+                    raise HeterogeneousBagError(
+                        "bags must be homogeneous: cannot mix elements "
+                        f"of shapes {shape} and {row_shape}")
+                shape, uniform = merged, False
+        key = pick_rest(items)
+        bucket = groups.get(key)
+        if bucket is None:
+            bucket = groups[key] = {}
+        bucket[trusted(pick_grouped(items))] = (
+            count if sr is None else sr.coerce(count))
+    if uniform and groups:
+        member_shape = _tup_shape(pick_grouped(shape[1]))
+        out_shape = _tup_shape(pick_rest(shape[1])
+                               + (("bag", member_shape),))
     one = 1 if sr is None else sr.one
     for key, bucket in groups.items():
-        yield Tup(*key.items(), Bag.from_counts(bucket)), one
+        # from_counts' guarantee: no zero (or negative) multiplicity
+        # is ever sealed unchecked
+        if uniform and (min(bucket.values()) > 0 if sr is None else
+                        not any(map(sr.is_zero, bucket.values()))):
+            yield trusted(key + (Bag.trusted(bucket, member_shape),),
+                          out_shape), one
+        else:
+            yield trusted(key + (Bag.from_counts(bucket),)), one
 
 
 def k_unnest(counts: Dict[Any, int], index: int, sr=None
              ) -> Iterator[Tuple[Any, int]]:
     """``unnest_i(B)``: expand the bag-valued attribute ``i``,
-    multiplying multiplicities (:func:`repro.core.nest.unnest_bag`)."""
+    multiplying multiplicities (:func:`repro.core.nest.unnest_bag`).
+
+    A spliced row only rearranges validated values, and its shape is
+    the outer row's with the inner bag's member shape spliced in
+    (interned), so the homogeneity pass of whoever seals the rows
+    compares identities instead of walking each one."""
+    trusted = Tup.trusted
     for element, count in counts.items():
         _require_tup(element, "unnest")
-        if not 1 <= index <= element.arity:
+        items = element._items
+        if not 1 <= index <= len(items):
             raise BagTypeError(
                 f"unnest index {index} out of range for arity "
-                f"{element.arity}")
-        inner = element.attribute(index)
+                f"{len(items)}")
+        inner = items[index - 1]
         if not isinstance(inner, Bag):
             raise BagTypeError(f"attribute {index} is not bag-valued")
-        prefix = element.items()[:index - 1]
-        suffix = element.items()[index:]
+        prefix = items[:index - 1]
+        suffix = items[index:]
         if sr is not None:
             count = sr.coerce(count)
-        for member, inner_count in inner.items():
-            spliced = (member.items() if isinstance(member, Tup)
+        shape = None
+        if inner._counts:
+            shape = _splice_shape(element._shape or _shape_of(element),
+                                  index, inner._shape)
+        for member, inner_count in inner._counts.items():
+            spliced = (member._items if isinstance(member, Tup)
                        else (member,))
-            yield (Tup(*prefix, *spliced, *suffix),
+            yield (trusted(prefix + spliced + suffix, shape),
                    count * inner_count if sr is None
                    else sr.mul(count, sr.coerce(inner_count)))
 

@@ -20,7 +20,10 @@ node:
   per run (the common-subexpression memo);
 * MAP/selection lambdas built from projections, constants, tupling,
   and bagging compile to plain Python closures; anything else falls
-  back to evaluator-backed application;
+  back to evaluator-backed application — with the body's *closed*
+  sub-terms, the ones that do not mention the parameter, recognised
+  once, here (:func:`hoist_invariants`), so the step evaluates each
+  once per execution instead of once per row;
 * a MAP lambda that only rearranges attributes of its own row (the
   paper's ``pi_{i1..in}``) is recognised once, here
   (:func:`rearrangement_picks`): its closure is one ``itemgetter``
@@ -64,7 +67,8 @@ from repro.engine.physical import (
 from repro.planner.stats import BagStats, estimate
 
 __all__ = ["PhysicalPlan", "Lowering", "lower", "compile_object_lambda",
-           "compile_predicate", "equi_join_keys", "rearrangement_picks"]
+           "compile_predicate", "equi_join_keys", "rearrangement_picks",
+           "hoist_invariants"]
 
 #: Estimated product cardinality below which a nested-loop product is
 #: kept even when an equality predicate could fuse into a hash join.
@@ -277,9 +281,13 @@ class Lowering:
 
         if isinstance(expr, Map):
             fn = compile_object_lambda(expr.lam, self.semiring)
-            return StreamingMap(self._lower(expr.operand), expr.lam,
+            lam, invariants = expr.lam, ()
+            if fn is None:
+                (lam,), invariants = hoist_invariants(lam)
+            return StreamingMap(self._lower(expr.operand), lam,
                                 fn, estimated,
-                                rearrangement_picks(expr.lam))
+                                rearrangement_picks(expr.lam),
+                                invariants)
         if isinstance(expr, Select):
             return self._lower_select(expr, estimated)
         if isinstance(expr, Cartesian):
@@ -379,15 +387,20 @@ class Lowering:
             return StreamingSelect(self._lower(expr.operand),
                                    lambda ctx: compiled, estimated)
 
-        def make(ctx, select=expr):
+        (left, right), invariants = hoist_invariants(expr.left,
+                                                     expr.right)
+        op = expr.op
+
+        def make(ctx):
+            apply = ctx.lambda_applier(invariants)
+
             def predicate(value):
-                lhs = ctx.apply_lambda(select.left, value)
-                rhs = ctx.apply_lambda(select.right, value)
-                return _compare(select.op, lhs, rhs)
+                return _compare(op, apply(left, value),
+                                apply(right, value))
             return predicate
 
         return StreamingSelect(self._lower(expr.operand), make,
-                               estimated)
+                               estimated, invariants)
 
     def _try_fuse_join(self, product: Cartesian,
                        keys: Tuple[int, int],
@@ -549,6 +562,69 @@ def _compile_body(body: Expr, param: str, sr=None
         one = sr.one
         return lambda value: Bag.from_counts({inner(value): one})
     return None
+
+
+#: Reserved variables standing for a lambda's hoisted sub-terms (the
+#: exchange's slot variables are ``$0``, ``$1``, ...).
+_INVARIANT = "$inv{}"
+
+
+def hoist_invariants(*lams: Lam
+                     ) -> Tuple[Tuple[Lam, ...],
+                                Tuple[Tuple[str, Expr], ...]]:
+    """The lambdas of one plan node with their *closed* sub-terms —
+    the maximal non-leaf sub-expressions of a body that do not mention
+    the parameter, so every row would compute the same value — each
+    replaced by a reserved variable, and the ``(name, expr)`` list the
+    step evaluates once per execution
+    (:meth:`~repro.engine.physical.ExecContext.lambda_applier`).
+
+    The search follows dataflow children only: an inner lambda's body
+    belongs to the inner binder (which may shadow the parameter or
+    capture it), so it is never entered — the inner ``MAP`` or
+    ``sigma`` is hoisted whole when it is closed and kept whole when
+    it is not.  A body with no closed sub-term comes back as it was,
+    with an empty list."""
+    found: List[Tuple[str, Expr]] = []
+
+    def hoist(expr: Expr, param: str) -> Expr:
+        if param in expr.free_vars():
+            return _over_dataflow(
+                expr, lambda child: hoist(child, param))
+        if isinstance(expr, (Var, Const)):
+            return expr
+        found.append((_INVARIANT.format(len(found)), expr))
+        return Var(found[-1][0])
+
+    hoisted = tuple(Lam(lam.param, hoist(lam.body, lam.param))
+                    for lam in lams)
+    return (hoisted if found else lams), tuple(found)
+
+
+def _over_dataflow(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """``expr`` rebuilt over ``fn`` of its dataflow children; a node
+    this pass does not know (``Ifp`` binds a variable of its own) is
+    handed back untouched."""
+    if isinstance(expr, (AdditiveUnion, Subtraction, MaxUnion,
+                         Intersection, Cartesian)):
+        return type(expr)(fn(expr.left), fn(expr.right))
+    if isinstance(expr, Tupling):
+        return Tupling(*map(fn, expr.parts))
+    if isinstance(expr, Bagging):
+        return Bagging(fn(expr.item))
+    if isinstance(expr, Attribute):
+        return Attribute(fn(expr.operand), expr.index)
+    if isinstance(expr, (Powerset, Powerbag, BagDestroy, Dedup)):
+        return type(expr)(fn(expr.operand))
+    if isinstance(expr, Nest):
+        return Nest(fn(expr.operand), *expr.indices)
+    if isinstance(expr, Unnest):
+        return Unnest(fn(expr.operand), expr.index)
+    if isinstance(expr, Map):
+        return Map(expr.lam, fn(expr.operand))
+    if isinstance(expr, Select):
+        return Select(expr.left, expr.right, fn(expr.operand), expr.op)
+    return expr
 
 
 def compile_predicate(select: Select, sr=None

@@ -196,6 +196,37 @@ class ExecContext:
         return evaluator.eval(lam.body,
                               evaluator.bind(self._env, lam.param, value))
 
+    def lambda_applier(self, invariants=()):
+        """``apply(lam, value)`` for one step execution's uncompiled
+        lambdas, whose closed sub-terms the lowering pass replaced by
+        the variables of ``invariants`` (``(name, expr)`` pairs,
+        :func:`repro.engine.lower.hoist_invariants`).
+
+        The first row evaluates each ``expr`` — same evaluator,
+        environment, governor and semiring as the body — and binds it;
+        every row then runs the rewritten body over those bindings.
+        So an empty operand evaluates nothing, whatever an invariant
+        raises is the walker's own verdict on that sub-term, and one
+        evaluation stands for all rows because evaluation is pure.
+        With no invariants this is :meth:`apply_lambda` itself."""
+        if not invariants:
+            return self.apply_lambda
+        evaluator = self.evaluator
+        bound = None
+
+        def apply(lam, value):
+            nonlocal bound
+            if bound is None:
+                env = self._env
+                for name, expr in invariants:
+                    env = evaluator.bind(
+                        env, name, evaluator.eval(expr, self._env))
+                bound = env
+            return evaluator.eval(
+                lam.body, evaluator.bind(bound, lam.param, value))
+
+        return apply
+
     def eval_oracle(self, expr) -> Any:
         """Evaluate a whole subtree via the tree walker."""
         self.stats.oracle_fallbacks += 1
@@ -404,28 +435,42 @@ class HashDedup(_UnaryNode):
     kernel = "dedup"
 
 
+def _invariants_label(symbol: str, invariants: tuple) -> str:
+    """``  σ[2 invariants]``: how many closed sub-terms the node's
+    uncompiled lambdas evaluate once per execution (empty for none)."""
+    if not invariants:
+        return ""
+    plural = "" if len(invariants) == 1 else "s"
+    return f"  {symbol}[{len(invariants)} invariant{plural}]"
+
+
 class StreamingMap(_UnaryNode):
     """``MAP``: ``fn`` is a compiled closure when the lowering pass
     recognised the lambda shape, otherwise the step applies ``lam``
-    through the evaluator.  ``picks`` is set when the lambda is a
-    rearrangement ``pi_{i1..in}`` of its row (``fn`` is then the index
-    plan, and directly on a product or join the step builder fuses the
-    projection into that kernel)."""
+    through the evaluator — ``lam`` is then the lambda with its closed
+    sub-terms replaced by the variables of ``invariants``, which the
+    step evaluates once per execution.  ``picks`` is set when the
+    lambda is a rearrangement ``pi_{i1..in}`` of its row (``fn`` is
+    then the index plan, and directly on a product or join the step
+    builder fuses the projection into that kernel)."""
 
-    __slots__ = ("lam", "fn", "picks")
+    __slots__ = ("lam", "fn", "picks", "invariants")
     kernel = "map"
 
     def __init__(self, child: PhysicalNode, lam,
                  fn: Optional[Callable[[Any], Any]], estimated=None,
-                 picks: Optional[Tuple[int, ...]] = None):
+                 picks: Optional[Tuple[int, ...]] = None,
+                 invariants: tuple = ()):
         super().__init__(child, estimated)
         self.lam = lam
         self.fn = fn
         self.picks = picks
+        self.invariants = invariants
 
     def label(self):
         if self.picks is None:
-            return super().label()
+            return super().label() + _invariants_label(
+                "MAP", self.invariants)
         return (super().label()
                 + f"  π[{','.join(map(str, self.picks))}]")
 
@@ -433,15 +478,21 @@ class StreamingMap(_UnaryNode):
 class StreamingSelect(_UnaryNode):
     """``sigma``: a filter; ``make_predicate(ctx)`` is the compiled
     predicate when the lambdas allow, else one applying them through
-    the run's evaluator."""
+    the run's evaluator, with their closed sub-terms (``invariants``,
+    kept here for ``:explain``) evaluated once per execution."""
 
-    __slots__ = ("make_predicate",)
+    __slots__ = ("make_predicate", "invariants")
     kernel = "select"
 
     def __init__(self, child: PhysicalNode, make_predicate,
-                 estimated=None):
+                 estimated=None, invariants: tuple = ()):
         super().__init__(child, estimated)
         self.make_predicate = make_predicate
+        self.invariants = invariants
+
+    def label(self):
+        return super().label() + _invariants_label(
+            "σ", self.invariants)
 
 
 class MultiplicityScale(_UnaryNode):

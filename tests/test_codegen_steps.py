@@ -29,6 +29,7 @@ from repro.core.database import encoding_size
 from repro.core.errors import (
     BudgetExceeded, GovernedError, ReproError, UnboundVariableError,
 )
+from repro.core.derived import average_expr, count_expr, int_as_bag
 from repro.core.eval import Evaluator, evaluate as tree_evaluate
 from repro.core.expr import (
     AdditiveUnion, Attribute, BagDestroy, Bagging, Cartesian, Const,
@@ -37,8 +38,10 @@ from repro.core.expr import (
 )
 from repro.core.nest import Nest, Unnest
 from repro.core.types import TupleType
-from repro.engine import EngineStats, PlanCache, evaluate, plan_for
-from repro.engine.lower import PhysicalPlan
+from repro.engine import (
+    EngineStats, PlanCache, evaluate, explain_physical, plan_for,
+)
+from repro.engine.lower import PhysicalPlan, hoist_invariants
 from repro.engine.parallel.partition import clear_segment_cache
 from repro.engine.physical import ExecContext
 from repro.guard import Limits, ResourceGovernor
@@ -549,3 +552,203 @@ def test_verdicts_from_inside_a_barrier_step_are_the_tree_walkers(
     assert verdict[1]["budget"] == "size"
     assert verdict[1]["observed"] == encoding_size(
         tree_evaluate(expr, database))
+
+
+# ----------------------------------------------------------------------
+# Lambda-invariant sub-terms: evaluated once per step, lazily
+# ----------------------------------------------------------------------
+
+_C = Var("c")
+_HOIST_DB = {
+    "R": Bag([Tup(i % 3, i) for i in range(8)]),
+    "S": Bag([Tup(i, i, i) for i in range(3)]),
+    "N": Bag([Tup("g", Bag([Tup(i), Tup(i + 1)])) for i in range(4)]),
+    "V": Bag([Tup(i) for i in range(12)]),
+    "E": Bag(),
+}
+_HOIST_ENGINES = {
+    "physical": {"engine": "physical"},
+    "opt0": {"engine": "physical", "opt_level": 0},
+    "codegen": {"engine": "codegen"},
+    **_BARRIER_ENGINES,
+}
+
+
+def _deep_union(depth):
+    expr = var("R")
+    for _ in range(depth):
+        expr = AdditiveUnion(expr, var("R"))
+    return expr
+
+
+#: name -> (a closed sub-term that fails, the limits it fails under)
+_FAILING_TERMS = {
+    "unbound": (AdditiveUnion(var("nope"), var("R")), {}),
+    "ill-typed": (AdditiveUnion(var("R"), var("S")), {}),
+    "powerset-budget": (Powerset(var("V")), {"powerset_budget": 100}),
+    "step-budget": (_deep_union(40), {"limits": Limits(max_steps=30)}),
+}
+
+#: operator -> the expression holding ``term`` in an uncompiled lambda
+_HOSTS = {
+    "select": lambda term, operand: Select(
+        Lam("c", Tupling(Attribute(_C, 1), term)),
+        Lam("c", Tupling(Attribute(_C, 2), term)), operand),
+    "map": lambda term, operand: Map(
+        Lam("c", Tupling(Attribute(_C, 1), term)), operand),
+}
+
+
+def _verdict_of(run):
+    """The bag, or ``(subtype, message, details)`` of the typed
+    error."""
+    try:
+        return run()
+    except ReproError as error:
+        return (type(error), str(error),
+                getattr(error, "details", None))
+
+
+@pytest.mark.parametrize("engine", sorted(_HOIST_ENGINES))
+@pytest.mark.parametrize("operand", ["E", "R"])
+@pytest.mark.parametrize("host", sorted(_HOSTS))
+@pytest.mark.parametrize("term", sorted(_FAILING_TERMS))
+def test_a_failing_invariant_fails_as_the_tree_walker_does(
+        term, host, operand, engine):
+    closed, limits = _FAILING_TERMS[term]
+    expr = _HOSTS[host](closed, var(operand))
+    expected = _verdict_of(lambda: evaluate(
+        expr, _HOIST_DB, engine="tree", **limits))
+    got = _verdict_of(lambda: evaluate(
+        expr, _HOIST_DB, cache=None, **limits,
+        **_HOIST_ENGINES[engine]))
+    assert got == expected
+    if term == "unbound":
+        # the entry point names a missing relation before any row
+        assert expected[0] is UnboundVariableError
+    elif operand == "E":
+        assert expected == Bag()  # no row, so nothing is evaluated
+    else:
+        assert isinstance(expected, tuple)
+
+
+@pytest.mark.parametrize("host", sorted(_HOSTS))
+def test_an_invariant_meets_its_unbound_variable_on_the_first_row(host):
+    """Past the entry point's check (a plan run over bindings that
+    lack the relation): the step raises what the walker's own lookup
+    raises, and only once there is a row."""
+    closed, _ = _FAILING_TERMS["unbound"]
+    for operand, raises in (("E", False), ("R", True)):
+        expr = _HOSTS[host](closed, var(operand))
+        plan = plan_for(expr, dict(_HOIST_DB, nope=Bag()))
+
+        def walker():
+            return Evaluator().eval(expr, (_HOIST_DB, None))
+
+        def engine():
+            return plan.execute(ExecContext(
+                _HOIST_DB, Evaluator(track_stats=False)))
+
+        assert _verdict_of(engine) == _verdict_of(walker)
+        assert isinstance(_verdict_of(walker), tuple) is raises
+
+
+_D = Var("d")
+_COUNT_V = count_expr(var("V"))
+_INNER_CLOSED = Map(Lam("d", Tupling(Attribute(_D, 1))), var("V"))
+
+#: name -> (the lambda over a row of N, the sub-terms hoisted from it)
+_SHADOWING = {
+    # the inner binder reuses the outer name: its body's ``c`` is its
+    # own, and the operand's is the row
+    "inner-rebinds-the-parameter": (
+        Lam("c", Map(Lam("c", Tupling(Attribute(_C, 1), Const("x"))),
+                     Attribute(_C, 2))), []),
+    # the inner body captures the row: the whole MAP is open, and its
+    # closed operand is the only thing evaluated outside the rows
+    "inner-mentions-the-parameter": (
+        Lam("c", Map(Lam("d", Tupling(Attribute(_D, 1),
+                                      Attribute(_C, 1))),
+                     AdditiveUnion(var("V"), var("V")))),
+        [AdditiveUnion(var("V"), var("V"))]),
+    # a closed inner body under an open operand stays where it is ...
+    "inner-body-is-closed": (
+        Lam("c", Map(Lam("d", _COUNT_V), Attribute(_C, 2))), []),
+    # ... and a MAP closed as a whole is hoisted as a whole
+    "inner-map-is-closed": (
+        Lam("c", Tupling(Attribute(_C, 1), _INNER_CLOSED)),
+        [_INNER_CLOSED]),
+    "a-leaf-is-not-hoisted": (
+        Lam("c", Tupling(Attribute(_C, 1), var("V"), Const("k"))), []),
+    "the-whole-body-is-closed": (Lam("c", _COUNT_V), [_COUNT_V]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHADOWING))
+def test_hoisting_stops_at_an_inner_binder(name):
+    lam, hoisted = _SHADOWING[name]
+    (rewritten,), invariants = hoist_invariants(lam)
+    assert [expr for _, expr in invariants] == hoisted
+    if not hoisted:
+        assert rewritten is lam
+    else:
+        # each hoisted term is replaced by its reserved variable and
+        # nowhere else does the body change
+        names = {name for name, _ in invariants}
+        assert names <= rewritten.body.free_vars()
+        assert not names & lam.body.free_vars()
+    for host in (Map(lam, var("N")),
+                 Select(lam, lam, var("N")),
+                 Select(lam, Lam("c", Const("other")), var("N"), "ne")):
+        expected = evaluate(host, _HOIST_DB, engine="tree")
+        for engine, options in _HOIST_ENGINES.items():
+            assert evaluate(host, _HOIST_DB, cache=None,
+                            **options) == expected, engine
+
+
+def test_an_invariant_is_evaluated_once_per_step_execution():
+    """E14's average over 12 integers-as-bags: the walker re-evaluates
+    ``count(V)`` and ``sum(V)`` for each of the 79 candidate subbags,
+    the step evaluates each once — what is left is linear in the
+    candidates, and frozen."""
+    def nodes(integers):
+        values = [int_as_bag(value) for value in integers]
+        database = {"V": Bag(values)}
+        expr = average_expr(var("V"))
+        plan = plan_for(expr, database)
+        evaluator = Evaluator()
+        result = plan.execute(ExecContext(database, evaluator))
+        assert result == tree_evaluate(expr, database)
+        candidates = sum(integers) + 1
+        counts = evaluator.stats.op_counts
+        # sum(V) = delta(V) once; count(V) = pi_1(const x MAP(V)) once
+        # beside the per-candidate pi_1(c x count)
+        assert counts["BagDestroy"] == 1
+        assert counts["Cartesian"] == candidates + 1
+        assert counts["Map"] == candidates + 2
+        return candidates, evaluator.stats.nodes_evaluated
+
+    (few, few_nodes), (many, many_nodes) = (
+        nodes(range(1, 13)), nodes(range(3, 15)))
+    # eight nodes a candidate, the two invariants (64 nodes) once
+    assert (few, few_nodes) == (79, 8 * 79 + 64)
+    assert many_nodes - few_nodes == 8 * (many - few)
+    # the walker pays the invariants per candidate
+    walker = Evaluator()
+    walker.run(average_expr(var("V")),
+               {"V": Bag([int_as_bag(v) for v in range(1, 13)])})
+    assert walker.stats.nodes_evaluated == 5769
+
+
+def test_explain_counts_the_invariants():
+    text = explain_physical(average_expr(var("V")),
+                            {"V": Bag([int_as_bag(2), int_as_bag(4)])})
+    assert "StreamingSelect  kernel=select" in text
+    assert "σ[2 invariants]" in text
+    text = explain_physical(
+        Map(_SHADOWING["inner-map-is-closed"][0], var("N")), _HOIST_DB)
+    assert "MAP[1 invariant]" in text
+    # compiled lambdas and bodies with nothing closed say nothing
+    text = explain_physical(
+        Map(_SHADOWING["inner-body-is-closed"][0], var("N")), _HOIST_DB)
+    assert "invariant" not in text

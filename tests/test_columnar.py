@@ -16,12 +16,16 @@ Three layers:
   steps look kernels up on the module object when they run, so
   patching ``repro.engine.columnar`` attributes reaches inside
   compiled plans).  The fused join-project path (``picks=``) gets
-  four mutants of its own, each caught by the kernel pins as well.
+  four mutants of its own, each caught by the kernel pins as well,
+  and so do the nest kernel (a dropped multiplicity, the row's shape
+  stamped on the inner bag) and the lambda-invariant search (one that
+  enters an inner lambda's body).
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib
 import random
 from operator import itemgetter
 
@@ -30,13 +34,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.engine.columnar as columnar
-from repro.core.bag import Bag, Tup
+import repro.engine.kernels as kernels
+from repro.core.bag import Bag, Tup, _shape_of
 from repro.core.errors import BagTypeError
 from repro.core.derived import project_expr
 from repro.core.expr import (
-    AdditiveUnion, Attribute, Cartesian, Dedup, Lam, Powerset, Select,
-    Subtraction, Var, var,
+    AdditiveUnion, Attribute, Cartesian, Const, Dedup, Lam, Map,
+    Powerset, Select, Subtraction, Tupling, Var, var,
 )
+from repro.core.nest import Nest, Unnest, nest_bag
 from repro.core.types import TupleType
 from repro.engine import (
     EngineStats, PlanCache, evaluate, explain_physical, plan_for,
@@ -55,6 +61,9 @@ from repro.testkit import Case, Harness, generate_case
 from repro.workloads import random_multigraph, random_relation
 from tests import rearrangement_sweep
 from tests.strategies import input_bags
+
+#: the module (``repro.engine.lower`` the attribute is the function)
+lower = importlib.import_module("repro.engine.lower")
 
 
 def _ab(a_count, b_count):
@@ -438,27 +447,28 @@ class TestCodegenCompiler:
 # ----------------------------------------------------------------------
 
 @contextlib.contextmanager
-def _mutated(patches):
-    """``repro.engine.columnar`` with each named attribute replaced by
-    ``patch(original)`` for the duration."""
-    originals = {name: getattr(columnar, name) for name in patches}
+def _mutated(patches, module=columnar):
+    """``module`` (``repro.engine.columnar`` unless given) with each
+    named attribute replaced by ``patch(original)`` for the
+    duration."""
+    originals = {name: getattr(module, name) for name in patches}
     for name, patch in patches.items():
-        setattr(columnar, name, patch(originals[name]))
+        setattr(module, name, patch(originals[name]))
     try:
         yield
     finally:
         for name, original in originals.items():
-            setattr(columnar, name, original)
+            setattr(module, name, original)
 
 
-def _detect(patches, cases=10, case_for=None):
+def _detect(patches, cases=10, case_for=None, module=columnar):
     """Run oracle vs engine-opt2 over a fixed generated stream with
-    columnar kernels mutated (``patches`` maps kernel name to a
+    ``module``'s kernels mutated (``patches`` maps kernel name to a
     ``patch(original)`` wrapper); return the 1-based index of the
     first mismatch, or None if the mutants survive all ``cases``.
     ``case_for(index)`` overrides the default mixed-fragment stream
     (returning None skips an index)."""
-    with _mutated(patches):
+    with _mutated(patches, module):
         harness = Harness(backends=("oracle", "engine-opt2"),
                           metamorphic=False)
         for index in range(cases):
@@ -652,6 +662,103 @@ class TestMutationDetection:
                                  shape) is not None
 
 
+    def test_nest_dropping_the_multiplicity_is_caught(self):
+        def patch(orig):
+            def patched(counts, *rest):
+                return orig(dict.fromkeys(counts, 1), *rest)
+            return patched
+
+        assert _nested_caught_twice(
+            {"k_nest": patch}, kernels, "nest", _nest_pins) is not None
+
+    def test_nest_stamping_the_rows_shape_on_the_inner_bag_is_caught(
+            self):
+        def patch(orig):
+            def patched(*args):
+                for row, count in orig(*args):
+                    # the row's shape where the members' belongs
+                    row._items[-1]._shape = row._shape
+                    yield row, count
+            return patched
+
+        # value equality cannot see a shape: the unnested rows meet
+        # checked ones in a union, and the seal refuses the mix
+        assert _nested_caught_twice(
+            {"k_nest": patch}, kernels, "unnest-union",
+            _nest_pins) is not None
+
+    def test_hoisting_from_inside_an_inner_lambda_is_caught(self):
+        def patch(orig):
+            def patched(expr, fn):
+                if isinstance(expr, Map):  # the inner binder's body too
+                    return Map(Lam(expr.lam.param, fn(expr.lam.body)),
+                               fn(expr.operand))
+                return orig(expr, fn)
+            return patched
+
+        assert _nested_caught_twice(
+            {"_over_dataflow": patch}, lower, "inner-lambda",
+            _hoist_pins) is not None
+
+
+def _nested_case(shape):
+    """``shape`` over the first relation of arity >= 2 of a generated
+    database (duplicate-rich, like every generated one)."""
+    def case_for(index):
+        base = generate_case(0, index, fragment="balg1")
+        for name in sorted(base.database):
+            element = getattr(base.schema[name], "element", None)
+            if (isinstance(element, TupleType) and element.arity >= 2
+                    and not base.database[name].is_empty()):
+                break
+        else:
+            return None
+        rel, arity = Var(name), element.arity
+        t, u = Var("t"), Var("u")
+        expr = {
+            "nest": Nest(rel, arity),
+            # a checked row no unnested one equals (equal rows would
+            # share the first one's key object, and shape)
+            "unnest-union": AdditiveUnion(
+                Unnest(Nest(rel, arity), arity),
+                Const(Bag([Tup(*["fresh"] * arity)]))),
+            # the inner body mentions the row and its own parameter
+            "inner-lambda": Map(Lam("t", Map(
+                Lam("u", Tupling(Attribute(u, 1), Attribute(t, 1))),
+                rel)), rel),
+        }[shape]
+        return Case(schema=base.schema, database=base.database,
+                    expr=expr, fragment="balg2")
+    return case_for
+
+
+def _nest_pins():
+    relation = Bag([Tup(g, m % 5) for g in range(4) for m in range(15)])
+    nested = kernels.collect(kernels.k_nest(relation._counts, (2,)))
+    assert Bag.from_counts(nested) == nest_bag(relation, (2,))
+    for row in nested:
+        assert _shape_of(row[1]) == _shape_of(Bag(row[1].elements()))
+
+
+def _hoist_pins():
+    t, u = Var("t"), Var("u")
+    inner = Lam("u", Tupling(Attribute(u, 1), Attribute(t, 1)))
+    lam = Lam("t", Map(inner, AdditiveUnion(var("V"), var("V"))))
+    (rewritten,), invariants = lower.hoist_invariants(lam)
+    assert [expr for _, expr in invariants] == [
+        AdditiveUnion(var("V"), var("V"))]
+    assert rewritten.body.lam is inner
+
+
+def _nested_caught_twice(patches, module, shape, pins):
+    """The mutant is caught by the unit pins and, within 10 generated
+    cases, by the differential."""
+    pins()
+    with _mutated(patches, module), pytest.raises(AssertionError):
+        pins()
+    return _detect(patches, case_for=_nested_case(shape), module=module)
+
+
 # ----------------------------------------------------------------------
 # One Tup per distinct output row
 # ----------------------------------------------------------------------
@@ -672,9 +779,9 @@ def test_projected_join_builds_one_tup_per_distinct_row(monkeypatch):
     calls = []
     trusted = Tup.trusted
 
-    def counting(items):
+    def counting(items, shape=None):
         calls.append(items)
-        return trusted(items)
+        return trusted(items, shape)
 
     monkeypatch.setattr(Tup, "trusted", staticmethod(counting))
     stats = EngineStats()
