@@ -155,6 +155,25 @@ class Bag:
 
     The empty bag is polymorphic (it belongs to every bag type), matching
     the paper's ``[[ ]]``.
+
+    The sealed shape
+    ----------------
+    ``_shape`` is the merged shape fingerprint of the members
+    (:func:`_shape_of`; ``None`` for none), and
+    :func:`repro.core.types.type_of` and
+    :func:`repro.core.database.encoding_size` read a bag's type and
+    size off it without visiting a member — so it must be *exactly* the
+    merge of the members' own shapes.  ``Bag(...)`` and
+    :meth:`from_counts` compute it in the homogeneity check; the shard
+    decoder (:mod:`repro.engine.parallel.codec`) runs the same check on
+    each decoded inner bag; :meth:`trusted` takes it from its one
+    caller, the nest kernel, which hands one in only when every row of
+    its input has the same shape.  Tuples keep theirs the same way:
+    computed from the items on demand, or handed to :meth:`Tup.trusted`
+    by a caller that derived it from its sources' (``concat``, nest,
+    unnest — per member wherever members' shapes can differ).
+    ``_cardinality`` counts an annotation as one occurrence, which is
+    what the standard encoding writes.
     """
 
     __slots__ = ("_counts", "_hash", "_cardinality", "_shape")

@@ -37,17 +37,63 @@ def encoding_size(value: Any) -> int:
     Atoms cost 1; tuples and bags cost 1 (for the delimiters) plus the
     sizes of their members, *with duplicates written out explicitly*.
     This is the size measure all complexity statements of the paper are
-    relative to.
+    relative to.  A non-integer semiring annotation weighs one
+    occurrence: the encoding writes the element once per annotation
+    (the K-relation rule of arXiv 2501.16543).
+
+    A bag is priced off its sealed shape (:func:`_bag_size`): when the
+    shape holds no bag every member has the same size, and the bag's
+    is arithmetic on its cardinality.
     """
+    if isinstance(value, Bag):
+        return _bag_size(value)
     if isinstance(value, Tup):
         return 1 + sum(encoding_size(item) for item in value.items())
-    if isinstance(value, Bag):
-        # non-integer semiring annotations weigh one occurrence: the
-        # standard encoding writes the element once per annotation
-        return 1 + sum((count if isinstance(count, int) else 1)
-                       * encoding_size(element)
-                       for element, count in value.items())
     return 1
+
+
+def _bag_size(bag: Bag) -> int:
+    """``1 + |B| * size(member)`` when ``bag``'s shape holds no bag —
+    ``Bag._cardinality`` already weighs an annotation as one
+    occurrence — else the members' sizes, each distinct member once,
+    weighted by its count."""
+    shape = bag._shape
+    if shape is None:
+        return 1
+    member = _rigid_size(shape)
+    if member is not None:
+        return 1 + bag._cardinality * member
+    return 1 + sum((count if isinstance(count, int) else 1)
+                   * encoding_size(element)
+                   for element, count in bag.items())
+
+
+#: ``shape -> rigid size`` (``None``: the shape holds a bag), bounded
+#: like the shape caches of :mod:`repro.core.bag`.
+_RIGID_SIZES: Dict[Any, Optional[int]] = {}
+
+
+def _rigid_size(shape) -> Optional[int]:
+    """The standard-encoding size every value of ``shape`` has — an
+    atom 1, a tuple 1 plus its attributes' — or ``None`` when the shape
+    holds a bag, whose members' sizes (and shapes) can differ."""
+    size = _RIGID_SIZES.get(shape, -1)
+    if size == -1:
+        if shape[0] == "atom":
+            size = 1
+        elif shape[0] == "bag":
+            size = None
+        else:
+            size = 1
+            for item in shape[1]:
+                item_size = _rigid_size(item)
+                if item_size is None:
+                    size = None
+                    break
+                size += item_size
+        if len(_RIGID_SIZES) < 4096:
+            _RIGID_SIZES[shape] = size
+    return size
 
 
 def active_domain(value: Any) -> frozenset:

@@ -57,6 +57,17 @@ class EvalStats:
     nodes_evaluated: int = 0
 
     def record(self, node: Expr, result: Any) -> None:
+        """Count one evaluation of ``node`` and fold a bag ``result``
+        into the peaks.
+
+        The encoding size and the distinct count are read off the
+        sealed bag (:func:`~repro.core.database.encoding_size` touches
+        no member of a bag whose shape holds no bag).  The peak
+        multiplicity is one C-level ``max`` over the counts; only when
+        that is not an ``int`` — annotations, which have no order, or a
+        mix of annotations and inner ``int`` counts — do the ``int``
+        counts get filtered out first, as the largest *integer*
+        multiplicity is what the peak means."""
         name = type(node).__name__
         self.op_counts[name] = self.op_counts.get(name, 0) + 1
         self.nodes_evaluated += 1
@@ -66,11 +77,17 @@ class EvalStats:
             self.peak_distinct = max(self.peak_distinct,
                                      result.distinct_count)
             if not result.is_empty():
-                int_counts = [count for _, count in result.items()
-                              if isinstance(count, int)]
-                if int_counts:
+                try:
+                    peak = max(result._counts.values())
+                except TypeError:
+                    peak = None
+                if not isinstance(peak, int):
+                    int_counts = [count for _, count in result.items()
+                                  if isinstance(count, int)]
+                    peak = max(int_counts) if int_counts else None
+                if peak is not None:
                     self.peak_multiplicity = max(self.peak_multiplicity,
-                                                 max(int_counts))
+                                                 peak)
 
     def merged_with(self, other: "EvalStats") -> "EvalStats":
         """Combine two measurement records (used by benchmark sweeps)."""

@@ -96,7 +96,7 @@ def additive_union(left: Bag, right: Bag,
     _require_same_type(left, right, "additive union")
     counts: Dict[Any, int]
     if sr is None:
-        counts = dict(left.counts())
+        counts = left.counts()  # already a fresh dict
         for element, count in right.items():
             counts[element] = counts.get(element, 0) + count
     else:
@@ -143,7 +143,7 @@ def max_union(left: Bag, right: Bag,
     _require_same_type(left, right, "maximal union")
     counts: Dict[Any, int]
     if sr is None:
-        counts = dict(left.counts())
+        counts = left.counts()  # already a fresh dict
         for element, count in right.items():
             counts[element] = max(counts.get(element, 0), count)
     else:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple as PyTuple
 
-from repro.core.bag import Bag, Tup
+from repro.core.bag import Bag, Tup, _shape_of
 from repro.core.errors import BagTypeError
 
 __all__ = [
@@ -192,19 +192,50 @@ def flat_bag_type(arity: int) -> BagType:
     return BagType(flat_tuple_type(arity))
 
 
+#: The type each shape fingerprint met so far stands for, interned
+#: (bounded like :data:`repro.core.bag._CONCAT_SHAPE_CACHE`): a shape
+#: is converted once, and equal shapes share one type object.
+_SHAPE_TYPES: dict = {}
+
+
+def _shape_type(shape) -> Type:
+    """The type a shape fingerprint (:func:`repro.core.bag._shape_of`)
+    stands for.  ``None`` — no members, the element of an empty bag —
+    is :data:`UNKNOWN`, so ``("bag", None)`` is ``{{?}}``."""
+    found = _SHAPE_TYPES.get(shape)
+    if found is None:
+        if shape is None:
+            found = UNKNOWN
+        elif shape[0] == "atom":
+            found = U
+        elif shape[0] == "bag":
+            found = BagType(_shape_type(shape[1]))
+        else:
+            found = TupleType(tuple(_shape_type(item)
+                                    for item in shape[1]))
+        if len(_SHAPE_TYPES) < 4096:
+            _SHAPE_TYPES[shape] = found
+    return found
+
+
 def type_of(value: Any) -> Type:
     """Infer the (most specific) type of a complex object.
 
     The element type of an empty bag is :data:`UNKNOWN`; for non-empty
-    bags the element types of all members are unified.
+    bags it is the unification of the element types of all members.
+
+    That unification is what a bag's seal already computed: every
+    constructor stores the merged shape of its members in ``_shape``
+    (shapes merge exactly where types unify, an empty bag's ``None``
+    playing :data:`UNKNOWN`), and a tuple's shape is cached by
+    :func:`~repro.core.bag._shape_of`.  So this is a lookup of that
+    shape in an intern table — no member is visited, whatever the
+    bag's size.
     """
-    if isinstance(value, Tup):
-        return TupleType(tuple(type_of(item) for item in value.items()))
     if isinstance(value, Bag):
-        element_type: Type = UNKNOWN
-        for element in value.distinct():
-            element_type = unify(element_type, type_of(element))
-        return BagType(element_type)
+        return _shape_type(("bag", value._shape))
+    if isinstance(value, Tup):
+        return _shape_type(_shape_of(value))
     return U
 
 

@@ -74,6 +74,14 @@ _DICT_KERNEL = {HashDifference: "c_monus",
                 HashMaxUnion: "c_max_union",
                 HashUnion: "c_add_union"}
 
+#: The walker's name of the operator behind each two-dict kernel: a
+#: union-family type error names it (the fused ``eps((A - B) (+) (B -
+#: A))`` checks ``A`` against ``B`` once, as ``A - B`` would).
+_OPERATION = {"monus": "subtraction", "min-intersect": "intersection",
+              "max-union": "maximal union",
+              "additive-union": "additive union",
+              "sym-diff-dedup": "subtraction"}
+
 #: The quadratic nodes and the columnar kernel of each; a
 #: rearrangement map directly on one fuses into that kernel call.
 _PAIR_KERNEL = {HashJoin: "c_hash_join", NestedLoopProduct: "c_product"}
@@ -168,11 +176,14 @@ def _s_const(ctx, R, step):
 
 
 def _s_dict_binary(ctx, R, step):
-    """r{3} = _col.{6}(r{4}, r{5}{sr})"""
+    """_col.require_same_type(r{4}, r{5}, {8!r});
+    r{3} = _col.{6}(r{4}, r{5}{sr})"""
     # monus / min-intersect (small, large) / max-union / additive-union
     # / sym-diff-dedup: two dicts in, one fresh dict out
-    _, _, _, out, left, right, call, sr = step
-    R[out] = counts = getattr(columnar, call)(R[left], R[right], *sr)
+    _, _, _, out, left, right, call, sr, operation, swapped = step
+    left, right = R[left], R[right]
+    columnar.require_same_type(left, right, operation, swapped)
+    R[out] = counts = getattr(columnar, call)(left, right, *sr)
     _record(ctx, step, len(counts), counts)
 
 
@@ -184,9 +195,12 @@ def _s_dedup(ctx, R, step):
 
 
 def _s_dedup_union(ctx, R, step):
-    """r{3} = r{4} if {6} else dict(r{4});
+    """_col.require_same_type(r{4}, r{5}, 'additive union');
+    r{3} = r{4} if {6} else dict(r{4});
     r{3}.update(dict.fromkeys(r{5}, {7}))"""
-    _, _, _, out, base, values, in_place, one = step
+    _, _, _, out, base, values, in_place, one, swapped = step
+    columnar.require_same_type(R[base], R[values], "additive union",
+                               swapped)
     R[out] = counts = R[base] if in_place else dict(R[base])
     counts.update(dict.fromkeys(R[values], one))
     _record(ctx, step, len(counts), counts)
@@ -223,18 +237,22 @@ def _s_split(ctx, R, step):
 
 
 def _s_concat(ctx, R, step):
-    """r{3} = r{5} + r{6};
+    """_col.require_same_type(r{5}, r{6}, 'additive union');
+    r{3} = r{5} + r{6};
     r{4} = r{7} + r{8}"""
     _, _, _, out_v, out_c, lv, rv, lc, rc = step
+    columnar.require_same_type(R[lv], R[rv], "additive union")
     R[out_v] = values = R[lv] + R[rv]
     R[out_c] = R[lc] + R[rc]
     _record(ctx, step, len(values))
 
 
 def _s_concat_values(ctx, R, step):
-    """r{3} = list(r{4});
+    """_col.require_same_type(r{4}, r{5}, 'additive union');
+    r{3} = list(r{4});
     r{3}.extend(r{5})"""
     _, _, _, out, left, right = step
+    columnar.require_same_type(R[left], R[right], "additive union")
     R[out] = values = list(R[left])
     values.extend(R[right])
     _record(ctx, step, len(values))
@@ -609,11 +627,13 @@ class _Compiler:
                           left_node: PhysicalNode,
                           right_node: PhysicalNode) -> int:
         """Two dicts in, one fresh dict out, recorded and sized; the
-        kernel is looked up on the module at execution time."""
+        kernel is looked up on the module at execution time, after the
+        operands' type check."""
         left = self._emit_dict(seg, left_node)
         right = self._emit_dict(seg, right_node)
         return seg.emit(_s_dict_binary, kernel, node, seg.reg(), left,
-                        right, call, self._sr)
+                        right, call, self._sr, _OPERATION[kernel],
+                        isinstance(node, HashIntersect) and node.swapped)
 
     def _emit_cols(self, seg: FusedSegment, node: PhysicalNode
                    ) -> Tuple[int, int, bool]:
@@ -716,7 +736,8 @@ class _Compiler:
         if not isinstance(child, HashUnion):
             return None
         base_node, other = child.left, child.right
-        if not self._all_ones(base_node):
+        swapped = not self._all_ones(base_node)
+        if swapped:
             base_node, other = other, base_node
         if not self._all_ones(base_node):
             return None
@@ -726,7 +747,7 @@ class _Compiler:
         out = base if in_place else self._own(seg, seg.reg())
         one = 1 if self.semiring is None else self.semiring.one
         return seg.emit(_s_dedup_union, "dedup-union", dedup, out, base,
-                        values, in_place, one)
+                        values, in_place, one, swapped)
 
     def _all_ones(self, node: PhysicalNode) -> bool:
         """Whether every multiplicity in ``node``'s output is 1.

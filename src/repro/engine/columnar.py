@@ -24,6 +24,10 @@ projection runs inside the quadratic kernel (``picks=``): each pair's
 count is summed under the picked raw item tuple and a ``Tup`` is built
 once per *distinct* output row, so the joined rows never exist.
 
+Typing: the steps that consume both operands of ``(+)``, ``-``, ``u``
+or ``n`` first call :func:`require_same_type`, the walker's check with
+the walker's error, read off one row per side.
+
 Governance: the quadratic kernels (:func:`c_product`,
 :func:`c_hash_join`) accept a ``tick`` callable and invoke it once
 per ``TICK_CHUNK`` output rows, so step budgets, deadlines, and
@@ -39,13 +43,17 @@ from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
-from repro.core.bag import Bag, Tup
+from repro.core.bag import (
+    Bag, Tup, _check_homogeneous, _merge_shapes, _shape_of,
+)
+from repro.core.database import _rigid_size
 from repro.core.errors import BagTypeError
+from repro.core.ops import _require_same_type
 from repro.core.ops import attribute as ops_attribute
 
 __all__ = [
     "ColumnarBag", "to_columnar", "from_columnar", "columnar_counts",
-    "sum_counts", "TICK_CHUNK",
+    "sum_counts", "TICK_CHUNK", "require_same_type",
     "c_monus", "c_min_intersect", "c_max_union", "c_add_union",
     "c_dedup", "c_scale", "c_scale_dict", "c_map", "c_select",
     "c_product", "c_hash_join", "c_sym_diff_dedup", "pick_getter",
@@ -123,6 +131,58 @@ def sum_counts(values: Iterable[Any],
             out[value] = count if existing is None else add(existing,
                                                             count)
     return out
+
+
+# ----------------------------------------------------------------------
+# The union family's type check
+# ----------------------------------------------------------------------
+
+def require_same_type(left: Iterable[Any], right: Iterable[Any],
+                      operation: str, swapped: bool = False) -> None:
+    """The tree walker's check that ``(+)``, ``-``, ``u`` and ``n`` see
+    bags of one type, on two step operands (counts dicts or value
+    columns), with the walker's verdict: an empty side unifies with
+    anything, and otherwise the sides' shapes must merge — which is
+    where their types unify.  On a mismatch both sides are sealed and
+    :func:`repro.core.ops._require_same_type` raises, so the error's
+    subtype and text are the walker's (``swapped``: ``left`` is the
+    operator's right operand).
+
+    O(1) per side unless its first row holds an empty inner bag
+    (:func:`_side_shape`)."""
+    if not left or not right:
+        return
+    left_shape, right_shape = _side_shape(left), _side_shape(right)
+    if (left_shape is right_shape
+            or _merge_shapes(left_shape, right_shape) is not None):
+        return
+    sides = [Bag.from_counts(dict.fromkeys(rows, 1))
+             for rows in (left, right)]
+    if swapped:
+        sides.reverse()
+    _require_same_type(sides[0], sides[1], operation)
+
+
+def _side_shape(rows: Iterable[Any]):
+    """A non-empty operand's merged shape.  That is its first row's —
+    the other rows of a homogeneous operand merge into it unchanged —
+    unless the row holds an empty inner bag's ``("bag", None)``, which
+    a later row may fill; then every row's shape is merged."""
+    shape = _shape_of(next(iter(rows)))
+    if _rigid_size(shape) is None and _has_placeholder(shape):
+        shape = _check_homogeneous(rows)
+    return shape
+
+
+def _has_placeholder(shape) -> bool:
+    """Whether ``shape`` holds an empty bag's ``("bag", None)``."""
+    if shape is None:
+        return True
+    if shape[0] == "atom":
+        return False
+    if shape[0] == "bag":
+        return _has_placeholder(shape[1])
+    return any(_has_placeholder(item) for item in shape[1])
 
 
 # ----------------------------------------------------------------------

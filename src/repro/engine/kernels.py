@@ -39,6 +39,7 @@ from typing import (
 from repro.core.bag import (
     Bag, Tup, _merge_shapes, _shape_of, _splice_shape, _tup_shape,
 )
+from repro.core.database import _rigid_size
 from repro.core.errors import (
     BagTypeError, BudgetExceeded, HeterogeneousBagError,
 )
@@ -194,9 +195,14 @@ def k_unnest(counts: Dict[Any, int], index: int, sr=None
     multiplying multiplicities (:func:`repro.core.nest.unnest_bag`).
 
     A spliced row only rearranges validated values, and its shape is
-    the outer row's with the inner bag's member shape spliced in
-    (interned), so the homogeneity pass of whoever seals the rows
-    compares identities instead of walking each one."""
+    the outer row's with its member's shape spliced in (interned), so
+    the homogeneity pass of whoever seals the rows compares identities
+    instead of walking each one.  When the inner bag's shape holds no
+    bag, that is the bag's shape, spliced once per outer row; otherwise
+    a member's own shape can be less specific than the bag's (an empty
+    inner bag beside a full one), and each member's is spliced — the
+    row's shape is its type (:func:`repro.core.types.type_of`) — after
+    the check that it merges into the bag's sealed shape."""
     trusted = Tup.trusted
     for element, count in counts.items():
         _require_tup(element, "unnest")
@@ -212,16 +218,33 @@ def k_unnest(counts: Dict[Any, int], index: int, sr=None
         suffix = items[index:]
         if sr is not None:
             count = sr.coerce(count)
-        shape = None
+        shape = outer = None
         if inner._counts:
-            shape = _splice_shape(element._shape or _shape_of(element),
-                                  index, inner._shape)
+            outer = element._shape or _shape_of(element)
+            if _rigid_size(inner._shape) is not None:
+                shape = _splice_shape(outer, index, inner._shape)
         for member, inner_count in inner._counts.items():
             spliced = (member._items if isinstance(member, Tup)
                        else (member,))
-            yield (trusted(prefix + spliced + suffix, shape),
+            yield (trusted(prefix + spliced + suffix, shape or
+                           _member_row_shape(outer, index, inner, member)),
                    count * inner_count if sr is None
                    else sr.mul(count, sr.coerce(inner_count)))
+
+
+def _member_row_shape(outer: tuple, index: int, inner: Bag,
+                      member: Any) -> tuple:
+    """The shape of the row unnesting ``member`` of ``inner`` splices,
+    where ``inner``'s shape holds a bag: the member's own shape,
+    spliced, once it is checked to merge into the shape ``inner`` was
+    sealed with (a member that does not is a seal gone wrong, refused
+    here as the checked seal would refuse it)."""
+    member_shape = _shape_of(member)
+    if _merge_shapes(inner._shape, member_shape) is None:
+        raise HeterogeneousBagError(
+            "bags must be homogeneous: cannot mix elements of shapes "
+            f"{inner._shape} and {member_shape}")
+    return _splice_shape(outer, index, member_shape)
 
 
 # ----------------------------------------------------------------------

@@ -253,14 +253,16 @@ class Lowering:
                                 self._lower(expr.right), estimated)
         if isinstance(expr, Intersection):
             left, right = expr.left, expr.right
+            swapped = False
             if self.cost_based:
                 lcard = self._card(self._estimate(left))
                 rcard = self._card(self._estimate(right))
                 if (lcard is not None and rcard is not None
                         and rcard < lcard):
                     left, right = right, left  # smaller side probes
+                    swapped = True
             return HashIntersect(self._lower(left), self._lower(right),
-                                 estimated)
+                                 estimated, swapped)
 
         if isinstance(expr, Dedup):
             return HashDedup(self._lower(expr.operand), estimated)

@@ -58,7 +58,7 @@ from itertools import chain, islice
 from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Tuple
 
-from repro.core.bag import Bag, Tup, _check_homogeneous
+from repro.core.bag import Bag, Tup, _cardinality_of, _check_homogeneous
 from repro.core.errors import CodecError
 
 __all__ = ["encode_shard", "decode_shard"]
@@ -413,10 +413,7 @@ def _decode_value(data: bytes, pos: int, atoms: List[Any],
         bag = Bag.__new__(Bag)
         bag._shape = _check_homogeneous(inner.keys())
         bag._counts = inner
-        try:
-            bag._cardinality = sum(inner_counts)
-        except TypeError:  # annotated counts: one per distinct value
-            bag._cardinality = len(inner)
+        bag._cardinality = _cardinality_of(inner)
         bag._hash = None
         return bag, pos
     raise CodecError(f"bad value tag {tag}")

@@ -400,10 +400,17 @@ class HashDifference(_BinaryNode):
 
 class HashIntersect(_BinaryNode):
     """``n`` (min): the lowering pass puts the estimated-smaller
-    operand on the left, which becomes the probe dict."""
+    operand on the left, which becomes the probe dict; ``swapped``
+    says that was the expression's right operand (a type error names
+    the operands in the expression's order)."""
 
-    __slots__ = ()
+    __slots__ = ("swapped",)
     kernel = "min-intersect"
+
+    def __init__(self, left: PhysicalNode, right: PhysicalNode,
+                 estimated=None, swapped: bool = False):
+        super().__init__(left, right, estimated)
+        self.swapped = swapped
 
 
 class HashMaxUnion(_BinaryNode):

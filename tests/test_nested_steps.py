@@ -1,8 +1,9 @@
 """The BALG^2 steps: nest / unnest on raw item tuples, sealed once.
 
-* mixed arities under ``nest`` / ``unnest`` are a typed error on every
-  engine (``k_nest`` used to freeze its grouping complement from the
-  first row and silently drop the longer rows' extra attribute);
+* mixed arities under ``nest`` / ``unnest`` are the walker's typed
+  error on every engine (``k_nest`` used to freeze its grouping
+  complement from the first row and silently drop the longer rows'
+  extra attribute);
 * counts, not clocks: how often the checked ``Tup`` constructor,
   ``Tup.trusted`` and ``_shape_of`` run for one grouping;
 * the shapes the kernels *derive* (an inner bag's, an output row's, a
@@ -74,14 +75,15 @@ def test_mixed_arities_are_rejected_on_every_engine(name, engine):
     expr, database = _MIXED[name]
     # the walker refuses the union itself
     with pytest.raises(BagTypeError, match="additive union requires "
-                                           "bags of the same type"):
+                                           "bags of the same type") as walker:
         evaluate(expr, database, engine="tree")
     with pytest.raises(ReproError) as info:
         evaluate(expr, database, cache=None, **options)
-    # from the kernel — or, when the two arities met in no shard, from
-    # the final seal over the output rows' derived shapes
-    assert isinstance(info.value, HeterogeneousBagError)
-    assert "cannot mix elements of shapes" in str(info.value)
+    # and so does every engine's union step — before the kernel, and
+    # under an exchange on the whole inputs, where the two arities may
+    # meet in no shard
+    assert type(info.value) is BagTypeError
+    assert str(info.value) == str(walker.value)
 
 
 def test_the_nest_kernel_names_both_shapes():
