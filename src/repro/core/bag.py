@@ -166,9 +166,10 @@ class Bag:
     merge of the members' own shapes.  ``Bag(...)`` and
     :meth:`from_counts` compute it in the homogeneity check; the shard
     decoder (:mod:`repro.engine.parallel.codec`) runs the same check on
-    each decoded inner bag; :meth:`trusted` takes it from its one
-    caller, the nest kernel, which hands one in only when every row of
-    its input has the same shape.  Tuples keep theirs the same way:
+    each decoded inner bag; :meth:`trusted` takes it from its callers:
+    the nest kernel, which hands one in only when every row of its
+    input has the same shape, and a proven plan's root seal, which
+    reads it off the rows' rigid static type.  Tuples keep theirs the same way:
     computed from the items on demand, or handed to :meth:`Tup.trusted`
     by a caller that derived it from its sources' (``concat``, nest,
     unnest — per member wherever members' shapes can differ).
@@ -228,10 +229,13 @@ class Bag:
         non-zero annotation), ``shape`` is the merged shape of the
         elements (``None`` for none), and the bag keeps the dict.
 
-        One caller: the nest kernel
+        Two callers: the nest kernel
         (:func:`repro.engine.kernels.k_nest`), which has checked
         homogeneity per input row and derives each inner bag's shape
-        from the rows' own."""
+        from the rows' own; and the root seal of a proven plan
+        (:meth:`repro.engine.lower.PhysicalPlan.execute`), whose rows'
+        static type is rigid, so the type fixes every row's shape, and
+        whose kernels keep only non-zero counts."""
         bag = cls.__new__(cls)
         bag._shape = shape
         bag._counts = counts

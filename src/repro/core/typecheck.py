@@ -18,10 +18,16 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.database import Schema
 from repro.core.errors import BagTypeError, UnboundVariableError
-from repro.core.expr import Expr
+from repro.core.expr import (
+    AdditiveUnion, Attribute, BagDestroy, Bagging, Cartesian, Const,
+    Dedup, Expr, Intersection, Map, MaxUnion, Powerbag, Powerset, Select,
+    Subtraction, Tupling, Var,
+)
+from repro.core.nest import Nest, Unnest
 from repro.core.types import BagType, Type
 
-__all__ = ["TypeChecker", "infer_type", "annotate_types"]
+__all__ = ["TypeChecker", "infer_type", "annotate_types",
+           "static_types"]
 
 
 #: Type-environment frames mirror the evaluator's: (base_mapping, chain).
@@ -110,3 +116,58 @@ def annotate_types(expr: Expr,
     checker = TypeChecker()
     checker.check(expr, schema, **named_types)
     return checker.annotations
+
+
+#: The operators whose ``_infer`` states what evaluation produces.
+#: ``Ifp`` (and any other extension node) is not among them: its body
+#: is typed once, under the seed's type, not at the fixpoint.
+_PROVABLE = frozenset((
+    Var, Const, AdditiveUnion, Subtraction, MaxUnion, Intersection,
+    Select, Map, Dedup, Cartesian, Attribute, Tupling, Bagging,
+    BagDestroy, Powerset, Powerbag, Nest, Unnest))
+
+
+class _DataflowChecker(TypeChecker):
+    """A checker that keeps, by node identity, the type of every node
+    it types in the schema's own environment — outside every lambda,
+    which is where a plan's dataflow nodes sit.
+
+    It leaves a selection's lambdas untyped: they decide which members
+    stay, never their type (the selection's type is its operand's), so
+    comparing two sides of different types is no reason to withhold
+    the proof."""
+
+    def __init__(self):  # no annotation log: the types by identity
+        self.types: Dict[int, Type] = {}
+
+    def infer(self, expr: Expr, tenv) -> Type:
+        kind = type(expr)
+        if kind not in _PROVABLE:
+            raise BagTypeError(f"{kind.__name__} has no static type proof")
+        if kind is Select:
+            inferred = self.infer(expr.operand, tenv)
+            if not isinstance(inferred, BagType):
+                raise BagTypeError("selection requires a bag operand")
+        else:
+            inferred = expr._infer(self, tenv)
+        if tenv[1] is None:
+            self.types[id(expr)] = inferred
+        return inferred
+
+
+def static_types(expr: Expr, schema: Mapping[str, Type]
+                 ) -> Dict[int, Type]:
+    """``id(node) -> type`` for the dataflow nodes of ``expr`` under
+    ``schema`` — what the planner proves before it lowers.
+
+    ``expr`` is well typed exactly when its own id is in the result.
+    Otherwise the checker stopped at the first node it could not type
+    (or at an operator outside :data:`_PROVABLE`), and the result holds
+    only the subtrees it typed before that: each of those types is
+    still sound, but nothing is said about the rest."""
+    checker = _DataflowChecker()
+    try:
+        checker.infer(expr, (schema, None))
+    except (BagTypeError, RecursionError):  # untypable: no proof
+        pass
+    return checker.types

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple as PyTuple
 
-from repro.core.bag import Bag, Tup, _shape_of
+from repro.core.bag import _ATOM_SHAPE, Bag, Tup, _shape_of, _tup_shape
 from repro.core.errors import BagTypeError
 
 __all__ = [
     "Type", "AtomType", "TupleType", "BagType", "UnknownType",
     "U", "UNKNOWN", "type_of", "unify", "is_unnested_type",
-    "flat_tuple_type", "flat_bag_type", "parse_type",
+    "flat_tuple_type", "flat_bag_type", "parse_type", "rigid_shape",
+    "element_arity",
 ]
 
 
@@ -108,6 +109,9 @@ class TupleType(Type):
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("TupleType is immutable")
 
+    def __reduce__(self):  # unpickling must not go through __setattr__
+        return TupleType, (self.attributes,)
+
     @property
     def arity(self) -> int:
         return len(self.attributes)
@@ -155,6 +159,9 @@ class BagType(Type):
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("BagType is immutable")
+
+    def __reduce__(self):  # unpickling must not go through __setattr__
+        return BagType, (self.element,)
 
     def bag_nesting(self) -> int:
         return 1 + self.element.bag_nesting()
@@ -239,12 +246,47 @@ def type_of(value: Any) -> Type:
     return U
 
 
+#: The shape each rigid type fixes (``None``: not rigid), interned
+#: like :data:`_SHAPE_TYPES` in the other direction.
+_TYPE_SHAPES: dict = {}
+
+
+def rigid_shape(typ: Type):
+    """The shape fingerprint (:func:`repro.core.bag._shape_of`) every
+    value of ``typ`` has, when the type alone fixes it — ``typ`` is
+    *rigid*: atoms, and tuples of rigid types.  ``None`` for a type
+    holding a bag or :data:`UNKNOWN`, whose values' shapes differ (an
+    inner bag may be empty, or not)."""
+    if typ in _TYPE_SHAPES:
+        return _TYPE_SHAPES[typ]
+    found = None
+    if isinstance(typ, AtomType):
+        found = _ATOM_SHAPE
+    elif isinstance(typ, TupleType):
+        items = tuple(rigid_shape(item) for item in typ.attributes)
+        if None not in items:
+            found = _tup_shape(items)
+    if len(_TYPE_SHAPES) < 4096:
+        _TYPE_SHAPES[typ] = found
+    return found
+
+
+def element_arity(typ: Optional[Type]) -> Optional[int]:
+    """The arity of a bag type's tuples; ``None`` for anything else
+    (not a bag of tuples, or no type at all)."""
+    if isinstance(typ, BagType) and isinstance(typ.element, TupleType):
+        return typ.element.arity
+    return None
+
+
 def unify(left: Type, right: Type) -> Type:
     """Structural unification of two types.
 
     ``UNKNOWN`` unifies with anything; otherwise the constructors must
     match recursively.  Raises :class:`BagTypeError` on mismatch.
     """
+    if left is right or left == right:  # nothing to rebuild
+        return left
     if isinstance(left, UnknownType):
         return right
     if isinstance(right, UnknownType):

@@ -9,8 +9,9 @@ up to execution.  Two layers of reuse:
   :class:`~repro.engine.lower.PhysicalPlan` objects keyed on the
   *canonical key* of the expression (structural, with commutative
   operands sorted so ``A n B`` and ``B n A`` share a plan) plus the
-  arity signature of the free relations (join fusion bakes attribute
-  positions into the plan, so a schema change must miss);
+  type of every bound bag (join fusion bakes attribute positions into
+  the plan, and a proven plan bakes in its type checks and its seal,
+  so a type change must miss — even one that keeps every arity);
 * **within a run** — the lowering pass's
   :class:`~repro.engine.physical.SharedScan` nodes materialise each
   repeated subexpression once per execution; the per-run memo lives in
@@ -100,9 +101,10 @@ class PlanCache:
 
     @staticmethod
     def key_for(expr: Expr,
-                arities: Optional[Mapping[str, int]] = None,
+                types: Optional[Mapping[str, Hashable]] = None,
                 tag: Hashable = None) -> Hashable:
-        """Cache key: canonical expression key + arity signature.
+        """Cache key: canonical expression key + type signature (the
+        type of each bound bag).
 
         ``tag`` distinguishes plans built under different lowering
         policies (the parallelism pass bakes Exchange nodes into the
@@ -110,8 +112,8 @@ class PlanCache:
         must not share a slot).
         """
         signature: Tuple = ()
-        if arities:
-            signature = tuple(sorted(arities.items()))
+        if types:
+            signature = tuple(sorted(types.items()))
         return (canonical_key(expr), signature, tag)
 
     def get(self, key: Hashable) -> Optional[PhysicalPlan]:

@@ -175,15 +175,20 @@ def _s_const(ctx, R, step):
     _record(ctx, step, len(const))
 
 
+def _s_same_type(ctx, R, step):
+    """_col.require_same_type(r{4}, r{5}, {6!r})"""
+    # only in a plan the checker did not prove: the walker's check on
+    # two operands, before the step that consumes both
+    _, _, _, _, left, right, operation, swapped = step
+    columnar.require_same_type(R[left], R[right], operation, swapped)
+
+
 def _s_dict_binary(ctx, R, step):
-    """_col.require_same_type(r{4}, r{5}, {8!r});
-    r{3} = _col.{6}(r{4}, r{5}{sr})"""
+    """r{3} = _col.{6}(r{4}, r{5}{sr})"""
     # monus / min-intersect (small, large) / max-union / additive-union
     # / sym-diff-dedup: two dicts in, one fresh dict out
-    _, _, _, out, left, right, call, sr, operation, swapped = step
-    left, right = R[left], R[right]
-    columnar.require_same_type(left, right, operation, swapped)
-    R[out] = counts = getattr(columnar, call)(left, right, *sr)
+    _, _, _, out, left, right, call, sr = step
+    R[out] = counts = getattr(columnar, call)(R[left], R[right], *sr)
     _record(ctx, step, len(counts), counts)
 
 
@@ -195,12 +200,9 @@ def _s_dedup(ctx, R, step):
 
 
 def _s_dedup_union(ctx, R, step):
-    """_col.require_same_type(r{4}, r{5}, 'additive union');
-    r{3} = r{4} if {6} else dict(r{4});
+    """r{3} = r{4} if {6} else dict(r{4});
     r{3}.update(dict.fromkeys(r{5}, {7}))"""
-    _, _, _, out, base, values, in_place, one, swapped = step
-    columnar.require_same_type(R[base], R[values], "additive union",
-                               swapped)
+    _, _, _, out, base, values, in_place, one = step
     R[out] = counts = R[base] if in_place else dict(R[base])
     counts.update(dict.fromkeys(R[values], one))
     _record(ctx, step, len(counts), counts)
@@ -237,22 +239,18 @@ def _s_split(ctx, R, step):
 
 
 def _s_concat(ctx, R, step):
-    """_col.require_same_type(r{5}, r{6}, 'additive union');
-    r{3} = r{5} + r{6};
+    """r{3} = r{5} + r{6};
     r{4} = r{7} + r{8}"""
     _, _, _, out_v, out_c, lv, rv, lc, rc = step
-    columnar.require_same_type(R[lv], R[rv], "additive union")
     R[out_v] = values = R[lv] + R[rv]
     R[out_c] = R[lc] + R[rc]
     _record(ctx, step, len(values))
 
 
 def _s_concat_values(ctx, R, step):
-    """_col.require_same_type(r{4}, r{5}, 'additive union');
-    r{3} = list(r{4});
+    """r{3} = list(r{4});
     r{3}.extend(r{5})"""
     _, _, _, out, left, right = step
-    columnar.require_same_type(R[left], R[right], "additive union")
     R[out] = values = list(R[left])
     values.extend(R[right])
     _record(ctx, step, len(values))
@@ -473,11 +471,13 @@ class _Compiler:
     every kernel is called without a semiring argument at all — the
     fused int fast path pays nothing for the generalisation — while a
     non-N semiring binds the instance as the trailing ``_sr`` argument
-    of each kernel call.
+    of each kernel call.  ``checked`` (a plan the checker did not
+    prove) puts a :func:`_s_same_type` step before every step that
+    consumes both operands of a union-family node.
     """
 
-    def __init__(self, semiring, root: Optional[PhysicalNode] = None
-                 ) -> None:
+    def __init__(self, semiring, root: Optional[PhysicalNode] = None,
+                 checked: bool = True) -> None:
         self.segments: List[FusedSegment] = []
         self._shared: Dict[int, FusedSegment] = {}
         #: ``(segment, register)`` of fresh kernel outputs the segment
@@ -488,10 +488,19 @@ class _Compiler:
         self._sr = () if semiring is None else (semiring,)
         #: the plan's root node, where an oracle may yield a non-bag
         self._root = root
+        self.checked = checked
 
     def _own(self, seg: FusedSegment, reg: int) -> int:
         self._owned.add((seg, reg))
         return reg
+
+    def _check(self, seg: FusedSegment, node: PhysicalNode, left: int,
+               right: int, operation: str, swapped: bool = False) -> None:
+        """The union-family type check on two operand registers, where
+        the plan is not proven."""
+        if self.checked:
+            seg.emit(_s_same_type, None, node, None, left, right,
+                     operation, swapped)
 
     @staticmethod
     def _resolve(node: PhysicalNode) -> PhysicalNode:
@@ -627,13 +636,13 @@ class _Compiler:
                           left_node: PhysicalNode,
                           right_node: PhysicalNode) -> int:
         """Two dicts in, one fresh dict out, recorded and sized; the
-        kernel is looked up on the module at execution time, after the
-        operands' type check."""
+        kernel is looked up on the module at execution time."""
         left = self._emit_dict(seg, left_node)
         right = self._emit_dict(seg, right_node)
+        self._check(seg, node, left, right, _OPERATION[kernel],
+                    isinstance(node, HashIntersect) and node.swapped)
         return seg.emit(_s_dict_binary, kernel, node, seg.reg(), left,
-                        right, call, self._sr, _OPERATION[kernel],
-                        isinstance(node, HashIntersect) and node.swapped)
+                        right, call, self._sr)
 
     def _emit_cols(self, seg: FusedSegment, node: PhysicalNode
                    ) -> Tuple[int, int, bool]:
@@ -644,6 +653,7 @@ class _Compiler:
         if isinstance(node, HashUnion):
             lv, lc, _ = self._emit_cols(seg, node.left)
             rv, rc, _ = self._emit_cols(seg, node.right)
+            self._check(seg, node, lv, rv, "additive union")
             out_v, out_c = seg.reg(), seg.reg()
             seg.emit(_s_concat, "additive-union", node, out_v, out_c,
                      lv, rv, lc, rc)
@@ -719,6 +729,7 @@ class _Compiler:
             # columns entirely (the sym-diff hot path)
             left = self._emit_values(seg, node.left)
             right = self._emit_values(seg, node.right)
+            self._check(seg, node, left, right, "additive union")
             return seg.emit(_s_concat_values, "additive-union", node,
                             seg.reg(), left, right)
         values, _, _ = self._emit_cols(seg, node)
@@ -743,11 +754,12 @@ class _Compiler:
             return None
         base = self._emit_dict(seg, base_node)
         values = self._emit_values(seg, other)
+        self._check(seg, child, base, values, "additive union", swapped)
         in_place = (seg, base) in self._owned
         out = base if in_place else self._own(seg, seg.reg())
         one = 1 if self.semiring is None else self.semiring.one
         return seg.emit(_s_dedup_union, "dedup-union", dedup, out, base,
-                        values, in_place, one, swapped)
+                        values, in_place, one)
 
     def _all_ones(self, node: PhysicalNode) -> bool:
         """Whether every multiplicity in ``node``'s output is 1.
@@ -824,7 +836,8 @@ def compile_codegen(plan, semiring=None):
     trailing ``_sr`` argument (cache keys include the semiring, so the
     two specialisations never collide in the plan cache).
     """
-    compiler = _Compiler(semiring, _Compiler._resolve(plan.root))
+    compiler = _Compiler(semiring, _Compiler._resolve(plan.root),
+                         checked=not plan.proven)
     plan.root_segment = compiler.compile_segment(plan.root, "root")
     plan.segments = tuple(compiler.segments)
     return plan

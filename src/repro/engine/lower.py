@@ -56,6 +56,7 @@ from repro.core.expr import (
 from repro.core.nest import Nest, Unnest
 from repro.core.ops import attribute as ops_attribute
 from repro.core.expr import BagDestroy
+from repro.core.types import BagType, Type, element_arity, rigid_shape
 from repro.engine.columnar import pick_getter
 from repro.engine.physical import (
     ConstSource, FlattenBags, HashDedup, HashDifference, HashIntersect,
@@ -82,19 +83,32 @@ class PhysicalPlan:
 
     The plan is data-free: steps read bindings through the per-run
     ``ExecContext``, and a run writes nothing here, so a warm
-    plan-cache entry serves any database of the same shape from any
+    plan-cache entry serves any database of the same types from any
     number of threads.
+
+    ``root_type`` is the expression's static type when the planner
+    proved it (:func:`repro.core.typecheck.static_types`), else
+    ``None``.  A proven plan's steps run no union-family type check,
+    and when its rows' type is rigid (atoms and tuples of them) every
+    row has the one shape that type fixes, so :meth:`execute` seals
+    the root trusted (``docs/engine.md``).
     """
 
-    __slots__ = ("root", "expr", "segments", "root_segment")
+    __slots__ = ("root", "expr", "segments", "root_segment", "proven",
+                 "shape")
 
-    def __init__(self, root: PhysicalNode, expr: Expr):
+    def __init__(self, root: PhysicalNode, expr: Expr,
+                 root_type: Optional[Type] = None):
         self.root = root
         self.expr = expr
         #: every fused segment, shared inner ones first; the root's
         #: is ``root_segment``
         self.segments: Tuple[Any, ...] = ()
         self.root_segment = None
+        self.proven = root_type is not None
+        #: the shape of every row of a rigid root, else ``None``
+        self.shape = (rigid_shape(root_type.element)
+                      if isinstance(root_type, BagType) else None)
 
     def kernels(self) -> Tuple[str, ...]:
         """The kernels one execution of the root segment records."""
@@ -105,7 +119,9 @@ class PhysicalPlan:
         if type(counts) is not dict:
             return counts  # a root oracle's value, passed through
         ctx.check_size(counts)
-        return Bag.from_counts(counts)
+        if self.shape is None:
+            return Bag.from_counts(counts)
+        return Bag.trusted(counts, self.shape if counts else None)
 
     def render(self, actuals: Optional[Mapping[int, int]] = None
                ) -> str:
@@ -128,7 +144,7 @@ class Lowering:
 
     def __init__(self, statistics: Optional[Mapping[str, BagStats]]
                  = None, selectivity: float = 0.5,
-                 arities: Optional[Mapping[str, int]] = None,
+                 types: Optional[Mapping[int, Type]] = None,
                  parallel=None, cost_based: bool = True,
                  selectivity_fn=None, segment_tag=None, semiring=None):
         self.statistics = dict(statistics) if statistics else None
@@ -140,7 +156,12 @@ class Lowering:
         #: Optional per-predicate selectivity oracle (catalog
         #: histograms); refines the flat ``selectivity`` per Select.
         self.selectivity_fn = selectivity_fn
-        self.arities = dict(arities) if arities else {}
+        #: ``id(node) -> static type`` of the expression's dataflow
+        #: nodes (:func:`repro.core.typecheck.static_types`): where
+        #: lowering and the segment recogniser read arities
+        self.types = types if types is not None else {}
+        #: whether the checker proved the whole tree (set by lower)
+        self.proven = False
         #: Optional ParallelPolicy: when set, the parallelism pass
         #: wraps eligible subtrees in Gather/Exchange/Partition nodes.
         self.parallel = parallel
@@ -181,9 +202,11 @@ class Lowering:
     # -- entry ----------------------------------------------------------
 
     def lower(self, expr: Expr) -> PhysicalPlan:
+        root_type = self.types.get(id(expr))
+        self.proven = root_type is not None
         self._count_occurrences(expr)
         root = self._lower(expr, shared_ok=False)
-        return PhysicalPlan(root, expr)
+        return PhysicalPlan(root, expr, root_type)
 
     def _count_occurrences(self, expr: Expr) -> None:
         """Count structural occurrences of dataflow subexpressions, to
@@ -319,6 +342,10 @@ class Lowering:
         3. the estimated total leaf input cardinality is below the
            policy threshold (too small to amortise sharding).
 
+        In a plan the checker did not prove, no union-family node
+        joins a segment (``unions=False``): its run-time type check
+        must see whole operands, not one shard of each.
+
         Conditions 2 and 3 are first tried on :meth:`_input_bound`,
         which needs no recogniser: a subtree that cannot reach the
         threshold whatever its segment's leaves turn out to be is
@@ -331,7 +358,8 @@ class Lowering:
         from repro.engine.parallel.partition import (
             compile_parallel_segment,
         )
-        segment = compile_parallel_segment(expr, self._operand_arity)
+        segment = compile_parallel_segment(expr, self._static_type,
+                                           unions=self.proven)
         if segment is None:
             return None
         if threshold > 0:
@@ -426,37 +454,13 @@ class Lowering:
                         (keys[0],), (keys[1],), build_right,
                         estimated)
 
-    def _operand_arity(self, operand: Expr) -> Optional[int]:
-        """Arity of a product operand's tuples, from statistics-free
-        structural evidence only.
+    def _static_type(self, expr: Expr) -> Optional[Type]:
+        return self.types.get(id(expr))
 
-        Dedup, selection, and the union family preserve element shape,
-        so the pass sees through them — a join whose side is, say,
-        ``eps(R)`` or ``R (+) S`` still fuses (and still partitions).
-        """
-        if isinstance(operand, Const) and isinstance(operand.value, Bag):
-            bag = operand.value
-            if bag.is_empty():
-                return None
-            element = bag.an_element()
-            return element.arity if hasattr(element, "arity") else None
-        if isinstance(operand, Cartesian):
-            left = self._operand_arity(operand.left)
-            right = self._operand_arity(operand.right)
-            if left is None or right is None:
-                return None
-            return left + right
-        if isinstance(operand, Var):
-            return self.arities.get(operand.name)
-        if isinstance(operand, (Dedup, Select)):
-            return self._operand_arity(operand.operand)
-        if isinstance(operand, (AdditiveUnion, Subtraction, MaxUnion,
-                                Intersection)):
-            left = self._operand_arity(operand.left)
-            if left is not None:
-                return left
-            return self._operand_arity(operand.right)
-        return None
+    def _operand_arity(self, operand: Expr) -> Optional[int]:
+        """Arity of a product operand's tuples, read off its static
+        type (``None`` where the checker did not type it)."""
+        return element_arity(self.types.get(id(operand)))
 
     def _lower_product(self, expr: Cartesian,
                        estimated: Optional[BagStats]) -> PhysicalNode:
@@ -683,13 +687,15 @@ def equi_join_keys(select: Select,
 def lower(expr: Expr,
           statistics: Optional[Mapping[str, BagStats]] = None,
           selectivity: float = 0.5,
-          arities: Optional[Mapping[str, int]] = None,
+          types: Optional[Mapping[int, Type]] = None,
           parallel=None, cost_based: bool = True,
           selectivity_fn=None, segment_tag=None,
           semiring=None) -> PhysicalPlan:
-    """One-shot lowering convenience wrapper."""
+    """One-shot lowering convenience wrapper; ``types`` is
+    :func:`repro.core.typecheck.static_types` of ``expr`` (without it
+    nothing is proven and no arity is known)."""
     return Lowering(statistics, selectivity=selectivity,
-                    arities=arities, parallel=parallel,
+                    types=types, parallel=parallel,
                     cost_based=cost_based,
                     selectivity_fn=selectivity_fn,
                     segment_tag=segment_tag,

@@ -79,10 +79,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import BudgetExceeded, Cancelled
-from repro.core.expr import (
-    AdditiveUnion, Expr, Intersection, MaxUnion, Subtraction, Var,
-)
-from repro.engine.columnar import require_same_type
 from repro.engine.parallel.codec import decode_shard, encode_shard
 from repro.engine.parallel.governor import (
     SharedBudget, WorkerGovernor, merge_worker_steps, presplit_spec,
@@ -208,7 +204,7 @@ class Exchange(PhysicalNode):
     plans usable from serial entry points.
     """
 
-    __slots__ = ("partitions", "program", "tag", "semiring", "checks")
+    __slots__ = ("partitions", "program", "tag", "semiring")
     kernel = "exchange"
 
     def __init__(self, partitions: Sequence[Partition],
@@ -217,9 +213,6 @@ class Exchange(PhysicalNode):
         super().__init__(estimated)
         self.partitions = tuple(partitions)
         self.program = program
-        #: ``(left slot, right slot, operation)`` of each union-family
-        #: node that reads two inputs directly (:func:`_slot_checks`)
-        self.checks = _slot_checks(program.expr)
         #: The planner's ``PassConfig.cache_tag()`` (or ``None``):
         #: half of the worker-local compiled-segment cache key, so a
         #: pass-config change invalidates resident segments.
@@ -258,10 +251,6 @@ class Exchange(PhysicalNode):
     def _run_sharded(self, ctx, config: ParallelConfig,
                      inputs: List[Dict[Any, int]],
                      sr=None) -> Dict[Any, int]:
-        # rows of different types hash to different shards, where each
-        # step's own check sees one side empty: whole inputs first
-        for left, right, operation in self.checks:
-            require_same_type(inputs[left], inputs[right], operation)
         num_shards = adaptive_shards(config, inputs)
         sharded = [split_counts(counts, num_shards, part.key)
                    for counts, part in zip(inputs, self.partitions)]
@@ -290,37 +279,6 @@ class Exchange(PhysicalNode):
         for _, _, _, stats in outcomes:
             ctx.stats.merge_from(stats)
         return merged
-
-
-#: The union family and the walker's name of each operator.
-_UNION_FAMILY = {AdditiveUnion: "additive union",
-                 Subtraction: "subtraction", MaxUnion: "maximal union",
-                 Intersection: "intersection"}
-
-
-def _slot_checks(expr: Expr) -> Tuple[Tuple[int, int, str], ...]:
-    """``(left slot, right slot, operation)`` for every union-family
-    node of a segment program whose operands are both slot variables,
-    in the tree walker's evaluation order."""
-    found: List[Tuple[int, int, str]] = []
-
-    def slot(operand: Expr) -> Optional[int]:
-        if (isinstance(operand, Var) and operand.name.startswith("$")
-                and operand.name[1:].isdigit()):
-            return int(operand.name[1:])
-        return None
-
-    def visit(node: Expr) -> None:
-        for child in node.children():
-            visit(child)
-        operation = _UNION_FAMILY.get(type(node))
-        if operation is not None:
-            left, right = slot(node.left), slot(node.right)
-            if left is not None and right is not None:
-                found.append((left, right, operation))
-
-    visit(expr)
-    return tuple(found)
 
 
 class Gather(PhysicalNode):

@@ -47,6 +47,8 @@ from repro.core.expr import (
     Select, Subtraction, Var,
 )
 from repro.core.nest import Nest
+from repro.core.typecheck import static_types
+from repro.core.types import Type, element_arity
 from repro.engine.codegen import compile_codegen
 from repro.engine.lower import (
     PhysicalPlan, compile_object_lambda, compile_predicate,
@@ -110,30 +112,31 @@ class ParallelPolicy:
 class LeafSpec:
     """One segment input: the subtree feeding the slot, the partition
     key (attribute indices; ``None`` = whole-value hash), and the
-    arity of the subtree's tuples when structure reveals it."""
+    subtree's static type when the checker typed it."""
 
     expr: Expr
     key: Optional[Tuple[int, ...]] = None
-    arity: Optional[int] = None
+    type: Optional[Type] = None
 
 
 @dataclass(frozen=True)
 class SegmentProgram:
     """What an exchange ships to its workers: the segment's logical
     expression over the slot variables ``$0..$n-1`` (hashable,
-    picklable) and the tuple arity of each slot (``None`` = unknown).
-    The arities ride along because the worker's lowering fuses
-    ``sigma(L x R)`` into a hash join only when it can split the
-    attribute positions at the left arity — without them a join
-    segment degrades to select-over-product."""
+    picklable) and the static type of each slot (``None`` = unknown).
+    The types ride along so the worker proves the program as the
+    planner proved the plan: its union-family steps then run no type
+    check, and its lowering fuses ``sigma(L x R)`` into a hash join,
+    which needs the left arity to split the attribute positions —
+    without it a join segment degrades to select-over-product."""
 
     expr: Expr
-    arities: Tuple[Optional[int], ...]
+    types: Tuple[Optional[Type], ...]
 
-    def slot_arities(self) -> Dict[str, int]:
-        return {_slot_name(slot): arity
-                for slot, arity in enumerate(self.arities)
-                if arity is not None}
+    def schema(self) -> Dict[str, Type]:
+        return {_slot_name(slot): typ
+                for slot, typ in enumerate(self.types)
+                if typ is not None}
 
 
 def _slot_name(slot: int) -> str:
@@ -228,8 +231,8 @@ def compiled_segment_for(program: SegmentProgram,
         if stats is not None:
             stats.segment_cache_hits += 1
         return plan
-    plan = compile_codegen(lower(program.expr, semiring=sr,
-                                 arities=program.slot_arities()),
+    types = static_types(program.expr, program.schema())
+    plan = compile_codegen(lower(program.expr, semiring=sr, types=types),
                            semiring=sr)
     with _SEGMENT_CACHE_LOCK:
         if len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_CAP:
@@ -308,7 +311,7 @@ class ParallelSegment:
     def program(self) -> SegmentProgram:
         return SegmentProgram(
             self._recogniser.substitute(self._expr),
-            tuple(leaf.arity for leaf in self.leaves))
+            tuple(leaf.type for leaf in self.leaves))
 
 
 class _SegmentCompiler:
@@ -317,13 +320,19 @@ class _SegmentCompiler:
     operators above at most one key operator (join or nest),
     value-preserving trees below; every other subtree is a leaf.
 
-    ``arity_of`` resolves the tuple arity of a subexpression (needed
-    to split join attribute positions and to complement nest indices);
-    it may return ``None``, which makes the key operators refuse.
+    ``type_of`` resolves the static type of a subexpression: the
+    slots' types, and the tuple arities that split join attribute
+    positions and complement nest indices.  It may return ``None``,
+    which makes the key operators refuse.  ``unions=False`` (a plan
+    the checker did not prove) keeps the union family out: such a
+    node is a leaf, run serially where its type check sees both whole
+    operands.
     """
 
-    def __init__(self, arity_of: Callable[[Expr], Optional[int]]):
-        self.arity_of = arity_of
+    def __init__(self, type_of: Callable[[Expr], Optional[Type]],
+                 unions: bool = True):
+        self.type_of = type_of
+        self.unions = unions
         self.leaves: List[LeafSpec] = []
         #: partition-local operators recognised (a segment needs one)
         self.kernels = 0
@@ -336,6 +345,9 @@ class _SegmentCompiler:
         self._side_keys: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
 
     # -- recognition ------------------------------------------------------
+
+    def arity_of(self, expr: Expr) -> Optional[int]:
+        return element_arity(self.type_of(expr))
 
     def compile(self, expr: Expr) -> Optional[ParallelSegment]:
         core = expr
@@ -391,7 +403,7 @@ class _SegmentCompiler:
         """Recognise a value-preserving subtree; anything else — a
         selection the workers could not compile, a second join — is a
         leaf slot partitioned by ``key``."""
-        if isinstance(expr, _VP_BINARY):
+        if self.unions and isinstance(expr, _VP_BINARY):
             self.kernels += 1
             self._vp(expr.left, key)
             self._vp(expr.right, key)
@@ -403,7 +415,7 @@ class _SegmentCompiler:
             self._vp(expr.operand, key)
         elif (key, expr) not in self._slots:
             self._slots[key, expr] = Var(_slot_name(len(self.leaves)))
-            self.leaves.append(LeafSpec(expr, key, self.arity_of(expr)))
+            self.leaves.append(LeafSpec(expr, key, self.type_of(expr)))
 
     # -- the program ------------------------------------------------------
 
@@ -438,9 +450,10 @@ class _SegmentCompiler:
 
 
 def compile_parallel_segment(expr: Expr,
-                             arity_of: Callable[[Expr], Optional[int]]
+                             type_of: Callable[[Expr], Optional[Type]],
+                             unions: bool = True
                              ) -> Optional[ParallelSegment]:
     """Recognise an expression as a shard-local segment, or ``None``
     when the root is not partition-compatible (the lowering pass then
     recurses and retries on the children)."""
-    return _SegmentCompiler(arity_of).compile(expr)
+    return _SegmentCompiler(type_of, unions).compile(expr)

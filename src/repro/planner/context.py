@@ -6,20 +6,22 @@ is frozen and hashable because it is part of the plan-cache key — an
 opt-0 plan and an opt-2 plan for the same expression must never share
 a cache slot (``tests/test_planner.py`` pins this).
 
-:class:`PlanContext` is the *with what*: the type environment, catalog
-statistics, arity signature, governor handle, plan cache, and target
-engine for one compilation.  Every entry point (``core.eval``,
-``run_sql``, the REPL, the CLI, the testkit backends) builds one of
-these and hands it to :func:`repro.planner.compile`.
+:class:`PlanContext` is the *with what*: the type environment (the
+bound bags' types), catalog statistics, governor handle, plan cache,
+and target engine for one compilation.  Every entry point
+(``core.eval``, ``run_sql``, the REPL, the CLI, the testkit backends)
+builds one of these and hands it to :func:`repro.planner.compile`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
 
 from repro.core.bag import Bag
 from repro.core.semiring import resolve_semiring, semiring_name
+from repro.core.types import Type, type_of
 from repro.planner.manager import DEFAULT_MAX_PASSES
 from repro.planner.rewrites import (
     ALL_RULES, NORMALIZE_RULES, REWRITE_RULES, Rule,
@@ -92,12 +94,16 @@ class PassConfig:
     # -- construction ----------------------------------------------------
 
     @classmethod
+    @lru_cache(maxsize=64)
     def for_level(cls, opt_level: int, *,
                   disabled: Tuple[str, ...] = (),
                   enabled: Tuple[str, ...] = (),
                   max_rewrite_passes: int = DEFAULT_MAX_PASSES,
                   selectivity: float = DEFAULT_SELECTIVITY,
                   semiring: str = "nat") -> "PassConfig":
+        """Memoised: a config is frozen, so the callers of one level,
+        toggle set, selectivity and semiring share one — and the rule
+        tuples it builds once."""
         return cls(opt_level=opt_level, disabled=disabled,
                    enabled=enabled,
                    max_rewrite_passes=max_rewrite_passes,
@@ -138,10 +144,13 @@ class PassConfig:
             return False
         return self._active(rule.name, True)
 
+    # built once per config: every compile asks, the answer never moves
+    @cached_property
     def active_normalize_rules(self) -> Tuple[Rule, ...]:
         return tuple(rule for rule in NORMALIZE_RULES
                      if self.rule_active(rule))
 
+    @cached_property
     def active_rewrite_rules(self) -> Tuple[Rule, ...]:
         return tuple(rule for rule in REWRITE_RULES
                      if self.rule_active(rule))
@@ -183,11 +192,15 @@ class PlanContext:
         ``"codegen"`` (the physical engine under its older name; the
         caller picks opt level 3 as its default).
     schema:
-        Optional ``name -> Type`` mapping; enables the typecheck stage
-        and the schema-driven product pushdown rule.
-    statistics / arities:
-        Catalog statistics for cost-based lowering; usually derived
-        from concrete bindings via :meth:`for_bindings`.
+        Optional caller-declared ``name -> Type`` mapping; the source
+        expression is checked against it before normalization, and it
+        enables the schema-driven product pushdown rule.
+    statistics / types:
+        Catalog statistics for cost-based lowering, and the type of
+        each bound bag (``type_of``, an O(1) read of its sealed shape)
+        — the environment the planner proves the lowered tree in, and
+        a component of the plan-cache key; usually derived from
+        concrete bindings via :meth:`capture`.
     governor:
         Optional :class:`~repro.guard.ResourceGovernor`; compilation
         ticks it, so rewriting shares the run's budgets.
@@ -212,7 +225,7 @@ class PlanContext:
     and the ``:explain`` stages view.
     """
 
-    __slots__ = ("engine", "schema", "statistics", "arities",
+    __slots__ = ("engine", "schema", "statistics", "types",
                  "governor", "cache", "engine_stats", "parallel",
                  "config", "selectivity_fn", "stats_sources",
                  "stats_epochs")
@@ -220,7 +233,7 @@ class PlanContext:
     def __init__(self, *, engine: str = "physical",
                  schema: Optional[Mapping[str, Any]] = None,
                  statistics: Optional[Mapping[str, BagStats]] = None,
-                 arities: Optional[Mapping[str, int]] = None,
+                 types: Optional[Mapping[str, Type]] = None,
                  governor=None, cache=None, engine_stats=None,
                  parallel=None,
                  config: Optional[PassConfig] = None,
@@ -233,7 +246,7 @@ class PlanContext:
         self.schema = dict(schema) if schema is not None else None
         self.statistics = (dict(statistics) if statistics is not None
                            else None)
-        self.arities = dict(arities) if arities else {}
+        self.types = dict(types) if types else {}
         self.governor = governor
         self.cache = cache
         self.engine_stats = engine_stats
@@ -252,45 +265,41 @@ class PlanContext:
                 parallel=None,
                 config: Optional[PassConfig] = None
                 ) -> "PlanContext":
-        """Derive statistics and arities from concrete bindings.
+        """Derive statistics and types from concrete bindings.
 
         With a ``catalog`` (any object exposing
         ``planner_stats(name)`` — the storage catalog's protocol),
         relations the catalog knows are answered from persisted
-        statistics without touching the bound bag at all, and the
-        catalog's histogram-driven selectivity oracle is installed.
-        Everything else falls back to :func:`stats_of`, which is
-        memoized by bag identity — so repeated compiles against the
-        same bound bag cost one dictionary hit, not a re-derivation
-        (the per-compile full-scan this method historically did).
+        statistics without scanning the bound bag, and the catalog's
+        histogram-driven selectivity oracle is installed.  Everything
+        else falls back to :func:`stats_of`, which is memoized by bag
+        identity — so repeated compiles against the same bound bag
+        cost one dictionary hit, not a re-derivation (the per-compile
+        full-scan this method historically did).  A bag's type is
+        read off its sealed shape either way, visiting no member.
         """
         statistics: Dict[str, BagStats] = {}
-        arities: Dict[str, int] = {}
+        types: Dict[str, Type] = {}
         sources: Dict[str, str] = {}
         epochs: Dict[str, int] = {}
         for name, value in bindings.items():
             if not isinstance(value, Bag):
                 continue
+            types[name] = type_of(value)
             entry = (catalog.planner_stats(name)
                      if catalog is not None else None)
             if entry is not None:
                 statistics[name] = entry.bag_stats
                 sources[name] = "catalog"
                 epochs[name] = entry.epoch
-                if entry.arity is not None:
-                    arities[name] = entry.arity
                 continue
             statistics[name] = stats_of(value)
             sources[name] = "scanned"
-            if not value.is_empty():
-                element = value.an_element()
-                if hasattr(element, "arity"):
-                    arities[name] = element.arity
         selectivity_fn = None
         if catalog is not None:
             selectivity_fn = catalog.selectivity_oracle()
         ctx = cls(engine=engine, schema=schema, statistics=statistics,
-                  arities=arities, governor=governor, cache=cache,
+                  types=types, governor=governor, cache=cache,
                   engine_stats=engine_stats, parallel=parallel,
                   config=config, selectivity_fn=selectivity_fn)
         ctx.stats_sources = sources

@@ -24,6 +24,7 @@ pass through untouched, exactly as the legacy optimizer treated them.
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.expr import (
@@ -66,6 +67,7 @@ class FixpointRewriter:
                  governor=None,
                  firings: Optional[Dict[str, int]] = None):
         self.rules = tuple(rules)
+        self._fns = tuple((rule.fn, rule.name) for rule in self.rules)
         self.max_passes = max_passes
         self.governor = governor
         self.firings: Dict[str, int] = (firings if firings is not None
@@ -87,7 +89,8 @@ class FixpointRewriter:
                 self.governor.tick()
             self.passes_run = iteration + 1
             rewritten = self._pass(current)
-            if rewritten == current:
+            # a pass where nothing fired hands back the very tree
+            if rewritten is current or rewritten == current:
                 self.converged = True
                 return current
             current = rewritten
@@ -99,45 +102,51 @@ class FixpointRewriter:
     def _pass(self, expr: Expr) -> Expr:
         """One bottom-up pass: children first, then this node."""
         rebuilt = self._rebuild(expr)
-        for rule in self.rules:
-            replacement = rule.fn(rebuilt)
+        for fn, name in self._fns:
+            replacement = fn(rebuilt)
             if replacement is not None and replacement != rebuilt:
-                self.firings[rule.name] = (
-                    self.firings.get(rule.name, 0) + 1)
+                self.firings[name] = self.firings.get(name, 0) + 1
                 return replacement
         return rebuilt
 
     def _rebuild(self, expr: Expr) -> Expr:
+        """``expr`` over its passed children — ``expr`` itself when no
+        child changed, so an unchanged subtree keeps its identity (and
+        its cached hash)."""
         if isinstance(expr, (Var, Const)):
             return expr
         if isinstance(expr, (AdditiveUnion, Subtraction, MaxUnion,
-                             Intersection)):
-            return type(expr)(self._pass(expr.left),
-                              self._pass(expr.right))
-        if isinstance(expr, Cartesian):
-            return Cartesian(self._pass(expr.left),
-                             self._pass(expr.right))
-        if isinstance(expr, Tupling):
-            return Tupling(*(self._pass(part) for part in expr.parts))
-        if isinstance(expr, Bagging):
-            return Bagging(self._pass(expr.item))
-        if isinstance(expr, Attribute):
-            return Attribute(self._pass(expr.operand), expr.index)
-        if isinstance(expr, (Powerset, Powerbag, BagDestroy, Dedup)):
-            return type(expr)(self._pass(expr.operand))
-        if isinstance(expr, Map):
-            return Map(Lam(expr.lam.param, self._pass(expr.lam.body)),
-                       self._pass(expr.operand))
-        if isinstance(expr, Select):
-            return Select(
-                Lam(expr.left.param, self._pass(expr.left.body)),
-                Lam(expr.right.param, self._pass(expr.right.body)),
-                self._pass(expr.operand), op=expr.op)
-        if isinstance(expr, Nest):
-            return Nest(self._pass(expr.operand), *expr.indices)
-        if isinstance(expr, Unnest):
-            return Unnest(self._pass(expr.operand), expr.index)
-        return expr  # extension nodes (e.g. Ifp) pass through untouched
+                             Intersection, Cartesian)):
+            parts, build = (expr.left, expr.right), type(expr)
+        elif isinstance(expr, Tupling):
+            parts, build = expr.parts, Tupling
+        elif isinstance(expr, (Bagging, Powerset, Powerbag, BagDestroy,
+                               Dedup)):
+            parts, build = expr.children(), type(expr)
+        elif isinstance(expr, Attribute):
+            parts = (expr.operand,)
+            build = lambda operand: Attribute(operand, expr.index)
+        elif isinstance(expr, Map):
+            parts = (expr.lam.body, expr.operand)
+            build = lambda body, operand: Map(
+                Lam(expr.lam.param, body), operand)
+        elif isinstance(expr, Select):
+            parts = (expr.left.body, expr.right.body, expr.operand)
+            build = lambda left, right, operand: Select(
+                Lam(expr.left.param, left), Lam(expr.right.param, right),
+                operand, op=expr.op)
+        elif isinstance(expr, Nest):
+            parts = (expr.operand,)
+            build = lambda operand: Nest(operand, *expr.indices)
+        elif isinstance(expr, Unnest):
+            parts = (expr.operand,)
+            build = lambda operand: Unnest(operand, expr.index)
+        else:
+            return expr  # extension nodes (e.g. Ifp) pass through untouched
+        passed = tuple(map(self._pass, parts))
+        if all(map(is_, passed, parts)):
+            return expr
+        return build(*passed)
 
 
 def run_fixpoint(rules: Sequence[Rule], expr: Expr, *,

@@ -1,6 +1,6 @@
 """The staged compilation pipeline — the one front door.
 
-``compile()`` runs ``typecheck -> normalize -> rewrite -> lower ->
+``compile()`` runs ``normalize -> rewrite -> typecheck -> lower ->
 parallelize -> codegen`` over a logical expression, driven by the
 :class:`~repro.planner.context.PassConfig` and recording a
 :class:`~repro.planner.report.PlanReport` along the way.  Every
@@ -11,10 +11,19 @@ shim over the same stages.
 
 The plan cache is consulted *before* any stage runs: a hit skips
 normalization, rewriting, and lowering in one step.  Cache keys
-combine the canonical expression key, the relation arity signature,
+combine the canonical expression key, the type of every bound bag,
 and :meth:`PassConfig.cache_tag` — so an opt-0 plan can never be
-served to an opt-2 caller (or vice versa), and parallel plans never
-shadow serial ones.
+served to an opt-2 caller (or vice versa), parallel plans never
+shadow serial ones, and a plan proven for one binding type is never
+served to another.
+
+On a miss, the ``typecheck`` stage types the tree ``lower`` consumes
+in the bindings' types (:func:`repro.core.typecheck.static_types`),
+by node identity.  A proven plan runs no union-family type check and
+seals a rigid root without re-validating its rows; a tree the checker
+rejects is lowered with every run-time check (``docs/planner.md``).
+A caller-supplied ``schema`` is checked against the source expression
+first, as a stage of the same name.
 
 The engine modules are imported lazily inside the lowering stage:
 ``repro.engine.lower`` itself consumes :mod:`repro.planner.stats`, and
@@ -27,11 +36,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
 from repro.core.expr import Expr
+from repro.core.typecheck import TypeChecker, static_types
+from repro.core.types import element_arity
 from repro.planner.context import PassConfig, PlanContext
 from repro.planner.manager import FixpointRewriter
 from repro.planner.report import PlanReport, StageRecord, _StageTimer
 from repro.planner.rewrites import Rule, product_pushdown_rule
-from repro.planner.stats import estimated_cost
 
 __all__ = ["CompiledPlan", "compile"]
 
@@ -71,18 +81,12 @@ def _left_arity_fn(schema: Mapping[str, Any]
                    ) -> Callable[[Expr], Optional[int]]:
     """Operand-arity oracle for the product-pushdown rule, via type
     inference against the schema (the legacy optimizer's discipline)."""
-    from repro.core.typecheck import TypeChecker
-    from repro.core.types import BagType, TupleType
 
     def left_arity(operand: Expr) -> Optional[int]:
         try:
-            inferred = TypeChecker().check(operand, schema)
+            return element_arity(TypeChecker().check(operand, schema))
         except Exception:
             return None
-        if isinstance(inferred, BagType) and isinstance(
-                inferred.element, TupleType):
-            return inferred.element.arity
-        return None
 
     return left_arity
 
@@ -116,7 +120,7 @@ def compile(expr: Expr, context: Optional[PlanContext] = None, *,
     key = None
     if ctx.engine != "tree" and ctx.cache is not None:
         from repro.engine.cache import PlanCache
-        key = PlanCache.key_for(expr, ctx.arities,
+        key = PlanCache.key_for(expr, ctx.types,
                                 _combined_tag(config, ctx.parallel,
                                               ctx.stats_tag()))
         plan = ctx.cache.get(key)
@@ -131,11 +135,10 @@ def compile(expr: Expr, context: Optional[PlanContext] = None, *,
                                 config=config, report=report,
                                 cache_hit=True)
 
-    # -- typecheck -----------------------------------------------------
+    # -- typecheck against the caller's schema ------------------------
     if ctx.schema is not None:
         record = StageRecord("typecheck", tree="")
         with _StageTimer(record):
-            from repro.core.typecheck import TypeChecker
             inferred = TypeChecker().check(expr, ctx.schema)
             record.tree = str(inferred) if trees else ""
         report.add(record)
@@ -143,11 +146,11 @@ def compile(expr: Expr, context: Optional[PlanContext] = None, *,
     # -- normalize -----------------------------------------------------
     logical = expr
     logical = _fixpoint_stage("normalize",
-                              config.active_normalize_rules(),
+                              config.active_normalize_rules,
                               logical, config, governor, report, trees)
 
     # -- logical rewrite ----------------------------------------------
-    rewrite_rules = list(config.active_rewrite_rules())
+    rewrite_rules = list(config.active_rewrite_rules)
     if ctx.schema is not None and config.stage_active("rewrite"):
         pushdown = product_pushdown_rule(_left_arity_fn(ctx.schema))
         if config.rule_active(pushdown):
@@ -165,13 +168,24 @@ def compile(expr: Expr, context: Optional[PlanContext] = None, *,
     logical = _fixpoint_stage("rewrite", tuple(rewrite_rules), logical,
                               config, governor, report, trees)
 
-    # -- lower (+ parallelize) ----------------------------------------
-    if ctx.engine == "tree":
+    if ctx.engine == "tree":  # the walker runs the logical tree
         report.add(StageRecord("lower", tree="",
                                note="skipped (engine=tree)"))
         return CompiledPlan(source=expr, logical=logical, physical=None,
                             engine="tree", config=config, report=report)
 
+    # -- typecheck: the tree lower consumes, in the bindings' types ----
+    record = StageRecord("typecheck", tree="")
+    with _StageTimer(record):
+        types = static_types(logical, ctx.types)
+        root = types.get(id(logical))
+        if root is None:
+            record.note = "not proven: every run-time check kept"
+        elif trees:
+            record.tree = repr(root)
+    report.add(record)
+
+    # -- lower (+ parallelize) ----------------------------------------
     record = StageRecord("lower", tree="")
     with _StageTimer(record):
         from repro.core.semiring import resolve_semiring
@@ -179,7 +193,7 @@ def compile(expr: Expr, context: Optional[PlanContext] = None, *,
         semiring = resolve_semiring(config.semiring)
         plan = lower(logical, ctx.statistics,
                      selectivity=config.selectivity,
-                     arities=ctx.arities, parallel=ctx.parallel,
+                     types=types, parallel=ctx.parallel,
                      cost_based=config.cost_based_lowering,
                      selectivity_fn=ctx.selectivity_fn,
                      segment_tag=config.cache_tag(),
@@ -243,10 +257,9 @@ def _fixpoint_stage(name: str, rules, expr: Expr, config: PassConfig,
                 governor=governor, firings=record.firings)
             result = rewriter.rewrite(expr)
             record.converged = rewriter.converged
-            record.cost = estimated_cost(result)
+            record.output = result
         if trees:
             record.tree = repr(result)
-            if record.cost is None:
-                record.cost = estimated_cost(result)
+            record.output = result
     report.add(record)
     return result

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
+
+from repro.planner.stats import estimated_cost
 
 __all__ = ["StageRecord", "PlanReport"]
 
@@ -24,14 +26,23 @@ class StageRecord:
     stage: str                        # name from STAGE_NAMES
     tree: str                         # rendering of the stage's output
     firings: Dict[str, int] = field(default_factory=dict)
-    cost: Optional[int] = None        # estimated_cost after the stage
     converged: Optional[bool] = None  # fixpoint stages only
     seconds: float = 0.0
     note: str = ""                    # e.g. "skipped (opt-level 0)"
+    #: a fixpoint stage's output tree, priced by :attr:`cost`
+    output: Any = field(default=None, repr=False)
 
     @property
     def total_firings(self) -> int:
         return sum(self.firings.values())
+
+    @property
+    def cost(self) -> Optional[int]:
+        """``estimated_cost`` of the stage's output — priced when asked
+        (only ``:explain stages`` asks), not on every compile."""
+        if self.output is None:
+            return None
+        return estimated_cost(self.output)
 
 
 class PlanReport:

@@ -104,7 +104,6 @@ class PlannerStats:
     :meth:`~repro.planner.context.PlanContext.capture`)."""
 
     bag_stats: BagStats
-    arity: Optional[int]
     epoch: int
 
 
@@ -201,7 +200,7 @@ class Catalog:
         if entry is None:
             return None
         return PlannerStats(bag_stats=entry.bag_stats(),
-                            arity=entry.arity, epoch=entry.epoch)
+                            epoch=entry.epoch)
 
     def selectivity_oracle(self):
         """A :data:`~repro.planner.stats.SelectivityFn` over this

@@ -29,6 +29,8 @@ from repro.core.expr import (
     Intersection, Lam, Map, Powerset, Select, Subtraction, Var, var,
 )
 from repro.core.nest import Nest, Unnest
+from repro.core.typecheck import static_types
+from repro.core.types import flat_bag_type
 from repro.engine import (
     EngineStats, PlanCache, canonical_key, default_cache, evaluate,
     explain_physical, lower, plan_for,
@@ -167,6 +169,9 @@ class TestKernels:
             [("a", 1), ("b", 1)]
 
 
+_FLAT_LR = {"L": flat_bag_type(2), "R": flat_bag_type(2)}
+
+
 class TestLoweringDecisions:
     def test_join_fusion_on_large_product(self):
         # domain of 12 atoms -> ~70 tuples/side, well over the
@@ -177,7 +182,7 @@ class TestLoweringDecisions:
                       Lam("t", Attribute(Var("t"), 3)),
                       Cartesian(var("L"), var("R")))
         plan = lower(expr, {"L": stats_of(left), "R": stats_of(right)},
-                     arities={"L": 2, "R": 2})
+                     types=static_types(expr, _FLAT_LR))
         assert isinstance(plan.root, HashJoin)
         bindings = {"L": left, "R": right}
         assert evaluate(expr, bindings, cache=None) == \
@@ -190,7 +195,7 @@ class TestLoweringDecisions:
                       Lam("t", Attribute(Var("t"), 3)),
                       Cartesian(var("L"), var("R")))
         plan = lower(expr, {"L": stats_of(left), "R": stats_of(right)},
-                     arities={"L": 2, "R": 2})
+                     types=static_types(expr, _FLAT_LR))
         assert not isinstance(plan.root, HashJoin)
 
     def test_intersection_probes_smaller_side(self):
@@ -272,8 +277,8 @@ class TestPlanCache:
 
     def test_arity_signature_misses_on_schema_change(self):
         expr = var("R")
-        assert PlanCache.key_for(expr, {"R": 2}) != \
-            PlanCache.key_for(expr, {"R": 3})
+        assert PlanCache.key_for(expr, {"R": flat_bag_type(2)}) != \
+            PlanCache.key_for(expr, {"R": flat_bag_type(3)})
 
     def test_lru_eviction(self):
         cache = PlanCache(capacity=2)

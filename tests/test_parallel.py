@@ -28,6 +28,7 @@ from repro.core.expr import (
     Var, var,
 )
 from repro.core.nest import Nest, Unnest
+from repro.core.types import flat_bag_type
 from repro.engine import EngineStats, PlanCache, evaluate, plan_for
 from repro.engine import explain_physical
 from repro.engine.codegen import FusedSegment
@@ -54,12 +55,13 @@ def _bag_s() -> Bag:
         {Tup(i % 7, i % 5): (i % 2) + 1 for i in range(150)})
 
 
-def _arity_of_factory(arities):
-    def arity_of(expr):
-        if isinstance(expr, Var):
-            return arities.get(expr.name)
+def _type_of_factory(arities):
+    """Static types of flat relations of the given arities."""
+    def type_of(expr):
+        if isinstance(expr, Var) and expr.name in arities:
+            return flat_bag_type(arities[expr.name])
         return None
-    return arity_of
+    return type_of
 
 
 # ----------------------------------------------------------------------
@@ -138,10 +140,10 @@ class TestSegmentCompiler:
                       Lam("t", Attribute(Var("t"), 3)),
                       Cartesian(var("R"), var("S")), "eq")
         segment = compile_parallel_segment(
-            join, _arity_of_factory({"R": 2, "S": 2}))
+            join, _type_of_factory({"R": 2, "S": 2}))
         assert segment is not None
         assert [leaf.key for leaf in segment.leaves] == [(2,), (1,)]
-        assert segment.program.arities == (2, 2)
+        assert segment.program.types == (flat_bag_type(2),) * 2
         assert _kernels(segment)[-1] == "hash-join"
 
     def test_join_without_arity_falls_back_to_select_over_product(self):
@@ -159,7 +161,7 @@ class TestSegmentCompiler:
 
     def test_nest_partitions_on_group_key(self):
         segment = compile_parallel_segment(
-            Nest(var("R"), 2), _arity_of_factory({"R": 2}))
+            Nest(var("R"), 2), _type_of_factory({"R": 2}))
         assert segment is not None
         # rest of {2} in arity 2 is (1,): the group key
         assert segment.leaves[0].key == (1,)
@@ -251,7 +253,7 @@ class TestShardedPrograms:
         sr = resolve_semiring(semiring)
         db = {"R": _R, "S": _S}
         segment = compile_parallel_segment(
-            expr, _arity_of_factory({"R": 2, "S": 2}))
+            expr, _type_of_factory({"R": 2, "S": 2}))
         assert segment is not None
         program = pickle.loads(pickle.dumps(segment.program))
         assert program == segment.program

@@ -108,7 +108,8 @@ class TestPipelineParity:
         assert compiled.physical is not None
         assert compiled.engine == "physical"
         stages = [record.stage for record in compiled.report.stages]
-        assert stages == ["normalize", "rewrite", "lower", "codegen"]
+        assert stages == ["normalize", "rewrite", "typecheck", "lower",
+                          "codegen"]
         # the codegen stage is what makes the plan executable
         assert compiled.physical.root_segment is not None
 

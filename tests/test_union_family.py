@@ -6,8 +6,9 @@ the tree walker's ``BagTypeError`` exactly where the walker does.
   result no longer holds the evidence (``(X (+) Z) - Z``);
 * the step check is O(1): it reads one row per side unless that row
   holds an empty inner bag;
-* under an exchange, two inputs whose rows hash to disjoint shards are
-  checked whole (no shard sees both types);
+* an ill-typed union is never split across an exchange, so two inputs
+  whose rows would hash to disjoint shards are checked whole (no shard
+  sees both types);
 * the generated sweep (:mod:`tests.union_family_sweep`).
 """
 
@@ -16,14 +17,13 @@ from __future__ import annotations
 import pytest
 
 import repro.engine.columnar as columnar
-import repro.engine.parallel.exchange as exchange
 from repro.core.bag import Bag, Tup
 from repro.core.errors import BagTypeError
 from repro.core.expr import (
     AdditiveUnion, Intersection, MaxUnion, Subtraction, var,
 )
-from repro.engine import evaluate
-from repro.engine.parallel.partition import split_counts
+from repro.engine import evaluate, plan_for
+from repro.engine.parallel.partition import ParallelPolicy, split_counts
 from tests import union_family_sweep
 from tests.union_family_sweep import ENGINES
 
@@ -117,10 +117,12 @@ def test_the_step_check_reads_one_row_per_side(monkeypatch):
     assert len(merged) == 1
 
 
-def test_disjoint_shards_are_checked_whole(monkeypatch):
-    """One 2-ary and one 3-ary row, in different shards of the two the
-    exchange splits them into: each shard's ``-`` step sees one side
-    empty, so only the exchange's check on the whole inputs raises."""
+def test_disjoint_shards_are_checked_whole():
+    """One 2-ary and one 3-ary row, in different shards of the two an
+    exchange would split them into: each shard's ``-`` step would see
+    one side empty.  The checker rejects the plan, so the ``-`` is
+    never split across an exchange: it runs serially, and its check
+    sees both whole inputs."""
     left = next(Tup(i, i) for i in range(100)
                 if hash(Tup(i, i)) % 2 == 0)
     right = next(Tup(i, i, i) for i in range(100)
@@ -136,10 +138,13 @@ def test_disjoint_shards_are_checked_whole(monkeypatch):
         with pytest.raises(BagTypeError) as info:
             evaluate(expr, database, cache=None, **ENGINES[engine])
         assert str(info.value) == walker
-    # the whole-input check is what catches it
-    monkeypatch.setattr(exchange, "_slot_checks", lambda expr: ())
-    assert evaluate(expr, database, cache=None,
-                    **ENGINES["parallel-thread"]) == Bag([left])
+    plan = plan_for(expr, database, policy=ParallelPolicy(threshold=0.0))
+    assert not plan.proven
+    assert "Exchange" not in plan.render()
+    # the same shape, well typed, is split
+    plan = plan_for(expr, {"X": database["X"], "Z": Bag([Tup(1, 2)])},
+                    policy=ParallelPolicy(threshold=0.0))
+    assert plan.proven and "Exchange" in plan.render()
 
 
 def test_fixed_seed_sweep():
