@@ -137,6 +137,11 @@ class Tup:
         inner = ", ".join(repr(item) for item in self._items)
         return f"[{inner}]"
 
+    def __reduce__(self):
+        # structure only: str hashes are salted per interpreter, so a
+        # cached hash must not cross processes (the shape is seed-free)
+        return Tup.trusted, (self._items, self._shape)
+
 
 class Bag:
     """An immutable bag (multiset) of homogeneous complex objects.
@@ -164,15 +169,16 @@ class Bag:
     :func:`repro.core.database.encoding_size` read a bag's type and
     size off it without visiting a member — so it must be *exactly* the
     merge of the members' own shapes.  ``Bag(...)`` and
-    :meth:`from_counts` compute it in the homogeneity check; the shard
-    decoder (:mod:`repro.engine.parallel.codec`) runs the same check on
-    each decoded inner bag; :meth:`trusted` takes it from its callers:
-    the nest kernel, which hands one in only when every row of its
-    input has the same shape, and a proven plan's root seal, which
-    reads it off the rows' rigid static type.  Tuples keep theirs the same way:
-    computed from the items on demand, or handed to :meth:`Tup.trusted`
-    by a caller that derived it from its sources' (``concat``, nest,
-    unnest — per member wherever members' shapes can differ).
+    :meth:`from_counts` compute it in the homogeneity check;
+    :meth:`trusted` takes it from its callers: the nest kernel, which
+    hands one in only when every row of its input has the same shape,
+    a proven plan's root seal, which reads it off the rows' rigid
+    static type, and the shard decoder, which reads it off a bag-free
+    member column's layout or runs the homogeneity check.  Tuples keep
+    theirs the same way: computed from the items on demand, or handed
+    to :meth:`Tup.trusted` by a caller that derived it from its
+    sources' (``concat``, nest, unnest — per member wherever members'
+    shapes can differ).
     ``_cardinality`` counts an annotation as one occurrence, which is
     what the standard encoding writes.
     """
@@ -229,13 +235,18 @@ class Bag:
         non-zero annotation), ``shape`` is the merged shape of the
         elements (``None`` for none), and the bag keeps the dict.
 
-        Two callers: the nest kernel
+        Three callers: the nest kernel
         (:func:`repro.engine.kernels.k_nest`), which has checked
         homogeneity per input row and derives each inner bag's shape
-        from the rows' own; and the root seal of a proven plan
+        from the rows' own; the root seal of a proven plan
         (:meth:`repro.engine.lower.PhysicalPlan.execute`), whose rows'
         static type is rigid, so the type fixes every row's shape, and
-        whose kernels keep only non-zero counts."""
+        whose kernels keep only non-zero counts; and the shard decoder
+        (:mod:`repro.engine.parallel.codec`), which seals each inner
+        bag with the shape its bag-free member column implies (else
+        the homogeneity check's), after rejecting a non-positive
+        packed count and colliding members.  Unpickling rebuilds
+        through here too (:meth:`__reduce__`)."""
         bag = cls.__new__(cls)
         bag._shape = shape
         bag._counts = counts
@@ -365,6 +376,10 @@ class Bag:
             else:
                 parts.append(f"{element!r}*{count}")
         return "{{" + ", ".join(parts) + "}}"
+
+    def __reduce__(self):
+        # structure only, as Tup.__reduce__
+        return Bag.trusted, (self._counts, self._shape)
 
 
 def _cardinality_of(counts: Mapping[Any, Any]) -> int:

@@ -120,14 +120,14 @@ class TestCodecRoundTrip:
 
     def test_atom_interning_amortises_join_output(self):
         """A join-shaped shard (wide tuples over a small atom domain)
-        must beat pickle by at least 5x — the satellite's wire-size
-        claim, asserted at unit level."""
+        must beat pickle by at least 3x, now that a pickled ``Tup`` is
+        its items and shape alone (no slot state, no cached hash)."""
         shard = {Tup(i % 13, i % 7, i % 13, i % 5): (i % 3) + 1
                  for i in range(4000)}
         blob = encode_shard(shard)
         pickled = pickle.dumps(shard,
                                protocol=pickle.HIGHEST_PROTOCOL)
-        assert len(blob) * 5 <= len(pickled)
+        assert len(blob) * 3 <= len(pickled)
         assert decode_shard(blob) == shard
 
 
@@ -145,8 +145,8 @@ def _assert_round_trips(shard):
 
 _INNER = Bag.from_counts({Tup(1, "a"): 2, Tup(2, "b"): 1})
 
-#: (name, shard, takes a packed flat mode) — the shapes around the
-#: boundary between the packed columns and the tagged fallback
+#: (name, shard, takes the column layout) — the shapes around the
+#: boundary between the column layout and the pickled-shard fallback
 _LAYOUT_EDGES = [
     ("int-tuples", {Tup(i, i * 7): i + 1 for i in range(40)}, True),
     ("negative-ints", {Tup(-i, i - 300): 1 for i in range(40)}, True),
@@ -163,32 +163,49 @@ _LAYOUT_EDGES = [
     ("bare-bool-int-float", {True: 1, 2: 2, 2.5: 3}, False),
     ("none-and-bytes", {Tup(None, b"raw"): 1, Tup(None, b""): 2}, False),
     ("exotic-atom", {Tup(frozenset({1, 2}), "x"): 3}, False),
-    ("empty", {}, False),
-    ("arity-0", {Tup(): 4}, False),
+    ("empty", {}, True),
+    ("arity-0", {Tup(): 4}, True),
+    ("arity-0-inside", {Tup(1, Bag.of(Tup())): 1, Tup(2, Bag()): 2},
+     True),
     ("mixed-arity", {Tup(1): 1, Tup(1, 2): 2}, False),
     ("tuple-next-to-atom", {Tup(1): 1, 1: 2}, False),
-    ("nested-tuples", {Tup(1, Tup(2, Tup(3, "deep"))): 4}, False),
-    ("nested-bags", {Tup(2, _INNER): 7, Tup(3, Bag()): 1}, False),
-    ("bag-of-bags", {Bag([_INNER, _INNER]): 2, Bag(): 1}, False),
+    ("nested-tuples", {Tup(1, Tup(2, Tup(3, "deep"))): 4}, True),
+    ("nested-bags", {Tup(2, _INNER): 7, Tup(3, Bag()): 1}, True),
+    ("bag-of-bags", {Bag([_INNER, _INNER]): 2, Bag(): 1}, True),
+    ("bag-of-atoms", {Tup(1, Bag.of("a", "a", 3)): 1}, True),
+    ("float-inside-a-bag", {Tup(1, Bag.of(2.5)): 1}, False),
+    ("mixed-arity-across-bags",
+     {Tup(1, Bag.of(Tup(1))): 1, Tup(2, Bag.of(Tup(1, 2))): 1}, False),
     ("count-beyond-64-bits", {Tup(1, 2): 2 ** 64, Tup(3, 4): 1}, True),
+    ("annotated-inner-counts",
+     {Tup(Bag({Tup("p"): Trop(1.5)}), "tag"): Trop(0.5)}, True),
 ]
 
 
-class TestPackedLayout:
+def _audit_bags(value):
+    """Every bag inside a decoded value carries exactly what a checked
+    rebuild computes: the shape, the cardinality, the distinct count."""
+    if isinstance(value, Tup):
+        for item in value.items():
+            _audit_bags(item)
+    elif isinstance(value, Bag):
+        rebuilt = Bag.from_counts(value._counts)
+        assert value._shape == rebuilt._shape, value
+        assert value.cardinality == rebuilt.cardinality, value
+        assert value.distinct_count == rebuilt.distinct_count, value
+        for member in value.distinct():
+            _audit_bags(member)
+
+
+class TestColumnLayout:
     @pytest.mark.parametrize(
-        "shard,flat", [edge[1:] for edge in _LAYOUT_EDGES],
+        "shard,layout", [edge[1:] for edge in _LAYOUT_EDGES],
         ids=[edge[0] for edge in _LAYOUT_EDGES])
-    def test_layout_edges_round_trip(self, shard, flat):
-        _assert_round_trips(shard)
-        blob = encode_shard(shard)
-        # the mode byte follows magic, the value count and the count
-        # column; pickled counts (CM04) are length-prefixed instead
-        _, pos = codec._read_varint(blob, 4)
-        if blob[:4] == b"CM03":
-            _, pos = codec._read_column(blob, pos)
-        else:
-            _, pos = codec._take(blob, pos)
-        assert (blob[pos] != codec._M_GENERIC) is flat
+    def test_layout_edges_round_trip(self, shard, layout):
+        for value in _assert_round_trips(shard):
+            _audit_bags(value)
+        magic = encode_shard(shard)[:4]
+        assert magic == (codec._MAGIC if layout else codec._MAGIC_PICKLED)
 
     @pytest.mark.parametrize("spec", ["nat", "bool", "tropical",
                                       "provenance"])
@@ -196,7 +213,8 @@ class TestPackedLayout:
         """Seeded property: every relation the case generator draws
         (flat, nested, bare atoms), and the oracle's result over it,
         survives the wire under every semiring's annotations (the N
-        result re-annotated: the shapes are what is on trial)."""
+        result re-annotated: the shapes are what is on trial), and
+        every decoded bag is sealed exactly."""
         sr = resolve_semiring(spec)
         shards = 0
         for index in range(60):
@@ -210,13 +228,23 @@ class TestPackedLayout:
             if sr is not None:
                 bags = [sr.adapt_bag(bag) for bag in bags]
             for bag in bags:
-                _assert_round_trips(dict(bag.items()))
+                for value in _assert_round_trips(dict(bag.items())):
+                    _audit_bags(value)
                 shards += 1
         assert shards >= 120
 
+    def test_inner_bags_are_sealed_with_the_column_shape(self):
+        tuples = decode_shard(encode_shard({Tup(1, _INNER): 1,
+                                            Tup(2, Bag()): 1}))
+        shapes = {value[0]: value[1]._shape for value in tuples}
+        assert shapes == {1: _INNER._shape, 2: None}
+        assert shapes[1] is _INNER._shape  # the interned flat shape
+        atoms = decode_shard(encode_shard({Tup(3, Bag.of(4, 4)): 1}))
+        assert next(iter(atoms))[1]._shape is Bag.of(4)._shape
+
     def test_annotated_counts_ship_as_one_pickle(self):
-        """One pickled list per shard, not one pickle per count: the
-        memo shares what the annotations have in common."""
+        """One pickled list per count column, not one pickle per
+        count: the memo shares what the annotations have in common."""
         shard = {Tup(i, i + 1): Prov({(f"x{i % 5}",): 2})
                  for i in range(200)}
         blob = encode_shard(shard)
@@ -234,51 +262,85 @@ class TestPackedLayout:
                              for i in range(1000)})
         assert len(wide) > 3 * len(narrow) / 2
 
-
-def _framing_offsets(blob):
-    """Offsets of the count column's width byte, the mode byte and the
-    value cells' width byte of a packed (CM03, flat-mode) blob."""
-    _, pos = codec._read_varint(blob, 4)
-    _, count_width = codec._read_varint(blob, pos)
-    _, mode = codec._read_column(blob, pos)
-    pos = mode + 1
-    if blob[mode] == codec._M_TUPLES:
-        _, pos = codec._read_varint(blob, pos)
-    _, pos = codec._read_atoms(blob, pos)
-    _, cell_width = codec._read_varint(blob, pos)
-    return count_width, mode, cell_width
+    def test_nested_shard_ships_in_half_the_bytes_of_pickle(self):
+        shard = {Tup(key, Bag.from_counts({Tup(key * 10 + j): j + 1
+                                           for j in range(24)})): 1
+                 for key in range(40)}
+        blob = encode_shard(shard)
+        assert blob[:4] == codec._MAGIC
+        assert len(blob) * 2 <= len(pickle.dumps(shard,
+                                                 pickle.HIGHEST_PROTOCOL))
 
 
-_HOSTILE = [
-    {Tup(i, i * 300): i + 1 for i in range(12)},
-    {Tup("x", i): 70000 for i in range(12)},
-    {"a": 1, "bb": 2, 7: 3},
-    {Tup(1, _INNER): 7, Tup(2.5, Bag()): 1},
-    {Tup("a", 1): Trop(2.0), Tup("b", 2): Trop(0.0)},
-    {Tup(Bag({Tup("p"): Trop(1.5)}), "tag"): Trop(0.5)},
-    {},
-]
+def _framing(blob):
+    """Offsets of every column-kind, count-tag and cell-width byte of a
+    column-layout blob, found by walking the layout."""
+    kinds, tags, widths = [], [], []
+
+    def cells(pos):
+        widths.append(codec._read_varint(blob, pos)[1])
+        return codec._read_ints(blob, pos)[1]
+
+    def body(pos):
+        tags.append(pos)
+        if blob[pos] == codec._C_PACKED:
+            return column(cells(pos + 1))
+        return column(codec._read_bytes(blob, pos + 1)[1])
+
+    def column(pos):
+        kinds.append(pos)
+        kind = blob[pos]
+        pos += 1
+        if kind == codec._K_BAG:
+            return body(cells(pos))
+        if kind != codec._K_ATOMS:
+            arity, pos = codec._read_varint(blob, pos)
+            if kind == codec._K_TUPLE:
+                for _ in range(arity):
+                    pos = column(pos)
+                return pos
+        return cells(codec._read_bytes(blob, pos)[1])  # table, cells
+
+    assert body(codec._read_varint(blob, 4)[1]) == len(blob)
+    return kinds, tags, widths
+
+
+_HOSTILE = {
+    "flat": {Tup(i, i * 300): i + 1 for i in range(12)},
+    "flat-str": {Tup("x", i): 70000 for i in range(12)},
+    "atoms": {"a": 1, "bb": 2, 7: 3},
+    "nested": {Tup(i, Bag.from_counts({Tup(i * j): j for j in range(1, 4)})):
+               i + 1 for i in range(5)},
+    "bag-of-bags": {Bag([_INNER, _INNER, Bag.of(Tup(5, "c"))]): 2,
+                    Bag(): 1},
+    "annotated": {Tup("a", 1): Trop(2.0), Tup("b", 2): Trop(0.0)},
+    "annotated-nested": {Tup(Bag({Tup("p"): Trop(1.5)}), "tag"): Trop(0.5)},
+    "empty": {},
+    "pickled": {Tup(1, _INNER): 7, Tup(2.5, Bag()): 1},
+}
+_LAID_OUT = [name for name in _HOSTILE if name != "pickled"]
 
 
 class TestCodecHostileInput:
     """A malformed blob is a typed ``CodecError`` — never an ``IndexError``,
-    a ``struct.error``, or a silently shorter dict."""
+    a ``struct.error``, or a silently different dict."""
 
-    @pytest.mark.parametrize("shard", _HOSTILE)
-    def test_every_truncation_is_rejected(self, shard):
-        blob = encode_shard(shard)
+    @pytest.mark.parametrize("name", _HOSTILE)
+    def test_every_truncation_is_rejected(self, name):
+        blob = encode_shard(_HOSTILE[name])
         for cut in range(len(blob)):
             with pytest.raises(CodecError):
                 decode_shard(blob[:cut])
 
-    @pytest.mark.parametrize("shard", _HOSTILE)
-    def test_trailing_bytes_are_rejected(self, shard):
+    @pytest.mark.parametrize("name", _HOSTILE)
+    def test_trailing_bytes_are_rejected(self, name):
+        # the fallback too: pickle.loads itself ignores trailing data
         with pytest.raises(CodecError):
-            decode_shard(encode_shard(shard) + b"\x00")
+            decode_shard(encode_shard(_HOSTILE[name]) + b"\x00")
 
-    @pytest.mark.parametrize("shard", _HOSTILE)
-    def test_every_bad_magic_byte_is_rejected(self, shard):
-        blob = encode_shard(shard)
+    @pytest.mark.parametrize("name", _HOSTILE)
+    def test_every_bad_magic_byte_is_rejected(self, name):
+        blob = encode_shard(_HOSTILE[name])
         for position in range(4):
             for byte in range(256):
                 if byte == blob[position]:
@@ -288,23 +350,30 @@ class TestCodecHostileInput:
                 with pytest.raises(CodecError):
                     decode_shard(bytes(mangled))
 
-    @pytest.mark.parametrize("shard", _HOSTILE[:3])
-    def test_every_bad_mode_byte_is_rejected(self, shard):
-        blob = encode_shard(shard)
-        _, mode, _ = _framing_offsets(blob)
-        for byte in range(256):
-            if byte == blob[mode]:
-                continue
-            mangled = bytearray(blob)
-            mangled[mode] = byte
-            with pytest.raises(CodecError):
-                decode_shard(bytes(mangled))
+    def test_the_fallback_and_the_layout_are_told_apart(self):
+        assert [encode_shard(_HOSTILE[name])[:4] == codec._MAGIC
+                for name in _HOSTILE] == [name in _LAID_OUT
+                                          for name in _HOSTILE]
 
-    @pytest.mark.parametrize("shard", _HOSTILE[:3])
-    def test_every_bad_width_byte_is_rejected(self, shard):
-        blob = encode_shard(shard)
-        count_width, _, cell_width = _framing_offsets(blob)
-        for position in (count_width, cell_width):
+    @pytest.mark.parametrize("name", _LAID_OUT)
+    def test_every_bad_kind_or_count_tag_byte_is_rejected(self, name):
+        blob = encode_shard(_HOSTILE[name])
+        kinds, tags, _ = _framing(blob)
+        for position in kinds + tags:
+            for byte in range(256):
+                if byte == blob[position]:
+                    continue
+                mangled = bytearray(blob)
+                mangled[position] = byte
+                with pytest.raises(CodecError):
+                    decode_shard(bytes(mangled))
+
+    @pytest.mark.parametrize("name", _LAID_OUT)
+    def test_every_bad_width_byte_is_rejected(self, name):
+        blob = encode_shard(_HOSTILE[name])
+        for position in _framing(blob)[2]:
+            if blob[position - 1] == 0:
+                continue  # an empty column frames alike at any width
             size = codec._ITEMSIZE[chr(blob[position])]
             for byte in range(256):
                 if codec._ITEMSIZE.get(chr(byte)) == size:
@@ -318,7 +387,7 @@ class TestCodecHostileInput:
 
     def test_short_cell_column_is_not_a_short_dict(self):
         blob = bytearray(encode_shard({Tup(i, i): 1 for i in range(9)}))
-        _, _, cell_width = _framing_offsets(bytes(blob))
+        cell_width = _framing(bytes(blob))[2][-1]
         # claim one cell fewer and drop its byte: still well-framed,
         # but 17 cells cannot make 9 pairs
         assert blob[cell_width - 1] == 18
@@ -333,9 +402,36 @@ class TestCodecHostileInput:
         with pytest.raises(CodecError):
             decode_shard(bytes(blob))
 
+    def test_colliding_members_of_a_nested_bag_are_rejected(self):
+        """Well-framed, but one inner bag lists ``[1]`` twice: decoding
+        it as ``{{[1]*5}}`` would drop ``[2]*5`` without a word."""
+        shard = {Tup(0, Bag.from_counts({Tup(1): 2, Tup(2): 5})): 1}
+        blob = bytearray(encode_shard(shard))
+        assert blob[-2:] == bytes([1, 2])  # the member cells, last
+        blob[-1] = 1
+        with pytest.raises(CodecError, match="colliding"):
+            decode_shard(bytes(blob))
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_a_non_positive_packed_count_is_rejected(self, level):
+        """A zero count would seal as a phantom element under a proven
+        plan's trusted root seal; a count column must be positive."""
+        shard = {Tup(1, Bag.from_counts({Tup(3): 4, Tup(5): 6})): 7,
+                 Tup(2, Bag.from_counts({Tup(8): 9})): 1}
+        blob = encode_shard(shard)
+        tag = _framing(blob)[1][level]
+        count_cells = codec._read_varint(blob, tag + 1)[1] + 1
+        for bad in (0, 255):  # zero, and -1 once the code is signed
+            mangled = bytearray(blob)
+            mangled[count_cells] = bad
+            if bad == 255:
+                mangled[count_cells - 1] = ord("b")
+            with pytest.raises(CodecError, match="non-positive"):
+                decode_shard(bytes(mangled))
+
     def test_codec_error_is_a_library_error_and_never_retried(self):
         with pytest.raises(CodecError) as caught:
-            decode_shard(b"CM03")
+            decode_shard(codec._MAGIC)
         assert isinstance(caught.value, ReproError)
         assert isinstance(caught.value, ValueError)
         # a corrupt blob decodes the same way on every attempt
@@ -649,6 +745,28 @@ class TestTupHashCache:
         thawed_warm = pickle.loads(pickle.dumps(warm))
         assert thawed_warm == warm
         assert hash(thawed_warm) == hash(warm)
+
+    def test_pickle_crosses_interpreters_with_different_hash_seeds(self):
+        """A cached hash is salted per interpreter (``str`` hashing):
+        pickled under one ``PYTHONHASHSEED`` and loaded under another,
+        a bag must still find its members and equal a fresh one."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        build = "Bag.of(Tup('a', 1), Tup('b', 2))"
+        prelude = "import pickle, sys\nfrom repro.core.bag import Bag, Tup\n"
+        frozen = subprocess.run(
+            [sys.executable, "-c", prelude
+             + f"sys.stdout.buffer.write(pickle.dumps({build}))"],
+            env=dict(env, PYTHONHASHSEED="1"), capture_output=True,
+            check=True, timeout=60).stdout
+        thawed = subprocess.run(
+            [sys.executable, "-c", prelude
+             + "b = pickle.loads(sys.stdin.buffer.read())\n"
+             + f"print(Tup('a', 1) in b, b == {build}, b._shape)"],
+            env=dict(env, PYTHONHASHSEED="2"), input=frozen,
+            capture_output=True, check=True, timeout=60).stdout
+        assert thawed.decode().split() == [
+            "True", "True", "('tuple',", "(('atom',),", "('atom',)))"]
 
     def test_codec_decode_hashes_consistently(self):
         # decoding inserts the value into a dict, which warms its

@@ -6,8 +6,8 @@ Six concerns, one file:
   order, count codec round-trips);
 * cross-engine agreement — tree oracle, physical, codegen, and the
   morsel-parallel executor must compute the same annotated bag under
-  every semiring, with the process backend exercising the CM04 shard
-  codec end to end;
+  every semiring, with the process backend shipping annotations
+  through the shard codec's pickled count column end to end;
 * the semiring-parameterized metamorphic law catalogue
   (:func:`repro.testkit.metamorphic.laws_for_semiring`) on seeded
   generated cases;
@@ -50,6 +50,7 @@ from repro.core.typecheck import infer_type
 from repro.engine import (
     PlanCache, evaluate as engine_evaluate, explain_physical, plan_for,
 )
+from repro.engine.parallel import codec
 from repro.engine.parallel.codec import decode_shard, encode_shard
 from repro.planner import PassConfig
 from repro.planner.stats import _STATS_MEMO, stats_scan_count
@@ -273,7 +274,8 @@ class TestCrossEngineAgreement:
 
 
 class TestParallelSemiring:
-    """Forced multi-shard execution: shard merge and the CM04 codec."""
+    """Forced multi-shard execution: shard merge and the shard codec's
+    pickled count column."""
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_thread_backend_multi_shard(self, spec):
@@ -295,9 +297,13 @@ class TestParallelSemiring:
 
 
 class TestShardCodec:
+    """The count column's tag names its format: packed ints for every
+    N and Bool shard, one pickled list for annotations."""
+
     def test_int_shards_keep_the_packed_int_format(self):
         blob = encode_shard({Tup("a", 1): 3, Tup("b", 2): 1})
-        assert blob[:4] == b"CM03"
+        assert blob[:4] == codec._MAGIC
+        assert blob[5] == codec._C_PACKED
         assert decode_shard(blob) == {Tup("a", 1): 3, Tup("b", 2): 1}
 
     @pytest.mark.parametrize(
@@ -305,16 +311,18 @@ class TestShardCodec:
         [{Tup("a",): Trop(2.0), Tup("b",): Trop(0.0)},
          {Tup("a",): Prov({("x",): 2}), Tup("b",): Prov.const(1)}],
         ids=("tropical", "provenance"))
-    def test_annotated_shards_use_v2_and_round_trip(self, counts):
+    def test_annotated_shards_pickle_their_count_column(self, counts):
         blob = encode_shard(counts)
-        assert blob[:4] == b"CM04"
+        assert blob[:4] == codec._MAGIC
+        assert blob[5] == codec._C_PICKLED
         assert decode_shard(blob) == counts
 
     def test_nested_bag_with_annotated_inner_counts(self):
         inner = Bag({Tup("p",): Trop(1.5)})
         counts = {Tup(inner, "tag"): Trop(0.5)}
         blob = encode_shard(counts)
-        assert blob[:4] == b"CM04"
+        assert blob[:4] == codec._MAGIC
+        assert blob[5] == codec._C_PICKLED
         assert decode_shard(blob) == counts
 
 
