@@ -3,7 +3,8 @@
 Selection pushdown through a product shrinks the peak intermediate
 standard-encoding size from O(|A| * |B|) to O(match * |B|); MAP fusion
 removes a whole pass.  The benchmark measures both with and without
-the optimizer on growing inputs — the ablation DESIGN.md calls out.
+the planner's rewrite stage on growing inputs — the ablation DESIGN.md
+calls out.
 """
 
 from __future__ import annotations
@@ -14,7 +15,20 @@ from repro.core.derived import select_attr_eq_const
 from repro.core.eval import Evaluator
 from repro.core.expr import Attribute, Lam, Map, Tupling, Var, var
 from repro.core.types import flat_bag_type
-from repro.optimizer import Optimizer, estimated_cost
+from repro import planner
+from repro.planner import (
+    NORMALIZE_RULES, PassConfig, PlanContext, estimated_cost,
+)
+
+
+def _rewrite(query, schema=None):
+    """The planner's level-2 logical rewrite, the normalize rules kept
+    on through the rewrite stage so MAP fusion's leftover
+    ``alpha_i(tau(...))`` is cancelled in the same fixpoint."""
+    return planner.compile(
+        query, PlanContext(engine="tree", schema=schema,
+                           config=PassConfig.for_level(2)),
+        extra_rules=NORMALIZE_RULES)
 
 
 def _tables(n: int):
@@ -26,9 +40,8 @@ def _tables(n: int):
 
 def test_e16_selection_pushdown(benchmark):
     schema = {"A": flat_bag_type(2), "B": flat_bag_type(1)}
-    optimizer = Optimizer(schema=schema)
     query = select_attr_eq_const(var("A") * var("B"), 2, "hit")
-    optimized = optimizer.optimize(query)
+    optimized = _rewrite(query, schema).logical
 
     rows = []
     for n in (8, 16, 32, 64):
@@ -56,8 +69,7 @@ def test_e16_map_fusion(benchmark):
                              Attribute(Var("t"), 1)))
     outer = Lam("s", Tupling(Attribute(Var("s"), 1)))
     query = Map(outer, Map(inner, var("A")))
-    optimizer = Optimizer()
-    fused = optimizer.optimize(query)
+    fused = _rewrite(query).logical
 
     rows = []
     for n in (16, 64, 256):
@@ -83,25 +95,25 @@ def test_e16_rule_hit_counts(benchmark):
     from repro.core.bag import EMPTY_BAG
     noisy = Dedup(Dedup((var("A") + Const(EMPTY_BAG)) - (
         var("A") - var("A"))))
-    optimizer = Optimizer()
-    cleaned = optimizer.optimize(noisy)
+    compiled = _rewrite(noisy)
+    cleaned = compiled.logical
     rows = [("input nodes", noisy.size()),
             ("output nodes", cleaned.size()),
-            ("rewrites applied", optimizer.rewrites_applied)]
+            ("rewrites applied", compiled.report.total_firings)]
     emit_table(
         "e16_rules",
         "E16c  algebraic cleanups on a redundant query",
         ["measure", "value"], rows)
     assert cleaned.size() < noisy.size()
 
-    benchmark(lambda: Optimizer().optimize(noisy))
+    benchmark(lambda: _rewrite(noisy))
 
 
 def test_e16_cardinality_estimates(benchmark):
     """The estimator's predictions vs measured outputs on the pushdown
-    workload — the numbers a cost-based optimizer would plan with."""
+    workload — the numbers a cost-based planner would plan with."""
     from repro.core.eval import evaluate
-    from repro.optimizer import estimate, stats_of
+    from repro.planner import estimate, stats_of
 
     rows = []
     for n in (8, 16, 32):

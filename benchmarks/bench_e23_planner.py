@@ -144,7 +144,7 @@ def test_e23_planner(benchmark):
             firings = 0
             total = 0.0
             for _ in range(COMPILE_REPS):
-                context = PlanContext.for_bindings(
+                context = PlanContext.capture(
                     db, engine="physical",
                     config=PassConfig.for_level(level))
                 compiled = planner_compile(expr, context)
@@ -232,7 +232,7 @@ def test_e23_planner(benchmark):
     expr = join_query()
 
     def compile_once():
-        context = PlanContext.for_bindings(
+        context = PlanContext.capture(
             db, engine="physical", config=PassConfig.for_level(2))
         return planner_compile(expr, context)
 

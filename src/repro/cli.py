@@ -68,11 +68,22 @@ from repro.core.fragments import fragment_report
 from repro.core.typecheck import TypeChecker
 from repro.core.types import type_of
 from repro.guard import Limits, ResourceGovernor
+from repro.planner.context import OPT_LEVELS, resolve_engine
 from repro.surface import parse, to_text
 
 __all__ = ["Session", "main", "parse_limit_flags"]
 
 _PROMPT = "bag> "
+
+
+def _parse_level(raw: object, flag: str) -> int:
+    """``raw`` as an opt level; anything else raises ``ValueError``."""
+    levels = [str(level) for level in OPT_LEVELS]
+    if str(raw) not in levels:
+        raise ValueError(f"{flag} expects one of {', '.join(levels)}, "
+                         f"got {raw!r}")
+    return int(raw)
+
 
 #: CLI flag -> (Limits field, converter).
 _LIMIT_FLAGS = {
@@ -101,13 +112,9 @@ class Session:
                  opt_level: Optional[int] = None,
                  resilience: bool = False,
                  semiring: Optional[str] = None):
-        if engine not in ("physical", "parallel", "codegen", "tree"):
-            raise ValueError(f"unknown engine {engine!r} "
-                             "(choices: physical, parallel, codegen, "
-                             "tree)")
-        if opt_level is not None and opt_level not in (0, 1, 2, 3):
-            raise ValueError(f"--opt-level expects 0, 1, 2, or 3, "
-                             f"got {opt_level!r}")
+        resolve_engine(engine)  # an unknown name raises ValueError
+        if opt_level is not None:
+            _parse_level(opt_level, "--opt-level")
         from repro.core.semiring import resolve_semiring, semiring_name
         #: The multiplicity semiring's registry name; ``"nat"`` is the
         #: paper's N default (every fast path stays engaged).
@@ -122,9 +129,8 @@ class Session:
         #: ``:resilience on``): morsel retry, pool respawn, and the
         #: degradation ladder; only consulted under engine=parallel.
         self.resilience = resilience
-        #: ``None`` keeps the engine's default level (tree: 0,
-        #: physical/parallel: 1, codegen: 3); ``:passes level N``
-        #: overrides it.
+        #: ``None`` keeps the engine's default level (from
+        #: ``repro.planner.ENGINES``); ``:passes level N`` overrides it.
         self.opt_level = opt_level
         #: Per-pass overrides from ``:passes on/off NAME``.
         self.pass_toggles: Dict[str, bool] = {}
@@ -146,14 +152,8 @@ class Session:
                 for name, value in self.bindings.items()}
 
     def _default_level(self) -> int:
-        """The opt level the current engine defaults to: the oracle
-        walker evaluates queries as written, ``codegen`` is the
-        physical engine with the rewrite fixpoint on."""
-        if self.engine == "tree":
-            return 0
-        if self.engine == "codegen":
-            return 3
-        return 1
+        """The opt level the current engine defaults to."""
+        return resolve_engine(self.engine)[1]
 
     def _pass_config(self):
         """The session's :class:`~repro.planner.PassConfig`, or
@@ -235,16 +235,14 @@ class Session:
             return True
         if line == ":engine" or line.startswith(":engine "):
             choice = line[len(":engine"):].strip()
-            if not choice:
-                self._print(f"engine = {self.engine}")
-            elif choice in ("physical", "parallel", "codegen",
-                            "tree"):
+            if choice:
+                try:
+                    resolve_engine(choice)
+                except ValueError as error:
+                    self._print(f"error: {error}")
+                    return True
                 self.engine = choice
-                self._print(f"engine = {self.engine}")
-            else:
-                self._print(f"error: unknown engine {choice!r} "
-                            "(choices: physical, parallel, codegen, "
-                            "tree)")
+            self._print(f"engine = {self.engine}")
             return True
         if line == ":semiring" or line.startswith(":semiring "):
             from repro.core.semiring import known_semirings
@@ -324,8 +322,7 @@ class Session:
             return True
         if line.startswith(":explain "):
             from repro.engine import explain_physical
-            from repro.optimizer.explain import explain
-            from repro.planner.stats import stats_of
+            from repro.planner import explain, stats_of
             expr = parse(line[len(":explain "):])
             statistics = {name: stats_of(value)
                           for name, value in self.bindings.items()
@@ -336,12 +333,15 @@ class Session:
             self._print(self._explain_stages(expr))
             self._print("-- physical --")
             # the plan itself: segment report, lowered tree, and the
-            # "-- codegen --" fusion counters (:engine codegen only
-            # changes the default opt level)
+            # "-- codegen --" fusion counters; a name for the physical
+            # engine keeps its default opt level, any other engine
+            # shows the serial plan
+            serial = (self.engine
+                      if resolve_engine(self.engine)[0] == "physical"
+                      else "physical")
             self._print(explain_physical(
                 expr, self.bindings, governor=self._governor(),
-                engine=("codegen" if self.engine == "codegen"
-                        else "physical"),
+                engine=serial,
                 config=self._pass_config(),
                 catalog=self.workspace, feedback=self.feedback,
                 semiring=self._semiring_arg()))
@@ -449,9 +449,7 @@ class Session:
 
     def _handle_passes(self, args: str) -> bool:
         """``:passes`` — inspect or toggle the planner's passes."""
-        from repro.planner import (
-            OPT_LEVELS, PassConfig, toggleable_passes,
-        )
+        from repro.planner import PassConfig, toggleable_passes
         if not args:
             from repro.planner import rule_named
             from repro.planner.rewrites import product_pushdown_rule
@@ -475,11 +473,11 @@ class Session:
             return True
         parts = args.split()
         if parts[0] == "level" and len(parts) == 2:
-            if parts[1] not in ("0", "1", "2", "3"):
-                self._print(
-                    "error: :passes level expects 0, 1, 2, or 3")
+            try:
+                self.opt_level = _parse_level(parts[1], ":passes level")
+            except ValueError as error:
+                self._print(f"error: {error}")
                 return True
-            self.opt_level = int(parts[1])
             self._print(f"opt-level = {self.opt_level}")
             return True
         if parts[0] == "reset":
@@ -592,11 +590,7 @@ def _parse_engine_flag(
         name, equals, inline = argument.partition("=")
         if name == "--engine":
             engine = value_of(name, equals, inline)
-            if engine not in ("physical", "parallel", "codegen",
-                              "tree"):
-                raise ValueError(
-                    f"--engine expects 'physical', 'parallel', "
-                    f"'codegen', or 'tree', got {engine!r}")
+            resolve_engine(engine)  # an unknown name raises ValueError
         elif name == "--workers":
             raw = value_of(name, equals, inline)
             try:
@@ -612,12 +606,8 @@ def _parse_engine_flag(
                     f"--parallel-backend expects 'thread' or "
                     f"'process', got {backend!r}")
         elif name == "--opt-level":
-            raw = value_of(name, equals, inline)
-            if raw not in ("0", "1", "2", "3"):
-                raise ValueError(
-                    f"--opt-level expects 0, 1, 2, or 3, "
-                    f"got {raw!r}")
-            opt_level = int(raw)
+            opt_level = _parse_level(value_of(name, equals, inline),
+                                     "--opt-level")
         elif name == "--resilience":
             if equals:
                 raise ValueError("--resilience takes no value")
@@ -647,11 +637,11 @@ def main(argv=None) -> int:
     lines instead of killing the process.  ``--engine
     physical|parallel|codegen|tree`` picks the evaluator (default:
     the physical engine; ``codegen`` is the same engine defaulting to
-    opt level 3); ``--workers N`` and ``--parallel-backend
+    opt level 2); ``--workers N`` and ``--parallel-backend
     thread|process`` configure the parallel engine; ``--opt-level
     0|1|2|3`` picks the planner's pass set (0 disables every rewrite
-    and lowers naively; 2 adds the full algebraic fixpoint; 3 runs
-    the same passes as 2);
+    and lowers naively; 2 adds the full algebraic fixpoint; 3 is
+    another name for 2);
     ``--resilience`` turns on fault-tolerant parallel execution
     (morsel retry, pool respawn, degradation ladder); ``--semiring
     nat|bool|tropical|provenance`` picks the multiplicity semiring

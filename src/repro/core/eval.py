@@ -279,17 +279,15 @@ def evaluate(expr: Expr, database: Optional[Mapping[str, Bag]] = None,
     while ``"physical"`` dispatches to the fused-kernel engine of
     :mod:`repro.engine`, ``"parallel"`` to its morsel-driven
     executor (``workers`` threads, or processes with
-    ``parallel_backend="process"``), and ``"codegen"`` to the
-    physical engine at its older name's default opt level.  Same
-    results, bag-equal by the differential fuzz suite; governed
-    limits apply either way.
+    ``parallel_backend="process"``); :data:`repro.planner.ENGINES`
+    lists every name.  Same results, bag-equal by the differential
+    fuzz suite; governed limits apply either way.
 
     Every path routes through the staged planner
     (:func:`repro.planner.compile`).  ``opt_level`` (or a full
-    :class:`~repro.planner.PassConfig`) picks the passes; the tree
-    walker defaults to level 0 — the oracle evaluates the query *as
-    written* — while the physical engines default to level 1 and
-    ``"codegen"`` to level 3 (the rewrite fixpoint on).
+    :class:`~repro.planner.PassConfig`) picks the passes; otherwise
+    the engine's default from that table does — level 0 for the tree
+    walker, so the oracle evaluates the query *as written*.
 
     >>> from repro.core.expr import var
     >>> from repro.core.bag import Bag
@@ -298,10 +296,13 @@ def evaluate(expr: Expr, database: Optional[Mapping[str, Bag]] = None,
     >>> evaluate(var("B") + var("B"), B=Bag.of("a"), engine="physical")
     {{'a'*2}}
     """
-    if engine != "tree":
+    from repro.planner import PassConfig, PlanContext, resolve_engine
+    from repro.planner import compile as planner_compile
+    canonical, default_level = resolve_engine(engine)
+    if canonical != "tree":
         from repro import engine as physical_engine
         extra = {}
-        if engine == "parallel":
+        if canonical == "parallel":
             extra = {"workers": workers,
                      "parallel_backend": parallel_backend,
                      "resilience": resilience}
@@ -311,17 +312,13 @@ def evaluate(expr: Expr, database: Optional[Mapping[str, Bag]] = None,
             opt_level=opt_level, config=config,
             catalog=catalog, feedback=feedback, semiring=semiring,
             **extra, **named_bags)
-    # the oracle path: compile at opt level 0 by default, so the tree
-    # walker evaluates exactly the query the caller wrote
     from repro.core.semiring import semiring_name
-    from repro.planner import PassConfig, PlanContext
-    from repro.planner import compile as planner_compile
     evaluator = Evaluator(powerset_budget=powerset_budget,
                           governor=governor, limits=limits,
                           semiring=semiring)
     if config is None:
         config = PassConfig.for_level(
-            0 if opt_level is None else opt_level,
+            default_level if opt_level is None else opt_level,
             semiring=semiring_name(evaluator.semiring))
     elif evaluator.semiring is not None:
         from dataclasses import replace as _replace

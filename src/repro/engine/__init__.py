@@ -54,7 +54,7 @@ from repro.engine.resilience import (
     ResilienceConfig, is_transient_fault, resolve_resilience,
 )
 from repro.guard.governor import Limits, ResourceGovernor
-from repro.planner import PassConfig, PlanContext
+from repro.planner import PassConfig, PlanContext, resolve_engine
 from repro.planner import compile as planner_compile
 
 __all__ = [
@@ -79,12 +79,11 @@ def _config_for(opt_level: Optional[int],
                 default_level: int = 1,
                 semiring=None) -> PassConfig:
     """Resolve the pass configuration for a physical-path call: an
-    explicit config wins, then an explicit level; the default is
-    opt level 1 (normalize + cost-based lowering) — except under
-    ``engine="codegen"``, whose callers pass ``default_level=3``
-    (the rewrite fixpoint on).  ``semiring`` (an instance,
-    a name, or None for N) is stamped into the config so plan-cache
-    keys and the lowering pass see the active multiplicity domain."""
+    explicit config wins, then an explicit level, then the engine's
+    ``default_level`` (from :data:`repro.planner.ENGINES`).
+    ``semiring`` (an instance, a name, or None for N) is stamped into
+    the config so plan-cache keys and the lowering pass see the active
+    multiplicity domain."""
     from dataclasses import replace as _replace
 
     from repro.core.semiring import resolve_semiring, semiring_name
@@ -121,21 +120,18 @@ def _prepare(expr: Expr, database, named_bags, *, engine: str,
     before they plan: validate the engine, resolve the semiring (the
     argument, else the config's), build the parallel policy and
     run-time config, adapt the bindings and settle the pass config
-    (``engine="codegen"`` defaults to level 3, the others to 1).
+    (the engine's default level unless one is given).
 
     Returns ``(semiring, bindings, missing, policy, parallel_config,
     pass_config)``; ``missing`` is the free variables left unbound.
     """
-    if engine not in ("physical", "parallel", "codegen"):
-        if engine == "tree":
-            raise ValueError("engine 'tree' is the oracle walker: it "
-                             "has no physical plan")
-        raise ValueError(f"unknown engine {engine!r} "
-                         "(choices: 'physical', 'parallel', "
-                         "'codegen', 'tree')")
+    canonical, default_level = resolve_engine(engine)
+    if canonical == "tree":
+        raise ValueError("engine 'tree' is the oracle walker: it "
+                         "has no physical plan")
     policy = parallel_config = None
     resilience_config = resolve_resilience(resilience)
-    if engine == "parallel":
+    if canonical == "parallel":
         from repro.engine.parallel import ParallelConfig, ParallelPolicy
         policy = (ParallelPolicy() if parallel_threshold is None
                   else ParallelPolicy(threshold=parallel_threshold))
@@ -154,9 +150,8 @@ def _prepare(expr: Expr, database, named_bags, *, engine: str,
     missing = referenced - set(bindings)
     if sr is not None:
         bindings = sr.adapt_bindings(bindings, referenced)
-    pass_config = _config_for(
-        opt_level, config,
-        default_level=3 if engine == "codegen" else 1, semiring=sr)
+    pass_config = _config_for(opt_level, config,
+                              default_level=default_level, semiring=sr)
     return sr, bindings, missing, policy, parallel_config, pass_config
 
 
@@ -180,14 +175,13 @@ def plan_for(expr: Expr, bindings: Mapping[str, Any],
     parallelism pass; parallel plans live under a tagged cache key so
     they never shadow serial plans, and the pass configuration is part
     of every key so opt levels never collide either.  The engine name
-    only picks the default opt level (``"codegen"``: 3, otherwise 1).
+    only picks the default opt level (:data:`repro.planner.ENGINES`).
     """
     if engine is None:
         engine = "parallel" if policy is not None else "physical"
-    resolved = _config_for(
-        opt_level, config, selectivity,
-        default_level=3 if engine == "codegen" else 1,
-        semiring=semiring)
+    resolved = _config_for(opt_level, config, selectivity,
+                           default_level=resolve_engine(engine)[1],
+                           semiring=semiring)
     ctx = PlanContext.capture(
         bindings, catalog=catalog, engine=engine,
         cache=cache, engine_stats=stats, parallel=policy,
@@ -236,13 +230,13 @@ def evaluate(expr: Expr,
     floor (1 forces the full ``workers x MORSEL_FACTOR`` split even
     on tiny inputs — what the differential harness does).
     Every one of these executes the lowered plan's fused step
-    programs (:mod:`repro.engine.codegen`); ``engine="codegen"`` is
-    the physical engine with opt level 3 as its default.
+    programs (:mod:`repro.engine.codegen`); engine names and their
+    default opt levels come from :data:`repro.planner.ENGINES`.
     ``opt_level`` (0/1/2/3) or a full
     :class:`~repro.planner.PassConfig` picks the planner passes —
     level 0 disables every rewrite and lowers naively, level 2 adds
-    the full algebraic rewrite fixpoint to the default, level 3 runs
-    the same passes as level 2.
+    the full algebraic rewrite fixpoint to the default, level 3 is
+    another name for level 2.
     ``cache=None`` disables plan caching; the default is the
     process-wide cache.  Governed limits apply to the whole run:
     compilation ticks the shared governor per rewrite pass, every
@@ -314,7 +308,7 @@ def evaluate(expr: Expr,
                 min(1, resolved_config.opt_level),
                 selectivity=resolved_config.selectivity,
                 semiring=resolved_config.semiring)
-            serial_ctx = PlanContext.for_bindings(
+            serial_ctx = PlanContext.capture(
                 bindings, engine="physical",
                 governor=evaluator.governor, cache=cache,
                 engine_stats=stats, config=replan_config)

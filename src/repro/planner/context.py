@@ -31,7 +31,7 @@ from repro.planner.stats import (
 )
 
 __all__ = ["PassConfig", "PlanContext", "STAGE_NAMES", "OPT_LEVELS",
-           "toggleable_passes"]
+           "ENGINES", "resolve_engine", "toggleable_passes"]
 
 #: The named stages of the pipeline, in order.
 STAGE_NAMES = ("typecheck", "normalize", "rewrite", "lower",
@@ -43,8 +43,24 @@ OPT_LEVELS = {
        "reordering, no sharing)",
     1: "normalize + cost-based lowering (the default)",
     2: "level 1 plus the algebraic rewrite fixpoint",
-    3: "the same passes as level 2 (the engine=codegen default)",
+    3: "another name for level 2",
 }
+
+#: engine name -> (the engine that runs it, its default opt level).
+#: The one place an engine name is resolved: ``codegen`` is the
+#: physical engine under an older name, with the rewrite fixpoint on.
+ENGINES = {"tree": ("tree", 0), "physical": ("physical", 1),
+           "parallel": ("parallel", 1), "codegen": ("physical", 2)}
+
+
+def resolve_engine(name: str) -> Tuple[str, int]:
+    """``(canonical engine, default opt level)`` for an engine name."""
+    try:
+        return ENGINES[name]
+    except KeyError:
+        raise ValueError(f"unknown engine {name!r} (choices: "
+                         f"{', '.join(ENGINES)})") from None
+
 
 #: Stage-level toggle names plus every statically-registered rule name.
 def toggleable_passes() -> Tuple[str, ...]:
@@ -79,6 +95,8 @@ class PassConfig:
             raise ValueError(
                 f"opt level must be one of {sorted(OPT_LEVELS)}, "
                 f"got {self.opt_level!r}")
+        # level 3 runs level 2's passes: one level, one cache tag
+        object.__setattr__(self, "opt_level", min(self.opt_level, 2))
         # normalized, deduplicated, sorted tuples keep the config
         # hashable and make equal toggles produce equal cache tags
         object.__setattr__(self, "disabled",
@@ -187,10 +205,10 @@ class PlanContext:
     Parameters
     ----------
     engine:
+        A name in :data:`ENGINES`, stored as the engine that runs it:
         ``"tree"`` (the oracle walker — the pipeline stops after the
-        logical stages), ``"physical"``, ``"parallel"``, or
-        ``"codegen"`` (the physical engine under its older name; the
-        caller picks opt level 3 as its default).
+        logical stages), ``"physical"`` or ``"parallel"``.  The
+        caller picks the opt level.
     schema:
         Optional caller-declared ``name -> Type`` mapping; the source
         expression is checked against it before normalization, and it
@@ -238,11 +256,7 @@ class PlanContext:
                  parallel=None,
                  config: Optional[PassConfig] = None,
                  selectivity_fn: Optional[SelectivityFn] = None):
-        if engine not in ("tree", "physical", "parallel", "codegen"):
-            raise ValueError(f"unknown engine {engine!r} "
-                             "(choices: 'tree', 'physical', "
-                             "'parallel', 'codegen')")
-        self.engine = engine
+        self.engine = resolve_engine(engine)[0]
         self.schema = dict(schema) if schema is not None else None
         self.statistics = (dict(statistics) if statistics is not None
                            else None)
@@ -305,20 +319,6 @@ class PlanContext:
         ctx.stats_sources = sources
         ctx.stats_epochs = epochs
         return ctx
-
-    @classmethod
-    def for_bindings(cls, bindings: Mapping[str, Any], *,
-                     engine: str = "physical",
-                     schema: Optional[Mapping[str, Any]] = None,
-                     governor=None, cache=None, engine_stats=None,
-                     parallel=None,
-                     config: Optional[PassConfig] = None
-                     ) -> "PlanContext":
-        """Catalog-less :meth:`capture` (the historical name)."""
-        return cls.capture(bindings, engine=engine, schema=schema,
-                           governor=governor, cache=cache,
-                           engine_stats=engine_stats, parallel=parallel,
-                           config=config)
 
     def stats_tag(self) -> Optional[Tuple]:
         """The statistics component of the plan-cache key.

@@ -19,13 +19,13 @@ they differ only in which rules are active).  The discipline:
   :class:`~repro.planner.report.PlanReport` exposes to ``:explain``.
 
 Extension nodes the rebuild does not know (IFP, machine encodings)
-pass through untouched, exactly as the legacy optimizer treated them.
+pass through untouched.
 """
 
 from __future__ import annotations
 
 from operator import is_
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.core.expr import (
     AdditiveUnion, Attribute, Bagging, BagDestroy, Cartesian, Const,
@@ -74,10 +74,6 @@ class FixpointRewriter:
                                         else {})
         self.converged = True
         self.passes_run = 0
-
-    @property
-    def rewrites_applied(self) -> int:
-        return sum(self.firings.values())
 
     def rewrite(self, expr: Expr) -> Expr:
         """Rewrite to a (bounded) fixpoint of the rule set."""
@@ -147,15 +143,3 @@ class FixpointRewriter:
         if all(map(is_, passed, parts)):
             return expr
         return build(*passed)
-
-
-def run_fixpoint(rules: Sequence[Rule], expr: Expr, *,
-                 max_passes: int = DEFAULT_MAX_PASSES,
-                 governor=None,
-                 firings: Optional[Dict[str, int]] = None
-                 ) -> Tuple[Expr, bool]:
-    """One-shot helper: rewritten tree plus the convergence flag."""
-    rewriter = FixpointRewriter(rules, max_passes=max_passes,
-                                governor=governor, firings=firings)
-    result = rewriter.rewrite(expr)
-    return result, rewriter.converged

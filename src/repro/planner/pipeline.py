@@ -6,8 +6,7 @@ parallelize -> codegen`` over a logical expression, driven by the
 :class:`~repro.planner.report.PlanReport` along the way.  Every
 execution entry point in the repo (``core.eval.evaluate``,
 ``repro.engine.evaluate``, ``run_sql``, the REPL, the CLI, the testkit
-backends) routes through here; ``repro.optimizer`` is a compatibility
-shim over the same stages.
+backends) routes through here.
 
 The plan cache is consulted *before* any stage runs: a hit skips
 normalization, rewriting, and lowering in one step.  Cache keys
@@ -41,7 +40,7 @@ from repro.core.types import element_arity
 from repro.planner.context import PassConfig, PlanContext
 from repro.planner.manager import FixpointRewriter
 from repro.planner.report import PlanReport, StageRecord, _StageTimer
-from repro.planner.rewrites import Rule, product_pushdown_rule
+from repro.planner.rewrites import product_pushdown_rule
 
 __all__ = ["CompiledPlan", "compile"]
 
@@ -80,7 +79,7 @@ def _combined_tag(config: PassConfig, policy,
 def _left_arity_fn(schema: Mapping[str, Any]
                    ) -> Callable[[Expr], Optional[int]]:
     """Operand-arity oracle for the product-pushdown rule, via type
-    inference against the schema (the legacy optimizer's discipline)."""
+    inference against the schema."""
 
     def left_arity(operand: Expr) -> Optional[int]:
         try:
@@ -107,7 +106,7 @@ def compile(expr: Expr, context: Optional[PlanContext] = None, *,
         not pay for rendering).
     extra_rules:
         Additional :class:`Rule` objects appended to the rewrite
-        stage (the legacy ``Optimizer(extra_rules=...)`` surface).
+        stage (each still subject to the config's toggles).
     """
     ctx = context if context is not None else PlanContext()
     config = ctx.config
@@ -155,16 +154,8 @@ def compile(expr: Expr, context: Optional[PlanContext] = None, *,
         pushdown = product_pushdown_rule(_left_arity_fn(ctx.schema))
         if config.rule_active(pushdown):
             rewrite_rules.append(pushdown)
-    for rule in extra_rules:
-        if isinstance(rule, Rule):
-            if config.rule_active(rule):
-                rewrite_rules.append(rule)
-        else:  # bare callable (legacy RewriteRule surface)
-            rewrite_rules.append(Rule(
-                name=getattr(rule, "__name__", "extra"),
-                fn=rule, stage="rewrite",
-                side_condition="caller-supplied rule; soundness is the "
-                               "caller's obligation"))
+    rewrite_rules.extend(rule for rule in extra_rules
+                         if config.rule_active(rule))
     logical = _fixpoint_stage("rewrite", tuple(rewrite_rules), logical,
                               config, governor, report, trees)
 

@@ -5,18 +5,79 @@ order.  Each record carries the tree *after* the stage ran, the rule
 firings the stage performed, the estimated static cost of the result,
 whether a fixpoint stage converged, and how long the stage took (the
 E23 benchmark reads the timings).  ``render()`` produces the
-``-- stages --`` view the CLI prints.
+``-- stages --`` view the CLI prints; :func:`explain` produces the
+``-- logical --`` view above it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
-from repro.planner.stats import estimated_cost
+from repro.core.errors import BagTypeError
+from repro.core.expr import Const, Expr, Var
+from repro.core.typecheck import TypeChecker
+from repro.core.types import Type
+from repro.planner.stats import (
+    DEFAULT_SELECTIVITY, BagStats, estimate, estimated_cost,
+)
 
-__all__ = ["StageRecord", "PlanReport"]
+__all__ = ["StageRecord", "PlanReport", "explain"]
+
+
+def explain(expr: Expr,
+            schema: Optional[Mapping[str, Type]] = None,
+            statistics: Optional[Mapping[str, BagStats]] = None,
+            selectivity: float = DEFAULT_SELECTIVITY) -> str:
+    """The logical EXPLAIN: the dataflow tree, one node per line, each
+    with its inferred type (given a schema) and its estimated
+    cardinality (given statistics)::
+
+        Select  [{{[U, U]}}]  est card 8 / distinct 4
+          Cartesian  [{{[U, U]}}]  est card 16 / distinct 8
+            Var A  [{{[U]}}]  est card 4 / distinct 2
+
+    Lambda bodies are per-member computations, not plan steps, so the
+    tree does not descend into them.  An untypeable expression still
+    renders, without types.
+    """
+    types: Dict[int, Type] = {}
+    if schema is not None:
+        checker = TypeChecker()
+        try:
+            checker.check(expr, schema)
+        except BagTypeError:
+            pass
+        else:
+            for node, inferred in checker.annotations:
+                types.setdefault(id(node), inferred)
+    lines: List[str] = []
+
+    def render(node: Expr, depth: int) -> None:
+        if isinstance(node, Var):
+            parts = [f"Var {node.name}"]
+        else:
+            parts = ["Const" if isinstance(node, Const)
+                     else type(node).__name__]
+        if id(node) in types:
+            parts.append(f"[{types[id(node)]!r}]")
+        if statistics is not None:
+            try:
+                stats = estimate(node, statistics,
+                                 selectivity=selectivity)
+                parts.append(f"est card {stats.cardinality:g} / "
+                             f"distinct {stats.distinct:g}")
+            except BagTypeError:
+                pass
+        lines.append("  " * depth + "  ".join(parts))
+        bodies = [lam.body for lam in node.lambdas()]
+        for child in node.children():
+            if all(child is not body for body in bodies):
+                render(child, depth + 1)
+
+    render(expr, 0)
+    return "\n".join(lines)
 
 
 @dataclass

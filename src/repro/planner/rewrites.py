@@ -5,9 +5,8 @@ properties (associativity, commutativity of the unions and the
 intersection) "which can be used to define rewriting rules, to optimize
 queries over bags, in the same spirit as optimization of queries over
 sets, by pushing down selections for instance".  This module carries
-that rule set — migrated here from ``repro.optimizer.rules``, which is
-now a compatibility shim — and adds the planner's discipline: every
-rule is registered as a :class:`Rule` carrying
+that rule set with the planner's discipline: every rule is registered
+as a :class:`Rule` carrying
 
 * a stable **name** (what ``:passes`` toggles and ``:explain`` counts),
 * the **stage** it belongs to (``normalize`` rules are unconditional
@@ -49,8 +48,7 @@ __all__ = [
     "fold_constants", "drop_neutral_elements", "idempotent_extremes",
     "self_subtraction", "cancel_attribute_of_tupling", "collapse_dedup",
     "fuse_maps", "push_selection_through_map",
-    "push_selection_into_union", "push_selection_into_product",
-    "make_push_selection_into_product",
+    "push_selection_into_union", "make_push_selection_into_product",
 ]
 
 RewriteRule = Callable[[Expr], Optional[Expr]]
@@ -343,20 +341,6 @@ def make_push_selection_into_product(
     return rule
 
 
-def push_selection_into_product(expr: Expr) -> Optional[Expr]:
-    """Schema-free variant of the product pushdown: only fires when the
-    left operand's arity is syntactically evident (a bag literal)."""
-
-    def literal_arity(operand: Expr) -> Optional[int]:
-        if isinstance(operand, Const) and isinstance(operand.value, Bag) \
-                and not operand.value.is_empty():
-            element = operand.value.an_element()
-            return element.arity if hasattr(element, "arity") else None
-        return None
-
-    return make_push_selection_into_product(literal_arity)(expr)
-
-
 # ----------------------------------------------------------------------
 # The registry: names, stages, side conditions
 # ----------------------------------------------------------------------
@@ -416,16 +400,6 @@ REWRITE_RULES: Tuple[Rule, ...] = (
 #: constructed per-compilation by :func:`product_pushdown_rule`).
 ALL_RULES: Tuple[Rule, ...] = NORMALIZE_RULES + REWRITE_RULES
 
-#: The side condition of the schema-dependent pushdown, shared by both
-#: construction sites.
-_PRODUCT_PUSHDOWN_CONDITION = (
-    "a selection touching only the left (resp. right) factor's "
-    "attribute positions filters members independently of the other "
-    "factor; x multiplies multiplicities, so filtering one factor "
-    "first scales the same products.  Side condition: the left "
-    "operand's arity must be known (schema or literal) and the "
-    "touched positions must fall entirely on one side.")
-
 
 def product_pushdown_rule(left_arity_of: Callable[[Expr], Optional[int]]
                           ) -> Rule:
@@ -433,7 +407,14 @@ def product_pushdown_rule(left_arity_of: Callable[[Expr], Optional[int]]
     wrapped with its planner metadata."""
     return Rule("push-select-product",
                 make_push_selection_into_product(left_arity_of),
-                "rewrite", _PRODUCT_PUSHDOWN_CONDITION,
+                "rewrite",
+                "a selection touching only the left (resp. right) "
+                "factor's attribute positions filters members "
+                "independently of the other factor; x multiplies "
+                "multiplicities, so filtering one factor first scales "
+                "the same products.  Side condition: the left operand's "
+                "arity must be known (from the schema) and the touched "
+                "positions must fall entirely on one side.",
                 requires_schema=True)
 
 

@@ -1,14 +1,9 @@
 """The one shared estimator: cardinality statistics and static cost.
 
-Historically the repo grew two half-independent copies of this math —
-``repro.optimizer.cardinality`` fed the logical rewriter and EXPLAIN,
-while the engine's lowering pass consumed the same module but owned its
-own cost weights, and nothing pinned the two views together.  This
-module is now the single source of truth: *both* rewrite costing and
-cost-based lowering import from here, ``repro.optimizer.cardinality``
-is a compatibility shim re-exporting these names, and
-``tests/test_planner.py`` asserts the two import paths agree operator
-by operator on a fixed fixture set.
+This module is the single source of truth: rewrite costing, the
+logical EXPLAIN and cost-based lowering all import from here
+(``tests/test_planner.py`` pins that the engine's lowering uses this
+very estimator).
 
 A classical optimizer component adapted to bag semantics: given
 per-relation statistics (total cardinality *with duplicates* and the

@@ -2,10 +2,10 @@
 
 The repo now has several independently written implementations of the
 same semantics: the tree-walker oracle (:mod:`repro.core.eval`), the
-physical kernel engine (:mod:`repro.engine`), the rewrite optimizer
-(:mod:`repro.optimizer`), the surface syntax (:mod:`repro.surface`)
-and the SQL front end (:mod:`repro.sql`).  This package cross-checks
-them:
+physical kernel engine (:mod:`repro.engine`), the planner's rewrite
+rules (:mod:`repro.planner.rewrites`), the surface syntax
+(:mod:`repro.surface`) and the SQL front end (:mod:`repro.sql`).  This
+package cross-checks them:
 
 * :mod:`repro.testkit.generate` — a seeded, typed expression generator
   producing well-typed BALG^1/2/3 cases over multi-relation schemas

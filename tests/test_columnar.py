@@ -55,7 +55,7 @@ from repro.engine.columnar import (
     sum_counts, to_columnar,
 )
 from repro.planner.pipeline import _combined_tag
-from repro.planner import PassConfig
+from repro.planner import PassConfig, PlanContext
 from repro.planner.context import toggleable_passes
 from repro.testkit import Case, Harness, generate_case
 from repro.workloads import random_multigraph, random_relation
@@ -398,6 +398,17 @@ class TestCodegenCompiler:
                 == plan_for(expr, database, opt_level=2).render())
         assert (plan_for(expr, database, engine="codegen").render()
                 == plan_for(expr, database, opt_level=3).render())
+        # one table resolves the names: level 3 is level 2, "codegen"
+        # is the physical engine, and its default level is 2
+        assert PassConfig.for_level(3) == PassConfig.for_level(2)
+        assert PlanContext(engine="codegen").engine == "physical"
+        cache, stats = PlanCache(capacity=8), EngineStats()
+        physical = plan_for(expr, database, cache=cache, stats=stats,
+                            engine="physical", opt_level=2)
+        codegen = plan_for(expr, database, cache=cache, stats=stats,
+                           engine="codegen")
+        assert codegen is physical
+        assert (stats.cache_misses, stats.cache_hits) == (1, 1)
 
     def test_cache_tag_has_no_engine_component(self):
         config = PassConfig.for_level(3)

@@ -9,7 +9,7 @@ Three layers of evidence:
 * **unit tests** — kernels, lowering decisions (hash-join fusion,
   intersection reordering, multiplicity scaling, shared-subexpression
   materialisation), and the LRU plan cache;
-* **estimator regression** — the optimizer's cardinality estimates
+* **estimator regression** — the planner's cardinality estimates
   dominate the engine's *measured* per-node row counts on the
   bench-E01 workload family (uniform bags, delta-of-powerset).
 """
@@ -41,7 +41,7 @@ from repro.engine.physical import (
     PhysicalNode, ScanBag, SharedScan,
 )
 from repro.guard import Limits
-from repro.optimizer.cardinality import estimate, stats_of
+from repro.planner import estimate, stats_of
 from repro.workloads import random_relation, uniform_family
 from tests.strategies import balg1_exprs, input_bags
 

@@ -1,14 +1,12 @@
-"""Tests for the plan explainer (repro.optimizer.explain)."""
+"""Tests for the logical plan explainer (repro.planner.report.explain)."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.bag import Bag, Tup
 from repro.core.derived import select_attr_eq_const
-from repro.core.expr import Const, Lam, Map, Tupling, Var, var
+from repro.core.expr import Const, Lam, Map, Tupling, var
 from repro.core.types import flat_bag_type
-from repro.optimizer import build_plan, explain, stats_of
+from repro.planner import explain, stats_of
 
 SCHEMA = {"A": flat_bag_type(2), "B": flat_bag_type(1)}
 
@@ -19,38 +17,41 @@ def _statistics():
     return {"A": stats_of(a), "B": stats_of(b)}
 
 
-class TestBuildPlan:
+def _lines(expr, schema=SCHEMA, statistics=None):
+    return explain(expr, schema, statistics).splitlines()
+
+
+class TestPlanTree:
     def test_tree_shape(self):
-        plan = build_plan(var("A") * var("B"), SCHEMA, _statistics())
-        assert len(plan.children) == 2
-        assert plan.children[0].label().startswith("Var A")
+        lines = _lines(var("A") * var("B"), statistics=_statistics())
+        assert len(lines) == 3
+        assert lines[1].startswith("  Var A")
+        assert lines[2].startswith("  Var B")
 
     def test_types_annotated(self):
-        plan = build_plan(var("A") * var("B"), SCHEMA)
-        assert "{{[U, U, U]}}" in plan.label()
+        root = _lines(var("A") * var("B"))[0]
+        assert "{{[U, U, U]}}" in root
 
     def test_estimates_annotated(self):
-        plan = build_plan(var("A") * var("B"), SCHEMA, _statistics())
-        assert "est card 12" in plan.label()
+        root = _lines(var("A") * var("B"), statistics=_statistics())[0]
+        assert "est card 12" in root
 
     def test_lambda_bodies_not_plan_children(self):
         query = Map(Lam("t", Tupling(Const("k"))), var("A"))
-        plan = build_plan(query, SCHEMA, _statistics())
-        assert len(plan.children) == 1  # only the operand
-        assert plan.children[0].label().startswith("Var A")
+        lines = _lines(query, statistics=_statistics())
+        assert len(lines) == 2  # only the operand
+        assert lines[1].startswith("  Var A")
 
     def test_untypeable_expression_still_renders(self):
         # Cartesian of non-tuple bags fails typing; the plan falls back
         # to the bare operator tree
         from repro.core.types import BagType, U
-        plan = build_plan(var("A") * var("B"),
-                          {"A": BagType(U), "B": BagType(U)})
-        assert plan.inferred is None
-        assert "Cartesian" in plan.label()
+        root = _lines(var("A") * var("B"),
+                      {"A": BagType(U), "B": BagType(U)})[0]
+        assert root == "Cartesian"
 
     def test_missing_statistics_ok(self):
-        plan = build_plan(var("A"), SCHEMA, None)
-        assert plan.stats is None
+        assert "est card" not in explain(var("A"), SCHEMA, None)
 
 
 class TestExplainText:

@@ -1,9 +1,9 @@
 """Integration tests: pipelines that cross module boundaries.
 
 Each test wires several subsystems together the way a user would —
-SQL through the optimizer, parsed text through fragment checking, the
-arithmetic compiler through the rewriter, game structures through the
-algebra — and checks end-to-end agreement.
+SQL through the planner's rewrites, parsed text through fragment
+checking, the arithmetic compiler through the rewriter, game
+structures through the algebra — and checks end-to-end agreement.
 """
 
 from __future__ import annotations
@@ -20,10 +20,18 @@ from repro.core.fragments import fragment_report
 from repro.core.nest import Nest
 from repro.core.types import flat_bag_type, type_of
 from repro.games import build_star_graphs, edge_bag
-from repro.optimizer import Optimizer
+from repro.planner import PassConfig, PlanContext
+from repro.planner import compile as planner_compile
 from repro.relational import SetEvaluator, relational_evaluate
 from repro.sql import Catalog, compile_sql, run_sql
 from repro.surface import parse, to_text
+
+
+def _optimize(expr, schema=None):
+    """The planner's logical rewrite at opt level 2."""
+    return planner_compile(expr, PlanContext(
+        engine="tree", schema=schema,
+        config=PassConfig.for_level(2))).logical
 
 
 @pytest.fixture
@@ -47,7 +55,7 @@ class TestSqlThroughOptimizer:
                 "WHERE orders.customer = vip.customer")
         compiled = compile_sql(text, catalog)
         schema = {name: type_of(bag) for name, bag in database.items()}
-        optimized = Optimizer(schema=schema).optimize(compiled.expr)
+        optimized = _optimize(compiled.expr, schema)
         assert evaluate(optimized, database) == evaluate(
             compiled.expr, database)
 
@@ -74,7 +82,7 @@ class TestSurfaceThroughEverything:
         schema = {"orders": flat_bag_type(2)}
         report = fragment_report(expr, schema)
         assert report.in_balg1
-        optimized = Optimizer(schema=schema).optimize(expr)
+        optimized = _optimize(expr, schema)
         assert evaluate(optimized, database) == evaluate(expr, database)
         # and the optimized form still round-trips through text
         reparsed = parse(to_text(optimized))
@@ -95,8 +103,7 @@ class TestArithThroughOptimizer:
         formula = NExists("x", NEq(Plus(NVar("x"), NVar("x")),
                                    NVar("n")))
         compiled = compile_formula(formula)
-        optimizer = Optimizer()
-        optimized = optimizer.optimize(compiled.expr)
+        optimized = _optimize(compiled.expr)
         for n in range(5):
             bag = input_bag(n)
             assert (is_nonempty(evaluate(optimized, B=bag))

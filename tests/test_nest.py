@@ -151,9 +151,11 @@ class TestExpressionNodes:
             infer_type(Unnest(var("B"), 1), B=flat_bag_type(2))
 
     def test_optimizer_passes_through(self):
-        from repro.optimizer import optimize
+        from repro.planner import PassConfig, PlanContext, compile
         expr = Nest(var("B"), 2)
-        assert optimize(expr) == expr
+        compiled = compile(expr, PlanContext(
+            engine="tree", config=PassConfig.for_level(2)))
+        assert compiled.logical == expr
 
 
 class TestNestVsPowersetGrouping:

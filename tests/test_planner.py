@@ -119,25 +119,33 @@ class TestPipelineParity:
 # ----------------------------------------------------------------------
 
 class TestSharedEstimator:
-    def test_optimizer_and_engine_import_the_same_estimator(self):
+    def test_engine_imports_the_planner_estimator(self):
         import importlib
         lower_module = importlib.import_module("repro.engine.lower")
-        card_module = importlib.import_module(
-            "repro.optimizer.cardinality")
-        assert card_module.estimate is planner.estimate
         assert lower_module.estimate is planner.estimate
-        assert card_module.BagStats is planner.BagStats
 
-    def test_optimizer_and_planner_cost_models_agree(self):
-        from repro.optimizer import estimated_cost as optimizer_cost
+    def test_stage_reports_price_with_the_planner_cost_model(self):
+        """A stage record's cost is ``planner.estimated_cost`` of its
+        output; the last fixpoint stage prices the compiled logical
+        tree, and rewriting never prices it above the source."""
         for expr, _ in _BATTERY:
-            assert optimizer_cost(expr) == planner.estimated_cost(expr)
+            compiled = planner_compile(
+                expr, PlanContext(engine="tree",
+                                  config=PassConfig.for_level(2)))
+            priced = [record for record in compiled.report.stages
+                      if record.output is not None]
+            assert priced, expr
+            for record in priced:
+                assert record.cost == planner.estimated_cost(
+                    record.output), (record.stage, expr)
+            assert priced[-1].output == compiled.logical
+            assert priced[-1].cost <= planner.estimated_cost(expr), expr
 
     def test_estimates_agree_operator_by_operator(self):
-        """Both import paths produce identical numbers for every
-        operator on a fixed fixture set."""
-        from repro.optimizer.cardinality import estimate as via_optimizer
-        from repro.engine.lower import estimate as via_engine
+        """The engine's lowering and the logical EXPLAIN quote the
+        planner's numbers for every operator on a fixed fixture set."""
+        from repro.engine.lower import lower
+        from repro.planner.report import explain
         statistics = {"R": planner.stats_of(_R),
                       "S": planner.stats_of(_S),
                       "B": planner.stats_of(_FLAT)}
@@ -158,11 +166,17 @@ class TestSharedEstimator:
             Unnest(Nest(var("R"), 2), 2),
         ]
         for expr in fixtures:
-            left = via_optimizer(expr, statistics)
-            right = via_engine(expr, statistics)
-            assert left == right, expr
-            assert left.cardinality == right.cardinality
-            assert left.distinct == right.distinct
+            expected = planner.estimate(expr, statistics, selectivity=0.5)
+            lowered = lower(expr, statistics, selectivity=0.5,
+                            cost_based=False).root.estimated
+            assert lowered == expected, expr
+            assert lowered.cardinality == expected.cardinality
+            assert lowered.distinct == expected.distinct
+            first_line = explain(expr, statistics=statistics,
+                                 selectivity=0.5).splitlines()[0]
+            assert first_line.endswith(
+                f"est card {expected.cardinality:g} / "
+                f"distinct {expected.distinct:g}"), (expr, first_line)
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +270,7 @@ class TestCacheKeysIncludePassConfig:
         bindings = {"R": _R, "S": _S}
         plans = {}
         for level in (0, 1, 2):
-            ctx = PlanContext.for_bindings(
+            ctx = PlanContext.capture(
                 bindings, engine="physical", cache=cache,
                 config=PassConfig.for_level(level))
             plans[level] = planner_compile(_JOIN, ctx).physical
@@ -267,7 +281,7 @@ class TestCacheKeysIncludePassConfig:
         assert isinstance(plans[1].root, HashJoin)
         # re-compilation per level hits the right entry
         for level in (0, 1, 2):
-            ctx = PlanContext.for_bindings(
+            ctx = PlanContext.capture(
                 bindings, engine="physical", cache=cache,
                 config=PassConfig.for_level(level))
             again = planner_compile(_JOIN, ctx)
@@ -292,7 +306,7 @@ class TestCacheKeysIncludePassConfig:
         bindings = {"B": _FLAT}
         expr = Dedup(var("B"))
         for _ in range(2):
-            ctx = PlanContext.for_bindings(
+            ctx = PlanContext.capture(
                 bindings, engine="physical", cache=cache,
                 engine_stats=stats, config=PassConfig.for_level(1))
             planner_compile(expr, ctx)
@@ -307,7 +321,7 @@ class TestCacheKeysIncludePassConfig:
 
 class TestOptLevelPlanShapes:
     def _plan(self, expr, bindings, level):
-        ctx = PlanContext.for_bindings(
+        ctx = PlanContext.capture(
             bindings, engine="physical",
             config=PassConfig.for_level(level))
         return planner_compile(expr, ctx).physical

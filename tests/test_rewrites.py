@@ -1,6 +1,6 @@
-"""Tests for the rewrite rules and the optimizer engine
-(repro.optimizer).  Every rule must preserve bag semantics — checked on
-random inputs — and the engine must reach a fixpoint."""
+"""Tests for the rewrite rules (repro.planner.rewrites) and the
+planner's rewrite fixpoint.  Every rule must preserve bag semantics —
+checked on random inputs — and the fixpoint must be reached."""
 
 from __future__ import annotations
 
@@ -15,13 +15,25 @@ from repro.core.expr import (
     MaxUnion, Powerset, Select, Subtraction, Tupling, Var, var,
 )
 from repro.core.types import flat_bag_type
-from repro.optimizer import (
-    Optimizer, cancel_attribute_of_tupling, collapse_dedup,
-    drop_neutral_elements, estimated_cost, fold_constants, fuse_maps,
-    idempotent_extremes, optimize, push_selection_into_union,
+from repro import planner
+from repro.planner import PassConfig, PlanContext, estimated_cost
+from repro.planner.rewrites import (
+    cancel_attribute_of_tupling, collapse_dedup, drop_neutral_elements,
+    fold_constants, fuse_maps, idempotent_extremes,
+    push_selection_into_union, push_selection_through_map,
     self_subtraction, substitute,
 )
 from tests.conftest import atom_bags, flat_bags
+
+
+def _compile(expr, schema=None):
+    """The planner's logical stages at opt level 2."""
+    return planner.compile(expr, PlanContext(
+        engine="tree", schema=schema, config=PassConfig.for_level(2)))
+
+
+def _optimize(expr, schema=None):
+    return _compile(expr, schema).logical
 
 
 class TestSubstitute:
@@ -97,7 +109,7 @@ class TestRuleSoundness:
     @given(atom_bags())
     def test_neutral_elements_sound(self, bag):
         expr = var("B") + Const(EMPTY_BAG)
-        assert evaluate(optimize(expr), B=bag) == evaluate(expr, B=bag)
+        assert evaluate(_optimize(expr), B=bag) == evaluate(expr, B=bag)
 
     @given(flat_bags(arity=2))
     def test_fusion_sound(self, bag):
@@ -106,45 +118,44 @@ class TestRuleSoundness:
         outer = Lam("y", Tupling(Attribute(Var("y"), 1),
                                  Const("k")))
         expr = Map(outer, Map(inner, var("B")))
-        assert evaluate(optimize(expr), B=bag) == evaluate(expr, B=bag)
+        assert evaluate(_optimize(expr), B=bag) == evaluate(expr, B=bag)
 
     @given(flat_bags(arity=2), flat_bags(arity=2))
     def test_selection_union_pushdown_sound(self, left, right):
         expr = select_attr_eq_const(var("A") + var("B"), 1, "a")
-        optimized = optimize(expr)
+        optimized = _optimize(expr)
         env = {"A": left, "B": right}
         assert evaluate(optimized, env) == evaluate(expr, env)
 
     @given(flat_bags(arity=2), flat_bags(arity=1))
     def test_product_pushdown_sound(self, left, right):
         schema = {"A": flat_bag_type(2), "B": flat_bag_type(1)}
-        optimizer = Optimizer(schema=schema)
         for index, const in [(1, "a"), (2, "b"), (3, "a")]:
             expr = select_attr_eq_const(var("A") * var("B"), index,
                                         const)
-            optimized = optimizer.optimize(expr)
+            optimized = _optimize(expr, schema)
             env = {"A": left, "B": right}
             assert evaluate(optimized, env) == evaluate(expr, env)
 
     @given(atom_bags())
     def test_idempotence_sound(self, bag):
         expr = var("B") | var("B")
-        assert evaluate(optimize(expr), B=bag) == evaluate(expr, B=bag)
+        assert evaluate(_optimize(expr), B=bag) == evaluate(expr, B=bag)
 
 
-class TestEngine:
+class TestFixpoint:
     def test_reaches_fixpoint(self):
         expr = Dedup(Dedup(Dedup(var("B") + Const(EMPTY_BAG))))
-        optimized = optimize(expr)
+        optimized = _optimize(expr)
         assert optimized == Dedup(var("B"))
         # optimizing again changes nothing
-        assert optimize(optimized) == optimized
+        assert _optimize(optimized) == optimized
 
     def test_product_pushdown_needs_schema(self):
         query = select_attr_eq_const(var("A") * var("B"), 1, "a")
-        assert optimize(query) == query  # schema-free: no pushdown
+        assert _optimize(query) == query  # schema-free: no pushdown
         schema = {"A": flat_bag_type(2), "B": flat_bag_type(1)}
-        pushed = optimize(query, schema=schema)
+        pushed = _optimize(query, schema)
         assert isinstance(pushed, Cartesian)
 
     def test_pushdown_reduces_intermediate_size(self):
@@ -158,14 +169,13 @@ class TestEngine:
         query = select_attr_eq_const(var("A") * var("B"), 2, "a")
         naive, clever = Evaluator(), Evaluator()
         naive.run(query, A=A, B=B)
-        clever.run(optimize(query, schema=schema), A=A, B=B)
+        clever.run(_optimize(query, schema), A=A, B=B)
         assert (clever.stats.peak_encoding_size
                 < naive.stats.peak_encoding_size)
 
     def test_rewrites_counted(self):
-        optimizer = Optimizer()
-        optimizer.optimize(Dedup(Dedup(var("B"))))
-        assert optimizer.rewrites_applied >= 1
+        report = _compile(Dedup(Dedup(var("B")))).report
+        assert report.total_firings >= 1
 
     def test_estimated_cost_weights_powerset(self):
         assert estimated_cost(Powerset(var("B"))) > estimated_cost(
@@ -174,13 +184,12 @@ class TestEngine:
     def test_extension_nodes_pass_through(self):
         from repro.machines import Ifp
         expr = Ifp("X", Var("X"), var("G"))
-        assert optimize(expr) == expr
+        assert _optimize(expr) == expr
 
 
 class TestSelectionThroughMap:
     @given(flat_bags(arity=2))
     def test_sound_on_random_inputs(self, bag):
-        from repro.optimizer import push_selection_through_map
         mapped = Map(Lam("m", Tupling(Attribute(Var("m"), 2))),
                      var("B"))
         query = Select(Lam("s", Attribute(Var("s"), 1)),
@@ -193,7 +202,6 @@ class TestSelectionThroughMap:
     def test_capture_guard(self):
         """A selection lambda freely mentioning the MAP parameter's
         name must not be rewritten (it would be captured)."""
-        from repro.optimizer import push_selection_through_map
         mapped = Map(Lam("m", Tupling(Attribute(Var("m"), 1))),
                      var("B"))
         risky = Select(Lam("s", Var("m")),        # free "m"!
@@ -206,6 +214,6 @@ class TestSelectionThroughMap:
                                       Const("k"))), var("B"))
         query = Select(Lam("s", Attribute(Var("s"), 2)),
                        Lam("s", Const("k")), mapped)
-        optimized = optimize(query)
+        optimized = _optimize(query)
         assert isinstance(optimized, Map)
         assert evaluate(optimized, B=bag) == evaluate(query, B=bag)

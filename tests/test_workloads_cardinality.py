@@ -14,7 +14,7 @@ from repro.core.expr import (
     Cartesian, Const, Dedup, Map, Lam, Powerbag, Powerset, Select,
     Tupling, Var, var,
 )
-from repro.optimizer.cardinality import (
+from repro.planner import (
     BagStats, DEFAULT_SELECTIVITY, estimate, stats_of,
 )
 from repro.workloads import (
