@@ -16,19 +16,16 @@ from repro.core.eval import Evaluator
 from repro.core.expr import Attribute, Lam, Map, Tupling, Var, var
 from repro.core.types import flat_bag_type
 from repro import planner
-from repro.planner import (
-    NORMALIZE_RULES, PassConfig, PlanContext, estimated_cost,
-)
+from repro.planner import PassConfig, PlanContext, estimated_cost
 
 
 def _rewrite(query, schema=None):
-    """The planner's level-2 logical rewrite, the normalize rules kept
-    on through the rewrite stage so MAP fusion's leftover
-    ``alpha_i(tau(...))`` is cancelled in the same fixpoint."""
+    """The planner's level-2 logical rewrite: one fixpoint of the whole
+    rule set, so MAP fusion's leftover ``alpha_i(tau(...))`` is
+    cancelled in it."""
     return planner.compile(
         query, PlanContext(engine="tree", schema=schema,
-                           config=PassConfig.for_level(2)),
-        extra_rules=NORMALIZE_RULES)
+                           config=PassConfig.for_level(2)))
 
 
 def _tables(n: int):

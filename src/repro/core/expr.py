@@ -21,6 +21,13 @@ two hooks — ``_evaluate(evaluator, env)`` and ``_infer(checker, tenv)``
 fixpoint of Theorem 6.6, defined in :mod:`repro.machines.ifp`) plug in
 by subclassing :class:`Expr` and implementing the same hooks.
 
+Structure has one hook too: ``with_children(*children)`` rebuilds a
+node over new children, in :meth:`Expr.children` order, and
+:meth:`Expr.binders` says which variable scopes each child.  Every
+term walker — the planner's rule fixpoint, invariant hoisting, the
+shrinker, and the capture-avoiding :func:`substitute` — is generic
+code over that pair.
+
 Python operator sugar on expressions::
 
     e1 + e2     additive union  (+)
@@ -33,7 +40,11 @@ Python operator sugar on expressions::
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Iterator, Optional, Sequence, Tuple
+from operator import is_
+from typing import (
+    Any, Callable, Collection, Iterator, Mapping, Optional, Sequence,
+    Tuple,
+)
 
 from repro.core.bag import Bag, Tup
 from repro.core.errors import BagTypeError
@@ -48,6 +59,7 @@ __all__ = [
     "Tupling", "Bagging", "Cartesian", "Powerset", "Powerbag",
     "Attribute", "BagDestroy", "Map", "Select", "Dedup",
     "EMPTY", "const", "var", "structure_slots",
+    "map_children", "fresh_name", "substitute",
 ]
 
 #: Comparison operators allowed in selections.  The paper's sigma only
@@ -75,12 +87,29 @@ class Expr:
     # -- structure -----------------------------------------------------
 
     def children(self) -> Tuple["Expr", ...]:
-        """Direct subexpressions (lambda bodies included)."""
+        """Direct subexpressions: dataflow children first, lambda
+        bodies last."""
         raise NotImplementedError
 
     def lambdas(self) -> Tuple["Lam", ...]:
         """Lambda arguments of this node, if any."""
         return ()
+
+    def binders(self) -> Tuple[Optional[str], ...]:
+        """Per child, the variable its parent binds over it (a lambda
+        parameter), or ``None`` for a dataflow child."""
+        lams = self.lambdas()
+        return ((None,) * (len(self.children()) - len(lams))
+                + tuple(lam.param for lam in lams))
+
+    def with_children(self, *children: "Expr",
+                      binders: Optional[Sequence[Optional[str]]] = None
+                      ) -> "Expr":
+        """This node over ``children`` (in :meth:`children` order),
+        its bound variables renamed to ``binders`` when given.  The
+        default suits nodes whose constructor takes exactly their
+        children and binds nothing."""
+        return type(self)(*children)
 
     def walk(self) -> Iterator["Expr"]:
         """Pre-order traversal of the expression tree, descending into
@@ -241,6 +270,14 @@ class Lam:
                 f"lambda body must be an Expr, got {type(body).__name__}")
         self.param = param
         self.body = body
+
+    def rebuilt(self, body: Expr, param: Optional[str] = None) -> "Lam":
+        """This lambda over ``body``, its parameter renamed to
+        ``param`` when given; itself when neither changes."""
+        param = param or self.param
+        if body is self.body and param == self.param:
+            return self
+        return Lam(param, body)
 
     def apply(self, evaluator, env, argument: Any) -> Any:
         """Evaluate the body with ``param`` bound to ``argument``."""
@@ -504,6 +541,9 @@ class Attribute(Expr):
     def children(self) -> Tuple[Expr, ...]:
         return (self.operand,)
 
+    def with_children(self, operand, binders=None):
+        return Attribute(operand, self.index)
+
     def _evaluate(self, evaluator, env):
         return ops.attribute(evaluator.eval(self.operand, env), self.index)
 
@@ -580,6 +620,10 @@ class Map(Expr):
         return (self.operand.free_vars()
                 | (self.lam.body.free_vars() - {self.lam.param}))
 
+    def with_children(self, operand, body, binders=None):
+        return Map(self.lam.rebuilt(body, binders and binders[1]),
+                   operand)
+
     def _evaluate(self, evaluator, env):
         operand = evaluator.eval(self.operand, env)
         return ops.map_bag(
@@ -637,6 +681,12 @@ class Select(Expr):
         return (self.operand.free_vars()
                 | (self.left.body.free_vars() - {self.left.param})
                 | (self.right.body.free_vars() - {self.right.param}))
+
+    def with_children(self, operand, left, right, binders=None):
+        _, left_param, right_param = binders or (None, None, None)
+        return Select(self.left.rebuilt(left, left_param),
+                      self.right.rebuilt(right, right_param), operand,
+                      self.op)
 
     def _evaluate(self, evaluator, env):
         operand = evaluator.eval(self.operand, env)
@@ -711,6 +761,72 @@ class Dedup(Expr):
 
     def __repr__(self) -> str:
         return f"ε({self.operand!r})"
+
+
+# ----------------------------------------------------------------------
+# Generic term rewriting over the rebuild hook
+# ----------------------------------------------------------------------
+
+def map_children(expr: Expr, fn: Callable[[Expr], Expr],
+                 dataflow_only: bool = False) -> Expr:
+    """``expr`` over ``fn`` of its children — with ``dataflow_only``,
+    of the children no binder scopes (a lambda body stays as it is).
+    ``expr`` itself when no child changed, so an unchanged subtree
+    keeps its identity (and its cached hash)."""
+    children = expr.children()
+    if dataflow_only:
+        passed = tuple(child if binder is not None else fn(child)
+                       for child, binder in zip(children,
+                                                expr.binders()))
+    else:
+        passed = tuple(map(fn, children))
+    if all(map(is_, passed, children)):
+        return expr
+    return expr.with_children(*passed)
+
+
+def fresh_name(stem: str, taken: Collection[str]) -> str:
+    """A variable name built from ``stem`` that is not in ``taken`` and
+    that the surface lexer reads as one identifier (word characters,
+    a leading letter, and an ``_n`` suffix no keyword has)."""
+    stem = "".join(char for char in stem if char.isalnum() or char == "_")
+    if not stem[:1].isalpha():
+        stem = "v" + stem
+    number = 1
+    while f"{stem}_{number}" in taken:
+        number += 1
+    return f"{stem}_{number}"
+
+
+def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
+    """Simultaneous, capture-avoiding substitution of ``mapping[name]``
+    for every free occurrence of each ``name`` in ``expr``.
+
+    A binder shadows the names it binds; a binder that would capture a
+    free variable of an inserted term is first renamed to a
+    :func:`fresh_name`.  Unchanged subtrees come back as they were."""
+    free = expr.free_vars()
+    mapping = {name: term for name, term in mapping.items()
+               if name in free}
+    if not mapping:
+        return expr
+    if isinstance(expr, Var):
+        return mapping[expr.name]
+    binders = list(expr.binders())
+    replaced = []
+    for position, child in enumerate(expr.children()):
+        binder, inner = binders[position], mapping
+        if binder is not None:
+            names = child.free_vars() - {binder}
+            inner = {name: term for name, term in mapping.items()
+                     if name in names}
+            inserted = frozenset().union(
+                *(term.free_vars() for term in inner.values()))
+            if binder in inserted:
+                binders[position] = fresh_name(binder, names | inserted)
+                inner[binder] = Var(binders[position])
+        replaced.append(substitute(child, inner))
+    return expr.with_children(*replaced, binders=tuple(binders))
 
 
 #: The empty-bag literal ``[[ ]]``.

@@ -132,6 +132,9 @@ class Nest(Expr):
     def children(self) -> Tuple[Expr, ...]:
         return (self.operand,)
 
+    def with_children(self, operand, binders=None):
+        return Nest(operand, *self.indices)
+
     def _evaluate(self, evaluator, env):
         return nest_bag(evaluator.eval(self.operand, env), self.indices,
                         evaluator.semiring)
@@ -177,6 +180,9 @@ class Unnest(Expr):
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.operand,)
+
+    def with_children(self, operand, binders=None):
+        return Unnest(operand, self.index)
 
     def _evaluate(self, evaluator, env):
         return unnest_bag(evaluator.eval(self.operand, env), self.index,

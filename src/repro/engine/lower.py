@@ -51,7 +51,7 @@ from repro.core.errors import BagTypeError
 from repro.core.expr import (
     AdditiveUnion, Attribute, Bagging, Cartesian, Const, Dedup, Expr,
     Intersection, Lam, Map, MaxUnion, Powerbag, Powerset, Select,
-    Subtraction, Tupling, Var, _compare,
+    Subtraction, Tupling, Var, _compare, map_children,
 )
 from repro.core.nest import Nest, Unnest
 from repro.core.ops import attribute as ops_attribute
@@ -595,8 +595,8 @@ def hoist_invariants(*lams: Lam
 
     def hoist(expr: Expr, param: str) -> Expr:
         if param in expr.free_vars():
-            return _over_dataflow(
-                expr, lambda child: hoist(child, param))
+            return map_children(expr, lambda child: hoist(child, param),
+                                dataflow_only=True)
         if isinstance(expr, (Var, Const)):
             return expr
         found.append((_INVARIANT.format(len(found)), expr))
@@ -605,32 +605,6 @@ def hoist_invariants(*lams: Lam
     hoisted = tuple(Lam(lam.param, hoist(lam.body, lam.param))
                     for lam in lams)
     return (hoisted if found else lams), tuple(found)
-
-
-def _over_dataflow(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
-    """``expr`` rebuilt over ``fn`` of its dataflow children; a node
-    this pass does not know (``Ifp`` binds a variable of its own) is
-    handed back untouched."""
-    if isinstance(expr, (AdditiveUnion, Subtraction, MaxUnion,
-                         Intersection, Cartesian)):
-        return type(expr)(fn(expr.left), fn(expr.right))
-    if isinstance(expr, Tupling):
-        return Tupling(*map(fn, expr.parts))
-    if isinstance(expr, Bagging):
-        return Bagging(fn(expr.item))
-    if isinstance(expr, Attribute):
-        return Attribute(fn(expr.operand), expr.index)
-    if isinstance(expr, (Powerset, Powerbag, BagDestroy, Dedup)):
-        return type(expr)(fn(expr.operand))
-    if isinstance(expr, Nest):
-        return Nest(fn(expr.operand), *expr.indices)
-    if isinstance(expr, Unnest):
-        return Unnest(fn(expr.operand), expr.index)
-    if isinstance(expr, Map):
-        return Map(expr.lam, fn(expr.operand))
-    if isinstance(expr, Select):
-        return Select(expr.left, expr.right, fn(expr.operand), expr.op)
-    return expr
 
 
 def compile_predicate(select: Select, sr=None

@@ -82,9 +82,16 @@ class Ifp(Expr):
     def children(self) -> Tuple[Expr, ...]:
         return (self.seed, self.body)
 
+    def binders(self) -> Tuple[Optional[str], ...]:
+        return (None, self.param)
+
     def free_vars(self) -> frozenset:
         return (self.seed.free_vars()
                 | (self.body.free_vars() - {self.param}))
+
+    def with_children(self, seed, body, binders=None):
+        param = self.param if binders is None else binders[1]
+        return Ifp(param, body, seed, self.max_iterations)
 
     def _evaluate(self, evaluator, env):
         current = evaluator.eval(self.seed, env)

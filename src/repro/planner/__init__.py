@@ -2,7 +2,7 @@
 
 One pass-managed pipeline behind every entry point::
 
-    parse/typecheck -> normalize -> logical rewrite
+    parse/typecheck -> rewrite (one rule fixpoint)
                     -> cost-based lowering -> (optional) parallelize
 
 * :mod:`repro.planner.stats` — the single shared cardinality/cost
@@ -22,10 +22,10 @@ One pass-managed pipeline behind every entry point::
 * :mod:`repro.planner.pipeline` — :func:`compile` itself.
 
 Opt levels: ``0`` disables every rewrite and lowers naively (the
-differential testkit's ``engine-opt0`` backend), ``1`` is
-normalization plus cost-based lowering (the default physical path),
-``2`` adds the full algebraic rewrite fixpoint, and ``3`` is another
-name for ``2``.  See ``docs/planner.md``.
+differential testkit's ``engine-opt0`` backend), ``1`` is the
+``normalize`` rules plus cost-based lowering (the default physical
+path), ``2`` adds the ``rewrite`` rules to the same fixpoint, and
+``3`` is another name for ``2``.  See ``docs/planner.md``.
 """
 
 from repro.planner.context import (

@@ -23,9 +23,7 @@ from repro.core.bag import Bag
 from repro.core.semiring import resolve_semiring, semiring_name
 from repro.core.types import Type, type_of
 from repro.planner.manager import DEFAULT_MAX_PASSES
-from repro.planner.rewrites import (
-    ALL_RULES, NORMALIZE_RULES, REWRITE_RULES, Rule,
-)
+from repro.planner.rewrites import ALL_RULES, Rule
 from repro.planner.stats import (
     DEFAULT_SELECTIVITY, BagStats, SelectivityFn, stats_of,
 )
@@ -34,8 +32,8 @@ __all__ = ["PassConfig", "PlanContext", "STAGE_NAMES", "OPT_LEVELS",
            "ENGINES", "resolve_engine", "toggleable_passes"]
 
 #: The named stages of the pipeline, in order.
-STAGE_NAMES = ("typecheck", "normalize", "rewrite", "lower",
-               "parallelize", "codegen")
+STAGE_NAMES = ("typecheck", "rewrite", "lower", "parallelize",
+               "codegen")
 
 #: opt level -> one-line meaning (the CLI prints this).
 OPT_LEVELS = {
@@ -164,14 +162,9 @@ class PassConfig:
 
     # built once per config: every compile asks, the answer never moves
     @cached_property
-    def active_normalize_rules(self) -> Tuple[Rule, ...]:
-        return tuple(rule for rule in NORMALIZE_RULES
-                     if self.rule_active(rule))
-
-    @cached_property
-    def active_rewrite_rules(self) -> Tuple[Rule, ...]:
-        return tuple(rule for rule in REWRITE_RULES
-                     if self.rule_active(rule))
+    def active_rules(self) -> Tuple[Rule, ...]:
+        """The rewrite stage's rules, the normalize group first."""
+        return tuple(rule for rule in ALL_RULES if self.rule_active(rule))
 
     @property
     def cost_based_lowering(self) -> bool:

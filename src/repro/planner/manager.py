@@ -1,10 +1,13 @@
 """The fixpoint pass manager: bounded, governed rule application.
 
-One :class:`FixpointRewriter` drives one stage of the pipeline (the
-``normalize`` and ``rewrite`` stages are both rule-fixpoint stages —
-they differ only in which rules are active).  The discipline:
+One :class:`FixpointRewriter` drives the pipeline's one rule-fixpoint
+stage, over the active rules of both groups (``normalize`` first,
+then ``rewrite``).  The discipline:
 
-* rules run bottom-up over the AST, first match per node wins;
+* rules run bottom-up over the AST, first match per node wins — every
+  node, extension nodes such as IFP included, is rebuilt through its
+  ``with_children`` hook (:func:`repro.core.expr.map_children`), so
+  the rules reach inside an IFP's seed and body too;
 * a pass that changed anything schedules another pass, up to
   ``max_passes`` — the fixpoint is **bounded**, so a non-terminating
   rule set (two rules undoing each other, a rule that grows its own
@@ -17,22 +20,13 @@ they differ only in which rules are active).  The discipline:
   deliberately oscillating rule pair);
 * per-rule firing counts accumulate into the ``firings`` mapping the
   :class:`~repro.planner.report.PlanReport` exposes to ``:explain``.
-
-Extension nodes the rebuild does not know (IFP, machine encodings)
-pass through untouched.
 """
 
 from __future__ import annotations
 
-from operator import is_
 from typing import Dict, Optional, Sequence
 
-from repro.core.expr import (
-    AdditiveUnion, Attribute, Bagging, BagDestroy, Cartesian, Const,
-    Dedup, Expr, Intersection, Lam, Map, MaxUnion, Powerbag, Powerset,
-    Select, Subtraction, Tupling, Var,
-)
-from repro.core.nest import Nest, Unnest
+from repro.core.expr import Expr, map_children
 from repro.planner.rewrites import Rule
 
 __all__ = ["FixpointRewriter", "DEFAULT_MAX_PASSES"]
@@ -97,49 +91,10 @@ class FixpointRewriter:
 
     def _pass(self, expr: Expr) -> Expr:
         """One bottom-up pass: children first, then this node."""
-        rebuilt = self._rebuild(expr)
+        rebuilt = map_children(expr, self._pass)
         for fn, name in self._fns:
             replacement = fn(rebuilt)
             if replacement is not None and replacement != rebuilt:
                 self.firings[name] = self.firings.get(name, 0) + 1
                 return replacement
         return rebuilt
-
-    def _rebuild(self, expr: Expr) -> Expr:
-        """``expr`` over its passed children — ``expr`` itself when no
-        child changed, so an unchanged subtree keeps its identity (and
-        its cached hash)."""
-        if isinstance(expr, (Var, Const)):
-            return expr
-        if isinstance(expr, (AdditiveUnion, Subtraction, MaxUnion,
-                             Intersection, Cartesian)):
-            parts, build = (expr.left, expr.right), type(expr)
-        elif isinstance(expr, Tupling):
-            parts, build = expr.parts, Tupling
-        elif isinstance(expr, (Bagging, Powerset, Powerbag, BagDestroy,
-                               Dedup)):
-            parts, build = expr.children(), type(expr)
-        elif isinstance(expr, Attribute):
-            parts = (expr.operand,)
-            build = lambda operand: Attribute(operand, expr.index)
-        elif isinstance(expr, Map):
-            parts = (expr.lam.body, expr.operand)
-            build = lambda body, operand: Map(
-                Lam(expr.lam.param, body), operand)
-        elif isinstance(expr, Select):
-            parts = (expr.left.body, expr.right.body, expr.operand)
-            build = lambda left, right, operand: Select(
-                Lam(expr.left.param, left), Lam(expr.right.param, right),
-                operand, op=expr.op)
-        elif isinstance(expr, Nest):
-            parts = (expr.operand,)
-            build = lambda operand: Nest(operand, *expr.indices)
-        elif isinstance(expr, Unnest):
-            parts = (expr.operand,)
-            build = lambda operand: Unnest(operand, expr.index)
-        else:
-            return expr  # extension nodes (e.g. Ifp) pass through untouched
-        passed = tuple(map(self._pass, parts))
-        if all(map(is_, passed, parts)):
-            return expr
-        return build(*passed)

@@ -1,15 +1,21 @@
 """The staged compilation pipeline — the one front door.
 
-``compile()`` runs ``normalize -> rewrite -> typecheck -> lower ->
-parallelize -> codegen`` over a logical expression, driven by the
+``compile()`` runs ``rewrite -> typecheck -> lower -> parallelize ->
+codegen`` over a logical expression, driven by the
 :class:`~repro.planner.context.PassConfig` and recording a
 :class:`~repro.planner.report.PlanReport` along the way.  Every
 execution entry point in the repo (``core.eval.evaluate``,
 ``repro.engine.evaluate``, ``run_sql``, the REPL, the CLI, the testkit
 backends) routes through here.
 
+The ``rewrite`` stage is one bounded fixpoint over the config's
+active rules, the ``normalize`` group first: level 1 runs only that
+group, and a level-2 plan is a fixpoint of the whole rule set (the
+rewrite rules leave ``alpha_i(tau(...))`` redexes that only
+``cancel-attribute`` removes).
+
 The plan cache is consulted *before* any stage runs: a hit skips
-normalization, rewriting, and lowering in one step.  Cache keys
+rewriting and lowering in one step.  Cache keys
 combine the canonical expression key, the type of every bound bag,
 and :meth:`PassConfig.cache_tag` — so an opt-0 plan can never be
 served to an opt-2 caller (or vice versa), parallel plans never
@@ -91,8 +97,7 @@ def _left_arity_fn(schema: Mapping[str, Any]
 
 
 def compile(expr: Expr, context: Optional[PlanContext] = None, *,
-            trees: bool = False,
-            extra_rules=()) -> CompiledPlan:
+            trees: bool = False) -> CompiledPlan:
     """Run the staged pipeline over one expression.
 
     Parameters
@@ -104,9 +109,6 @@ def compile(expr: Expr, context: Optional[PlanContext] = None, *,
         Collect the rendered tree after each stage into the report
         (the ``:explain stages`` view wants them; the hot path does
         not pay for rendering).
-    extra_rules:
-        Additional :class:`Rule` objects appended to the rewrite
-        stage (each still subject to the config's toggles).
     """
     ctx = context if context is not None else PlanContext()
     config = ctx.config
@@ -142,22 +144,14 @@ def compile(expr: Expr, context: Optional[PlanContext] = None, *,
             record.tree = str(inferred) if trees else ""
         report.add(record)
 
-    # -- normalize -----------------------------------------------------
-    logical = expr
-    logical = _fixpoint_stage("normalize",
-                              config.active_normalize_rules,
-                              logical, config, governor, report, trees)
-
-    # -- logical rewrite ----------------------------------------------
-    rewrite_rules = list(config.active_rewrite_rules)
-    if ctx.schema is not None and config.stage_active("rewrite"):
+    # -- rewrite: one fixpoint over every active rule ------------------
+    rules = config.active_rules
+    if ctx.schema is not None:
         pushdown = product_pushdown_rule(_left_arity_fn(ctx.schema))
         if config.rule_active(pushdown):
-            rewrite_rules.append(pushdown)
-    rewrite_rules.extend(rule for rule in extra_rules
-                         if config.rule_active(rule))
-    logical = _fixpoint_stage("rewrite", tuple(rewrite_rules), logical,
-                              config, governor, report, trees)
+            rules += (pushdown,)
+    logical = _rewrite_stage(rules, expr, config, governor, report,
+                             trees)
 
     if ctx.engine == "tree":  # the walker runs the logical tree
         report.add(StageRecord("lower", tree="",
@@ -232,11 +226,10 @@ def compile(expr: Expr, context: Optional[PlanContext] = None, *,
                         engine=ctx.engine, config=config, report=report)
 
 
-def _fixpoint_stage(name: str, rules, expr: Expr, config: PassConfig,
-                    governor, report: PlanReport,
-                    trees: bool) -> Expr:
-    """Run one rule-fixpoint stage and record what it did."""
-    record = StageRecord(name, tree="")
+def _rewrite_stage(rules, expr: Expr, config: PassConfig, governor,
+                   report: PlanReport, trees: bool) -> Expr:
+    """Run the rule fixpoint and record what it did."""
+    record = StageRecord("rewrite", tree="")
     with _StageTimer(record):
         if not rules:
             record.note = ("skipped (no active rules at "

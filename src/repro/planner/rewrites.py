@@ -29,17 +29,16 @@ preserves semantics on random inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Set, Tuple
 
 from repro.core import ops
 from repro.core.bag import Bag, EMPTY_BAG
 from repro.core.expr import (
     AdditiveUnion, Attribute, Cartesian, Const, Dedup, Expr,
     Intersection, Lam, Map, MaxUnion, Powerset, Select, Subtraction,
-    Tupling, Var,
+    Tupling, Var, fresh_name, substitute,
 )
-from repro.core.nest import Nest, Unnest
 
 __all__ = [
     "Rule", "RewriteRule", "substitute",
@@ -71,61 +70,6 @@ class Rule:
 
     def __call__(self, expr: Expr) -> Optional[Expr]:
         return self.fn(expr)
-
-
-def substitute(expr: Expr, name: str, replacement: Expr) -> Expr:
-    """Capture-avoiding substitution of ``replacement`` for the free
-    variable ``name``."""
-    if isinstance(expr, Var):
-        return replacement if expr.name == name else expr
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, (AdditiveUnion, Subtraction, MaxUnion,
-                         Intersection)):
-        return type(expr)(substitute(expr.left, name, replacement),
-                          substitute(expr.right, name, replacement))
-    if isinstance(expr, Cartesian):
-        return Cartesian(substitute(expr.left, name, replacement),
-                         substitute(expr.right, name, replacement))
-    if isinstance(expr, Tupling):
-        return Tupling(*(substitute(part, name, replacement)
-                         for part in expr.parts))
-    if isinstance(expr, Attribute):
-        return Attribute(substitute(expr.operand, name, replacement),
-                         expr.index)
-    if isinstance(expr, Map):
-        body = (expr.lam.body if expr.lam.param == name
-                else substitute(expr.lam.body, name, replacement))
-        return Map(Lam(expr.lam.param, body),
-                   substitute(expr.operand, name, replacement))
-    if isinstance(expr, Select):
-        left_body = (expr.left.body if expr.left.param == name
-                     else substitute(expr.left.body, name, replacement))
-        right_body = (expr.right.body if expr.right.param == name
-                      else substitute(expr.right.body, name,
-                                      replacement))
-        return Select(Lam(expr.left.param, left_body),
-                      Lam(expr.right.param, right_body),
-                      substitute(expr.operand, name, replacement),
-                      op=expr.op)
-    if isinstance(expr, Dedup):
-        return Dedup(substitute(expr.operand, name, replacement))
-    if isinstance(expr, Powerset):
-        return Powerset(substitute(expr.operand, name, replacement))
-    if isinstance(expr, Nest):
-        return Nest(substitute(expr.operand, name, replacement),
-                    *expr.indices)
-    if isinstance(expr, Unnest):
-        return Unnest(substitute(expr.operand, name, replacement),
-                      expr.index)
-    # Fallback: nodes without variables inside (Bagging etc.) rebuild
-    # generically via their children when they expose a single operand.
-    if hasattr(expr, "operand"):
-        rebuilt = type(expr)(substitute(expr.operand, name, replacement))
-        return rebuilt
-    if hasattr(expr, "item"):
-        return type(expr)(substitute(expr.item, name, replacement))
-    return expr
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +149,17 @@ def collapse_dedup(expr: Expr) -> Optional[Expr]:
     return None
 
 
+def _compose(outer: Lam, inner: Lam) -> Lam:
+    """``lambda p. outer(inner(p))``, with the inner binder renamed
+    where the outer body mentions its name free."""
+    param, body = inner.param, inner.body
+    names = outer.body.free_vars() - {outer.param}
+    if param in names:
+        param = fresh_name(param, names | body.free_vars())
+        body = substitute(body, {inner.param: Var(param)})
+    return Lam(param, substitute(outer.body, {outer.param: body}))
+
+
 def fuse_maps(expr: Expr) -> Optional[Expr]:
     """``MAP_f(MAP_g(B)) = MAP_{f o g}(B)``.
 
@@ -214,9 +169,8 @@ def fuse_maps(expr: Expr) -> Optional[Expr]:
     """
     if not isinstance(expr, Map) or not isinstance(expr.operand, Map):
         return None
-    outer, inner = expr.lam, expr.operand.lam
-    composed = substitute(outer.body, outer.param, inner.body)
-    return Map(Lam(inner.param, composed), expr.operand.operand)
+    return Map(_compose(expr.lam, expr.operand.lam),
+               expr.operand.operand)
 
 
 def cancel_attribute_of_tupling(expr: Expr) -> Optional[Expr]:
@@ -241,16 +195,8 @@ def push_selection_through_map(expr: Expr) -> Optional[Expr]:
                                                       Map):
         return None
     mapped = expr.operand
-    # capture guard: the selection lambdas must not freely mention the
-    # MAP parameter's name (it would be captured by the new binder)
-    for lam in (expr.left, expr.right):
-        if mapped.lam.param in (lam.body.free_vars() - {lam.param}):
-            return None
-    composed_left = Lam(mapped.lam.param, substitute(
-        expr.left.body, expr.left.param, mapped.lam.body))
-    composed_right = Lam(mapped.lam.param, substitute(
-        expr.right.body, expr.right.param, mapped.lam.body))
-    pushed = Select(composed_left, composed_right, mapped.operand,
+    pushed = Select(_compose(expr.left, mapped.lam),
+                    _compose(expr.right, mapped.lam), mapped.operand,
                     op=expr.op)
     return Map(mapped.lam, pushed)
 
@@ -387,8 +333,8 @@ REWRITE_RULES: Tuple[Rule, ...] = (
          "a member passes sigma after MAP_f iff it passes the "
          "f-composed test before; the surviving member set is "
          "identical, so MAP's additive collisions are unchanged.  "
-         "Side condition: the selection lambdas must not capture the "
-         "MAP binder (guarded syntactically)."),
+         "Side condition: no binder captures a free variable (the "
+         "composed lambdas rename theirs where one would)."),
     Rule("push-select-union", push_selection_into_union, "rewrite",
          "sigma filters each member independently of its "
          "multiplicity, and (+), u, n, monus combine multiplicities "

@@ -29,8 +29,8 @@ from repro.core.errors import BagTypeError
 from repro.core.eval import Evaluator
 from repro.core.expr import (
     AdditiveUnion, Attribute, Bagging, BagDestroy, Cartesian, Const,
-    Dedup, Expr, Intersection, Lam, Map, MaxUnion, Powerbag, Powerset,
-    Select, Subtraction, Tupling, Var,
+    Dedup, Expr, Intersection, Map, MaxUnion, Powerbag, Powerset,
+    Select, Subtraction, Tupling, Var, map_children,
 )
 
 __all__ = [
@@ -110,6 +110,10 @@ def relational_evaluate(expr: Expr,
 
 _FORBIDDEN_42 = (Subtraction, Powerset, Powerbag, BagDestroy)
 
+#: The operators the translation keeps (additive union turns maximal).
+_KEPT_42 = (Var, Const, AdditiveUnion, MaxUnion, Intersection, Cartesian,
+            Map, Select, Tupling, Bagging, Attribute)
+
 
 def ralg_translate(expr: Expr) -> Expr:
     """The Q -> Q' construction in the proof of Proposition 4.2.
@@ -124,37 +128,13 @@ def ralg_translate(expr: Expr) -> Expr:
         raise BagTypeError(
             f"Proposition 4.2 covers BALG^1 without subtraction; "
             f"operator {type(expr).__name__} is outside the fragment")
-    if isinstance(expr, (Var, Const)):
-        return expr
     if isinstance(expr, Dedup):
         return ralg_translate(expr.operand)   # eps is dropped
-    if isinstance(expr, AdditiveUnion):
-        return MaxUnion(ralg_translate(expr.left),
-                        ralg_translate(expr.right))
-    if isinstance(expr, MaxUnion):
-        return MaxUnion(ralg_translate(expr.left),
-                        ralg_translate(expr.right))
-    if isinstance(expr, Intersection):
-        return Intersection(ralg_translate(expr.left),
-                            ralg_translate(expr.right))
-    if isinstance(expr, Cartesian):
-        return Cartesian(ralg_translate(expr.left),
-                         ralg_translate(expr.right))
-    if isinstance(expr, Map):
-        return Map(Lam(expr.lam.param, ralg_translate(expr.lam.body)),
-                   ralg_translate(expr.operand))
-    if isinstance(expr, Select):
-        return Select(Lam(expr.left.param,
-                          ralg_translate(expr.left.body)),
-                      Lam(expr.right.param,
-                          ralg_translate(expr.right.body)),
-                      ralg_translate(expr.operand), op=expr.op)
-    if isinstance(expr, Tupling):
-        return Tupling(*(ralg_translate(part) for part in expr.parts))
-    if isinstance(expr, Bagging):
-        return Bagging(ralg_translate(expr.item))
-    if isinstance(expr, Attribute):
-        return Attribute(ralg_translate(expr.operand), expr.index)
+    if isinstance(expr, _KEPT_42):
+        translated = map_children(expr, ralg_translate)
+        if isinstance(translated, AdditiveUnion):
+            return MaxUnion(translated.left, translated.right)
+        return translated
     raise BagTypeError(
         f"unexpected operator {type(expr).__name__} in a BALG^1 "
         "expression")

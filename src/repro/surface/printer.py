@@ -13,8 +13,8 @@ from repro.core.bag import Bag, Tup, canonical_key
 from repro.core.errors import BagTypeError
 from repro.core.expr import (
     AdditiveUnion, Attribute, Bagging, BagDestroy, Cartesian, Const,
-    Dedup, Expr, Intersection, Lam, Map, MaxUnion, Powerbag, Powerset,
-    Select, Subtraction, Tupling, Var,
+    Dedup, Expr, Intersection, Map, MaxUnion, Powerbag, Powerset,
+    Select, Subtraction, Tupling, Var, fresh_name, substitute,
 )
 
 __all__ = ["to_text"]
@@ -73,9 +73,8 @@ def _render(expr: Expr) -> str:
                                            expr.right.body)
         if left_param != right_param:
             # normalise both sides to the left parameter name
-            from repro.planner.rewrites import substitute
-            right_body = substitute(right_body, right_param,
-                                    Var(left_param))
+            right_body = substitute(right_body,
+                                    {right_param: Var(left_param)})
         return (f"sigma[{left_param}: {_render(left_body)} "
                 f"{comparator} {_render(right_body)}]"
                 f"({_render(expr.operand)})")
@@ -100,8 +99,9 @@ def _renamed(param: str, body: Expr):
     safe = param.replace("·", "v_")
     if safe == param:
         return param, body
-    from repro.planner.rewrites import substitute
-    return safe, substitute(body, param, Var(safe))
+    if safe in body.free_vars():
+        safe = fresh_name(safe, body.free_vars())
+    return safe, substitute(body, {param: Var(safe)})
 
 
 def _as_projection(expr: Map):

@@ -555,59 +555,18 @@ def _balg1(rng, arity, input_arity, depth, dedup, minus, order,
 # ----------------------------------------------------------------------
 
 def subterms_with_rebuild(expr: Expr):
-    """``(child, rebuild)`` pairs for every immediate subexpression,
-    where ``rebuild(new)`` reconstructs the parent with the child
-    replaced — the shrinker's (and tests') structural accessor."""
-    if isinstance(expr, (AdditiveUnion, Subtraction, MaxUnion,
-                         Intersection, Cartesian)):
-        cls = type(expr)
-        return [
-            (expr.left, lambda new, c=cls, e=expr: c(new, e.right)),
-            (expr.right, lambda new, c=cls, e=expr: c(e.left, new)),
-        ]
-    if isinstance(expr, (Powerset, Powerbag, BagDestroy, Dedup)):
-        cls = type(expr)
-        return [(expr.operand, lambda new, c=cls: c(new))]
-    if isinstance(expr, Bagging):
-        return [(expr.item, lambda new: Bagging(new))]
-    if isinstance(expr, Attribute):
-        return [(expr.operand,
-                 lambda new, e=expr: Attribute(new, e.index))]
-    if isinstance(expr, Tupling):
-        out = []
-        for position, part in enumerate(expr.parts):
-            def rebuild(new, i=position, e=expr):
-                parts = list(e.parts)
-                parts[i] = new
-                return Tupling(*parts)
-            out.append((part, rebuild))
-        return out
-    if isinstance(expr, Map):
-        return [
-            (expr.operand,
-             lambda new, e=expr: Map(e.lam, new)),
-            (expr.lam.body,
-             lambda new, e=expr: Map(Lam(e.lam.param, new), e.operand)),
-        ]
-    if isinstance(expr, Select):
-        return [
-            (expr.operand,
-             lambda new, e=expr: Select(e.left, e.right, new, op=e.op)),
-            (expr.left.body,
-             lambda new, e=expr: Select(Lam(e.left.param, new),
-                                        e.right, e.operand, op=e.op)),
-            (expr.right.body,
-             lambda new, e=expr: Select(e.left,
-                                        Lam(e.right.param, new),
-                                        e.operand, op=e.op)),
-        ]
-    if isinstance(expr, Nest):
-        return [(expr.operand,
-                 lambda new, e=expr: Nest(new, *e.indices))]
-    if isinstance(expr, Unnest):
-        return [(expr.operand,
-                 lambda new, e=expr: Unnest(new, e.index))]
-    return []
+    """``(child, rebuild)`` pairs for every immediate subexpression, in
+    :meth:`~repro.core.expr.Expr.children` order, where
+    ``rebuild(new)`` reconstructs the parent with the child replaced —
+    the shrinker's (and tests') structural accessor."""
+    children = expr.children()
+
+    def rebuild(position):
+        return lambda new: expr.with_children(
+            *children[:position], new, *children[position + 1:])
+
+    return [(child, rebuild(position))
+            for position, child in enumerate(children)]
 
 
 def _node_count(expr: Expr) -> int:

@@ -24,21 +24,19 @@ like the in-memory generator.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.bag import Bag
 from repro.core.expr import (
-    AdditiveUnion, Attribute, Const, Expr, Intersection, Lam, Map,
-    MaxUnion, Select, Subtraction, Var,
+    AdditiveUnion, Attribute, Const, Intersection, Lam, MaxUnion,
+    Select, Subtraction, Var, substitute,
 )
 from repro.core.types import type_of
 from repro.storage import RelationSpec, Workspace
-from repro.testkit.generate import (
-    INPUT_NAME, Case, balg1_expr, subterms_with_rebuild,
-)
+from repro.testkit.generate import INPUT_NAME, Case, balg1_expr
 
 __all__ = [
-    "FUZZ_SPECS", "seeded_workspace", "workspace_case", "rename_free",
+    "FUZZ_SPECS", "seeded_workspace", "workspace_case",
 ]
 
 #: Relations of the default fuzz workspace: small enough that a
@@ -73,48 +71,6 @@ def seeded_workspace(root: str, seed: int,
         workspace.generate(specs, seed=seed)
         workspace.analyze()
     return workspace
-
-
-def rename_free(expr: Expr, mapping: Dict[str, str]) -> Expr:
-    """Capture-avoiding free-variable renaming (a lambda's parameter
-    shadows any mapping entry of the same name inside its body)."""
-    if isinstance(expr, Var):
-        target = mapping.get(expr.name)
-        return expr if target is None else Var(target)
-    if isinstance(expr, Lam):
-        inner = {name: target for name, target in mapping.items()
-                 if name != expr.param}
-        if not inner:
-            return expr
-        body = rename_free(expr.body, inner)
-        return expr if body is expr.body else Lam(expr.param, body)
-    # Map/Select carry lambdas; subterms_with_rebuild exposes their
-    # *bodies* (the shrinker's view), which would lose the binder —
-    # recurse through the Lam nodes instead so shadowing applies
-    if isinstance(expr, Map):
-        lam = rename_free(expr.lam, mapping)
-        operand = rename_free(expr.operand, mapping)
-        if lam is expr.lam and operand is expr.operand:
-            return expr
-        return Map(lam, operand)
-    if isinstance(expr, Select):
-        left = rename_free(expr.left, mapping)
-        right = rename_free(expr.right, mapping)
-        operand = rename_free(expr.operand, mapping)
-        if (left is expr.left and right is expr.right
-                and operand is expr.operand):
-            return expr
-        return Select(left, right, operand, op=expr.op)
-    position = 0
-    while True:
-        pairs = list(subterms_with_rebuild(expr))
-        if position >= len(pairs):
-            return expr
-        child, rebuild = pairs[position]
-        renamed = rename_free(child, mapping)
-        if renamed is not child:
-            expr = rebuild(renamed)
-        position += 1
 
 
 def _flat_arities(database: Dict[str, Bag]) -> Dict[str, int]:
@@ -157,18 +113,18 @@ def workspace_case(workspace: Workspace, seed: int, index: int = 0,
                          f"non-empty relations to fuzz over")
     primary = rng.choice(sorted(arities))
     arity = arities[primary]
-    expr = rename_free(
+    expr = substitute(
         balg1_expr(rng, arity=arity, input_arity=arity,
                    max_depth=max_depth),
-        {INPUT_NAME: primary})
+        {INPUT_NAME: Var(primary)})
     partners = [name for name in sorted(arities)
                 if name != primary and arities[name] == arity]
     if partners and rng.random() < 0.6:
         partner = rng.choice(partners)
-        second = rename_free(
+        second = substitute(
             balg1_expr(rng, arity=arity, input_arity=arity,
                        max_depth=2),
-            {INPUT_NAME: partner})
+            {INPUT_NAME: Var(partner)})
         combine = rng.choice((AdditiveUnion, MaxUnion, Intersection,
                               Subtraction))
         expr = (combine(expr, second) if rng.random() < 0.5

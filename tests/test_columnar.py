@@ -700,15 +700,13 @@ class TestMutationDetection:
 
     def test_hoisting_from_inside_an_inner_lambda_is_caught(self):
         def patch(orig):
-            def patched(expr, fn):
-                if isinstance(expr, Map):  # the inner binder's body too
-                    return Map(Lam(expr.lam.param, fn(expr.lam.body)),
-                               fn(expr.operand))
+            def patched(expr, fn, dataflow_only=False):
+                # every child, the inner binder's body too
                 return orig(expr, fn)
             return patched
 
         assert _nested_caught_twice(
-            {"_over_dataflow": patch}, lower, "inner-lambda",
+            {"map_children": patch}, lower, "inner-lambda",
             _hoist_pins) is not None
 
 

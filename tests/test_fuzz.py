@@ -22,7 +22,9 @@ from repro.core.typecheck import infer_type
 from repro.core.types import element_arity, flat_bag_type
 from repro.guard import Limits, ResourceGovernor
 from repro import planner
-from repro.planner import NORMALIZE_RULES, PassConfig, PlanContext
+from repro.planner import (
+    ALL_RULES, FixpointRewriter, PassConfig, PlanContext,
+)
 from repro.planner.rewrites import product_pushdown_rule
 from repro.relational import supports_agree
 from repro.surface import parse, to_text
@@ -66,15 +68,12 @@ def _left_arity(operand):
         return None
 
 
-def _rewritten(expr, schema=SCHEMA, extra_rules=()):
-    """The planner's level-2 logical tree, with the normalize rules kept
-    on through the rewrite stage: fuse-maps and push-select-map leave
-    ``alpha_i(tau(...))`` behind, so only then is the result a fixpoint
-    of the whole rule set."""
+def _rewritten(expr, schema=SCHEMA):
+    """The planner's level-2 logical tree: a fixpoint of the whole rule
+    set, the schema's product pushdown included."""
     return planner.compile(
         expr, PlanContext(engine="tree", schema=schema,
-                          config=PassConfig.for_level(2)),
-        extra_rules=NORMALIZE_RULES + extra_rules).logical
+                          config=PassConfig.for_level(2))).logical
 
 
 class TestOptimizerSoundness:
@@ -90,10 +89,11 @@ class TestOptimizerSoundness:
         once = _rewritten(expr)
         # A fold can leave an empty literal whose element type the
         # schema check cannot infer (alpha_1 over it is rejected), so
-        # the second pass skips that check and brings the schema's
-        # product pushdown in as a rule.
-        again = _rewritten(once, schema=None, extra_rules=(
-            product_pushdown_rule(_left_arity),))
+        # the second pass runs the rule set directly, the schema's
+        # product pushdown brought in as a rule.
+        again = FixpointRewriter(
+            ALL_RULES + (product_pushdown_rule(_left_arity),)
+        ).rewrite(once)
         assert again == once
 
 

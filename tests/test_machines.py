@@ -112,6 +112,16 @@ class TestIfpOperator:
                 for t in closure.distinct()} == {
                     (1, 2), (2, 1), (1, 1), (2, 2)}
 
+    @pytest.mark.parametrize("edges", [
+        [(1, 2), (2, 3), (3, 4)], [(1, 2), (2, 1)], []])
+    def test_transitive_closure_at_opt2(self, edges):
+        from repro.engine import evaluate as engine_evaluate
+        graph = Bag([Tup(a, b) for a, b in edges])
+        expr = transitive_closure_expr(var("G"))
+        assert engine_evaluate(expr, {"G": graph}, engine="physical",
+                               opt_level=2, cache=None) == evaluate(
+            expr, G=graph)
+
     def test_transitive_closure_of_empty(self):
         assert evaluate(transitive_closure_expr(var("G")),
                         G=EMPTY_BAG) == EMPTY_BAG
@@ -151,6 +161,23 @@ class TestTheorem66Simulation:
         assert algebra.accepted == native.accepted
         assert algebra.steps == native.steps
         assert algebra.final_tape == native.final.tape
+
+    @pytest.mark.parametrize("machine, word", [
+        (parity_machine(), ["1"]), (unary_doubler(), ["1"]),
+        (last_symbol_machine(), ["b", "a"])],
+        ids=["parity", "doubler", "last-symbol"])
+    def test_engines_at_opt2_agree_with_the_walker(self, machine, word):
+        """The rule fixpoint now rewrites inside an IFP's seed and
+        body; the machine's fixpoint still answers as the walker."""
+        from repro.core.eval import Evaluator
+        from repro.engine import evaluate as engine_evaluate
+        seed = initial_config_bag(machine, word, len(word) + 2)
+        fixpoint = Ifp("X", MaxUnion(Var("X"),
+                                     machine_step_expr(machine, "X")),
+                       Const(seed), max_iterations=len(word) + 4)
+        expected = Evaluator().run(fixpoint)
+        assert engine_evaluate(fixpoint, {}, engine="physical",
+                               opt_level=2, cache=None) == expected
 
     def test_doubler_tape(self):
         algebra = simulate_via_ifp(unary_doubler(), ["1", "1"],

@@ -477,8 +477,8 @@ class TestParallelGovernance:
             "steps", 5, 6)
 
     @pytest.mark.parametrize("expr,limits,morsel_rows,in_worker", [
-        (_GOVERNED_EXPR, Limits(max_steps=5), None, True),
-        (_GOVERNED_EXPR, Limits(max_steps=5), 1, True),
+        (_GOVERNED_EXPR, Limits(max_steps=4), None, True),
+        (_GOVERNED_EXPR, Limits(max_steps=4), 1, True),
         (Dedup((var("R") + var("R")) - var("R")),
          Limits(max_size=800), None, True),
         (var("R") + var("R"), Limits(max_size=800), 1, False),
@@ -505,7 +505,7 @@ class TestParallelGovernance:
                 evaluate(expr, db, cache=None, limits=limits, **options)
             verdicts[name] = info.value
         serial = verdicts["serial"]
-        assert serial.details["limit"] in (5, 800)
+        assert serial.details["limit"] in (4, 800)
         for name in ("thread", "process"):
             assert type(verdicts[name]) is type(serial), name
             assert verdicts[name].details == serial.details, name

@@ -16,7 +16,7 @@ from repro.core.bag import Bag, Tup
 from repro.core.eval import evaluate as oracle_evaluate
 from repro.core.expr import (
     Attribute, Cartesian, Const, Dedup, Lam, Map, Select, Tupling, Var,
-    var,
+    substitute, var,
 )
 from repro.engine import (
     EngineStats, evaluate as engine_evaluate, explain_physical,
@@ -30,7 +30,7 @@ from repro.planner.stats import (
 from repro.storage import RelationSpec, Workspace
 from repro.testkit.differential import Harness
 from repro.testkit.wsdiff import (
-    FUZZ_SPECS, rename_free, seeded_workspace, workspace_case,
+    FUZZ_SPECS, seeded_workspace, workspace_case,
 )
 
 
@@ -367,10 +367,10 @@ def test_explain_physical_prints_estimated_vs_observed(workspace):
 # Workspace-backed differential cases
 # ----------------------------------------------------------------------
 
-def test_rename_free_renames_only_free_vars():
+def test_substitute_renames_only_free_vars():
     expr = Select(Lam("t", Attribute(Var("t"), 1)),
                   Lam("t", Const(1)), Var("B"), op="eq")
-    renamed = rename_free(expr, {"B": "R", "t": "nope"})
+    renamed = substitute(expr, {"B": Var("R"), "t": Var("nope")})
     assert renamed.operand == Var("R")
     assert renamed.left.param == "t"
     assert renamed.left.body == Attribute(Var("t"), 1)
