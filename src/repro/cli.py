@@ -63,7 +63,6 @@ from typing import Dict, List, Optional, TextIO, Tuple
 
 from repro.core.bag import Bag
 from repro.core.errors import ReproError
-from repro.core.eval import Evaluator
 from repro.core.fragments import fragment_report
 from repro.core.typecheck import TypeChecker
 from repro.core.types import type_of
@@ -198,12 +197,6 @@ class Session:
         if self.limits is None or not self.limits.any_set():
             return None
         return ResourceGovernor(self.limits)
-
-    def _evaluator(self) -> Evaluator:
-        governor = self._governor()
-        if governor is None:
-            return Evaluator()
-        return Evaluator(governor=governor)
 
     # -- command handling ---------------------------------------------------
 

@@ -87,8 +87,10 @@ class Tup:
         sources' shapes and hands it in.
 
         The one constructor for callers that only rearrange values a
-        checked constructor has seen: :meth:`concat` (one per join
-        output row), the shard decoder (one per row off the wire),
+        checked constructor has seen: :meth:`concat` and the fused
+        join-dedup kernel (one per join output row, the kernel with
+        ``concat``'s shape), the shard decoder (one per row off the
+        wire),
         projection — a rearrangement lambda's index plan (one per
         mapped row) and the fused join-project kernels (one per
         *distinct* projected row) — and the nest / unnest kernels (one

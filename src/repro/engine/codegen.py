@@ -36,7 +36,9 @@ One step covers two plan nodes: a rearrangement map (``picks`` on the
 directly on a product or a join runs *inside* that node's quadratic
 kernel (:func:`_s_join_project`, ``picks=``), which sums every pair
 under its picked item tuple instead of building the joined rows; the
-step records both nodes as their two steps would have.
+step records both nodes as their two steps would have.  So does a
+dedup on either (:func:`_s_join_dedup`): the kernel writes the
+support into one dict and multiplies no count.
 
 Every step ends in the same epilogue (:func:`_record`): kernel and row
 counters, the node's actual rows, governor ticks in proportion to the
@@ -88,8 +90,8 @@ _PAIR_KERNEL = {HashJoin: "c_hash_join", NestedLoopProduct: "c_product"}
 
 #: A step: ``(function, kernel, node, out, *operands)``.  ``kernel``
 #: and ``node`` are what the epilogue records (``None`` for a step
-#: that only changes a value's currency; a pair of each for the fused
-#: join-project step, which records both nodes); ``out`` is the
+#: that only changes a value's currency; a tuple of each for a fused
+#: pair-kernel step, which records every node it covers); ``out`` is the
 #: register the step fills (a column step fills two: positions 3 and
 #: 4).
 Step = Tuple[Any, ...]
@@ -307,7 +309,7 @@ def _s_hash_join(ctx, R, step):
 
 def _s_join_project(ctx, R, step):
     """r{3} = _col.{7}(r{4}, r{5}, r{6}, ..., _tickof(ctx){sr},
-    picks={9})  # {1[0]} + {1[1]}"""
+    picks={9})  # {fused}"""
     # pi over a product / join in the one kernel call: the pairs are
     # summed under their picked item tuples and never built, and both
     # plan nodes are recorded as their two steps would have been
@@ -320,6 +322,21 @@ def _s_join_project(ctx, R, step):
         _record(ctx, (None, name, node), pairs)
     if sized:
         ctx.check_size(counts)
+
+
+def _s_join_dedup(ctx, R, step):
+    """r{3} = _col.{6}(r{4}, None, r{5}, ..., _tickof(ctx){sr},
+    picks={8}, dedup=True)  # {fused}"""
+    # eps over a product / join (or pi on one) in one kernel call that
+    # reads no count; each node is recorded as its own step was
+    _, names, nodes, out, pv, build, call, keys, picks, sr = step
+    counts, pairs = getattr(columnar, call)(
+        R[pv], None, R[build], *keys, _tickof(ctx), *sr, picks=picks,
+        dedup=True)
+    R[out] = counts
+    for name, node in zip(names[:-1], nodes[:-1]):
+        _record(ctx, (None, name, node), pairs)
+    _record(ctx, (None, names[-1], nodes[-1]), len(counts), counts)
 
 
 def _s_shared(ctx, R, step):
@@ -427,7 +444,7 @@ class FusedSegment:
         """The kernels one execution records, in step order."""
         names: List[str] = []
         for step in self.steps:
-            if type(step[1]) is tuple:  # the fused join-project step
+            if type(step[1]) is tuple:  # a fused pair-kernel step
                 names.extend(step[1])
             elif step[1] is not None:
                 names.append(step[1])
@@ -446,7 +463,9 @@ class FusedSegment:
         sr = ", _sr" if self.sr else ""
         lines = [f"segment{self.index}(ctx):"]
         for step in self.steps:
-            text = step[0].__doc__.format(*step, sr=sr)
+            fused = (" + ".join(step[1]) if type(step[1]) is tuple
+                     else "")
+            text = step[0].__doc__.format(*step, sr=sr, fused=fused)
             lines.extend(" ".join(text.split()).split("; "))
         lines.append(f"return r{self.result}")
         return "\n    ".join(lines) + "\n"
@@ -562,6 +581,16 @@ class _Compiler:
             merged = self._emit_dedup_union(seg, node)
             if merged is not None:
                 return merged
+            covered = self._deduped_pairs(node)
+            if covered is not None:
+                join = covered[0]
+                picks = covered[1].picks if len(covered) == 3 else None
+                pv, _, build, keys = self._emit_join_sides(
+                    seg, join, counts=False)
+                return seg.emit(
+                    _s_join_dedup, tuple(n.kernel for n in covered),
+                    covered, self._own(seg, seg.reg()), pv, build,
+                    _PAIR_KERNEL[type(join)], keys, picks, sr)
             values = self._emit_values(seg, node.child)
             return seg.emit(_s_dedup, "dedup", node,
                             self._own(seg, seg.reg()), values, sr)
@@ -688,11 +717,12 @@ class _Compiler:
         seg.emit(_s_split, None, None, out_v, out_c, source)
         return out_v, out_c, True
 
-    def _emit_join_sides(self, seg: FusedSegment, node: PhysicalNode
-                         ) -> Tuple[int, int, int, tuple]:
+    def _emit_join_sides(self, seg: FusedSegment, node: PhysicalNode,
+                         counts: bool = True
+                         ) -> Tuple[int, Optional[int], int, tuple]:
         """Emit a product's or join's inputs: ``(probe values, probe
         counts, build dict, the kernel's key arguments)`` — the keys
-        are ``()`` for a product."""
+        are ``()`` for a product; ``counts=False`` emits no counts."""
         probe, build_node, keys = node.left, node.right, ()
         if isinstance(node, HashJoin):
             probe_key, build_key = node.left_key, node.right_key
@@ -701,7 +731,10 @@ class _Compiler:
                 probe_key, build_key = build_key, probe_key
             keys = (_key_fn(probe_key), _key_fn(build_key),
                     node.build_right)
-        pv, pc, _ = self._emit_cols(seg, probe)
+        if counts:
+            pv, pc, _ = self._emit_cols(seg, probe)
+        else:
+            pv, pc = self._emit_values(seg, probe), None
         return pv, pc, self._emit_dict(seg, build_node), keys
 
     def _projected_join(self, node: PhysicalNode
@@ -713,6 +746,19 @@ class _Compiler:
             child = self._resolve(node.child)
             if isinstance(child, (HashJoin, NestedLoopProduct)):
                 return child
+        return None
+
+    def _deduped_pairs(self, dedup: HashDedup
+                       ) -> Optional[Tuple[PhysicalNode, ...]]:
+        """The nodes one fused join-dedup step covers, join first and
+        ``dedup`` last, when it sits on a product or join or on a
+        rearrangement map on one (the ``_projected_join`` rule)."""
+        child = self._resolve(dedup.child)
+        join = self._projected_join(child)
+        if join is not None:
+            return join, child, dedup
+        if isinstance(child, (HashJoin, NestedLoopProduct)):
+            return child, dedup
         return None
 
     def _emit_values(self, seg: FusedSegment,

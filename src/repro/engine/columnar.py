@@ -22,7 +22,9 @@ only picks attributes of its own row — is an **index plan**:
 over a row's item tuple.  Directly on a product or a join the
 projection runs inside the quadratic kernel (``picks=``): each pair's
 count is summed under the picked raw item tuple and a ``Tup`` is built
-once per *distinct* output row, so the joined rows never exist.
+once per *distinct* output row, so the joined rows never exist.  Under
+``eps`` (``dedup=True``, with or without ``picks``) the kernel reads no
+count and multiplies none: it writes the support, each row with one.
 
 Typing: the steps that consume both operands of ``(+)``, ``-``, ``u``
 or ``n`` first call :func:`require_same_type`, the walker's check with
@@ -38,13 +40,15 @@ segment's steps tick proportionally to each result's size).
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
 from repro.core.bag import (
-    Bag, Tup, _check_homogeneous, _merge_shapes, _shape_of,
+    Bag, Tup, _check_homogeneous, _concat_shape, _merge_shapes,
+    _shape_of,
 )
 from repro.core.database import _rigid_size
 from repro.core.errors import BagTypeError
@@ -365,6 +369,14 @@ def pick_getter(picks: Sequence[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*(pick - 1 for pick in picks))
 
 
+def _pick_error(row: tuple, picks: Sequence[int]) -> None:
+    """A pick past the pair's arity: raise ``alpha_i``'s own error,
+    text and all."""
+    joined = Tup.trusted(row)
+    for pick in picks:
+        ops_attribute(joined, pick)
+
+
 def _sum_picked(sums: Dict[tuple, Any], picks: Sequence[int],
                 getter: Callable[[tuple], tuple], items: tuple,
                 items_first: bool, count: Any,
@@ -390,10 +402,40 @@ def _sum_picked(sums: Dict[tuple, Any], picks: Sequence[int],
                 sums[key] = (weight if prior is None
                              else add(prior, weight))
     except IndexError:
-        # a pick past the pair's arity: alpha_i's error, text and all
-        joined = Tup.trusted(row)
-        for pick in picks:
-            ops_attribute(joined, pick)
+        _pick_error(row, picks)
+        raise
+
+
+def _dedup_pairs(seen: Dict[Any, Any], value: Tup, value_first: bool,
+                 matches: Sequence[Tuple[Tup, Any]], one: Any,
+                 picks: Optional[Sequence[int]] = None,
+                 getter: Optional[Callable[[tuple], tuple]] = None
+                 ) -> None:
+    """One probe row against its matches under a fused dedup: each
+    pair's row (``Tup.concat``'s, shape and all; with ``getter``, its
+    picked raw item tuple) is keyed in ``seen`` with the count ``one``,
+    the first equal row keeping its key; no count is read."""
+    items = value._items
+    if getter is None:
+        shape, trusted = value._shape, Tup.trusted
+        last = joined = None
+        for other, _ in matches:
+            if other._shape is not last:
+                # concat's shape rule, once per run of equal shapes
+                last = other._shape
+                joined = (None if shape is None or last is None
+                          else _concat_shape(shape, last) if value_first
+                          else _concat_shape(last, shape))
+            seen[trusted(items + other._items if value_first
+                         else other._items + items, joined)] = one
+        return
+    try:
+        for other, _ in matches:
+            row = (items + other._items if value_first
+                   else other._items + items)
+            seen[getter(row)] = one
+    except IndexError:
+        _pick_error(row, picks)
         raise
 
 
@@ -404,15 +446,16 @@ def _picked_rows(sums: Dict[tuple, Any]) -> Dict[Tup, Any]:
     return {trusted(key): count for key, count in sums.items()}
 
 
-def c_product(probe_values: Sequence[Any], probe_counts: Sequence[int],
+def c_product(probe_values: Sequence[Any], probe_counts: Optional[list],
               build: Dict[Any, int],
               tick: Optional[Callable[[], None]] = None,
-              sr=None, picks: Optional[Sequence[int]] = None):
+              sr=None, picks: Optional[Sequence[int]] = None,
+              dedup: bool = False):
     """``B x B'`` against a materialised build dict: tuples
     concatenate, counts multiply.  Returns the ``(values, counts)``
     columns — or, with ``picks`` (the rearrangement sitting directly
-    on the product), ``(counts dict of the projected rows, pairs
-    enumerated)``."""
+    on the product) or ``dedup`` (``eps`` on it, ``probe_counts``
+    unread), ``(counts dict of the output rows, pairs enumerated)``."""
     for value in build:
         _require_tup(value, "cartesian product")
     build_items = list(build.items())
@@ -420,11 +463,15 @@ def c_product(probe_values: Sequence[Any], probe_counts: Sequence[int],
     out_counts: List[int] = []
     sums: Dict[tuple, Any] = {}
     getter = None if picks is None else pick_getter(picks)
+    one = 1 if sr is None else sr.one
     pending = 0
     mul = None if sr is None else sr.mul
-    for left, lcount in zip(probe_values, probe_counts):
+    for left, lcount in zip(probe_values, probe_counts or repeat(None)):
         _require_tup(left, "cartesian product")
-        if getter is not None:
+        if dedup:
+            _dedup_pairs(sums, left, True, build_items, one, picks,
+                         getter)
+        elif getter is not None:
             _sum_picked(sums, picks, getter, left._items, True, lcount,
                         build_items, sr)
         else:
@@ -441,25 +488,28 @@ def c_product(probe_values: Sequence[Any], probe_counts: Sequence[int],
             if pending >= TICK_CHUNK:
                 pending = 0
                 tick()
-    if getter is None:
+    if not (dedup or getter):
         return out_values, out_counts
-    return _picked_rows(sums), len(probe_values) * len(build_items)
+    return ((sums if getter is None else _picked_rows(sums)),
+            len(probe_values) * len(build_items))
 
 
 def c_hash_join(probe_values: Sequence[Any],
-                probe_counts: Sequence[int],
+                probe_counts: Optional[list],
                 build: Dict[Any, int],
                 probe_key: Callable[[Tup], Any],
                 build_key: Callable[[Tup], Any],
                 probe_is_left: bool,
                 tick: Optional[Callable[[], None]] = None,
-                sr=None, picks: Optional[Sequence[int]] = None):
+                sr=None, picks: Optional[Sequence[int]] = None,
+                dedup: bool = False):
     """Equi-join: hash the build dict on its key attributes, stream
     the probe columns; counts multiply and concatenation order follows
     ``probe_is_left`` (the logical product order, not the build
     choice).  Returns the ``(values, counts)`` columns — or, with
-    ``picks`` (the rearrangement sitting directly on the join),
-    ``(counts dict of the projected rows, pairs enumerated)``."""
+    ``picks`` (the rearrangement sitting directly on the join) or
+    ``dedup`` (``eps`` on it, ``probe_counts`` unread), ``(counts
+    dict of the output rows, pairs enumerated)``."""
     table: Dict[Any, list] = {}
     for value, count in build.items():
         _require_tup(value, "hash join")
@@ -470,16 +520,21 @@ def c_hash_join(probe_values: Sequence[Any],
     add_count = out_counts.append
     sums: Dict[tuple, Any] = {}
     getter = None if picks is None else pick_getter(picks)
+    one = 1 if sr is None else sr.one
     pairs = 0
     get = table.get
     pending = 0
     mul = None if sr is None else sr.mul
-    for value, count in zip(probe_values, probe_counts):
+    for value, count in zip(probe_values, probe_counts or repeat(None)):
         _require_tup(value, "hash join")
         matches = get(probe_key(value))
         if not matches:
             continue
-        if getter is not None:
+        if dedup:
+            _dedup_pairs(sums, value, probe_is_left, matches, one, picks,
+                         getter)
+            pairs += len(matches)
+        elif getter is not None:
             _sum_picked(sums, picks, getter, value._items,
                         probe_is_left, count, matches, sr)
             pairs += len(matches)
@@ -498,6 +553,6 @@ def c_hash_join(probe_values: Sequence[Any],
             if pending >= TICK_CHUNK:
                 pending = 0
                 tick()
-    if getter is None:
+    if not (dedup or getter):
         return out_values, out_counts
-    return _picked_rows(sums), pairs
+    return (sums if getter is None else _picked_rows(sums)), pairs

@@ -208,15 +208,6 @@ class ResourceGovernor:
                 f"the size budget {self.max_size}", stats=stats,
                 budget="size", limit=self.max_size, observed=size)
 
-    def check_iterations(self, completed: int, stats: Any = None) -> None:
-        """Enforce the fixpoint-iteration budget."""
-        if (self.max_iterations is not None
-                and completed >= self.max_iterations):
-            raise BudgetExceeded(
-                f"iteration budget exhausted after {completed} "
-                "fixpoint iterations", stats=stats, budget="iterations",
-                limit=self.max_iterations, observed=completed)
-
     def enter(self, stats: Any = None) -> None:
         """Track one level of evaluator recursion (pair with :meth:`exit`)."""
         self.depth += 1

@@ -15,7 +15,7 @@ builds one of these and hands it to :func:`repro.planner.compile`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
 
@@ -124,14 +124,6 @@ class PassConfig:
                    enabled=enabled,
                    max_rewrite_passes=max_rewrite_passes,
                    selectivity=selectivity, semiring=semiring)
-
-    def with_toggle(self, name: str, on: bool) -> "PassConfig":
-        """A new config with one pass forced on or off."""
-        disabled = set(self.disabled) - {name}
-        enabled = set(self.enabled) - {name}
-        (enabled if on else disabled).add(name)
-        return replace(self, disabled=tuple(disabled),
-                       enabled=tuple(enabled))
 
     # -- queries ---------------------------------------------------------
 

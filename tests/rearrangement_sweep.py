@@ -11,9 +11,11 @@ generates exactly that, per seeded database:
 * ``MAP_rearr(sigma_{i=j}(A x B))``, ``MAP_rearr(A x B)`` and
   ``eps(MAP_rearr(...))`` — the fused step, read as a dict and as
   columns;
-* ``MAP_rearr`` twice over one shared join — the join is a
-  multi-reference ``SharedScan``, which the builder must *not* fuse
-  through;
+* ``eps(sigma_{i=j}(A x B))`` and ``eps(A x B)`` — the fused
+  join-dedup step, which reads no count;
+* ``MAP_rearr`` twice over one shared join, and ``eps`` over a join
+  the plan also reads bare — the join is a multi-reference
+  ``SharedScan``, which the builder must *not* fuse through;
 * ``MAP_rearr`` over a selection and over a union — the plain
   index-plan closure;
 
@@ -22,8 +24,8 @@ sides (``[a4, a1]``), have arity 1, or pick a bag-valued attribute of
 a BALG^2 row — times {nat, bool, tropical, provenance} times
 {physical, opt level 0, parallel thread, parallel process with every
 segment exchanged}.  Each answer must be the tree walker's bag (or its
-typed rejection); the default-level plan of each shape must fuse, or
-not, as listed.
+typed rejection); the default-level plan of each shape must fuse the
+plan nodes listed into its pair kernel, and no others.
 
 Tier-1 runs ``sweep(SEED, CASES)`` (``tests/test_rearrangement.py``);
 a longer stream::
@@ -84,10 +86,10 @@ def _relation(rng: random.Random, arity: int, nested_at: Optional[int]
 
 
 def shapes(rng: random.Random
-           ) -> Iterator[Tuple[str, Optional[bool], Case]]:
+           ) -> Iterator[Tuple[str, Optional[Tuple[str, ...]], Case]]:
     """``(name, fuses, case)`` over one generated database: ``fuses``
-    is whether the default-level plan must contain the fused
-    join-project step (``None``: not checked)."""
+    is :func:`fused_kernels` of the default-level plan (``None``: not
+    checked)."""
     la, ra = rng.randint(1, 3), rng.randint(1, 3)
     # a bag-valued attribute on the right, away from the join column
     nested_at = rng.choice([None, ra - 1]) if ra > 1 else None
@@ -111,18 +113,27 @@ def shapes(rng: random.Random
     for label, picks in pick_lists.items():
         own = tuple(pick for pick in picks if pick <= la) or (1,)
         for name, fuses, expr in (
-                ("join", True, project_expr(join, *picks)),
-                ("product", True, project_expr(product, *picks)),
-                ("dedup-join", True, Dedup(project_expr(join, *picks))),
-                ("shared-join", False, AdditiveUnion(
-                    project_expr(join, *picks), project_expr(Dedup(join), *picks))),
-                ("select", False, project_expr(Select(
+                ("join", ("map",), project_expr(join, *picks)),
+                ("product", ("map",), project_expr(product, *picks)),
+                ("dedup-join", ("dedup", "map"),
+                 Dedup(project_expr(join, *picks))),
+                ("shared-join", (), AdditiveUnion(
+                    project_expr(join, *picks),
+                    project_expr(Dedup(join), *picks))),
+                ("select", (), project_expr(Select(
                     Lam("t", Attribute(Var("t"), 1)),
                     Lam("t", Attribute(Var("t"), la)), var("A")), *own)),
-                ("union", False, project_expr(AdditiveUnion(
+                ("union", (), project_expr(AdditiveUnion(
                     var("A"), var("C")), *own))):
             yield (f"{name}/{label}{list(picks)}", fuses,
                    Case(schema=schema, database=database, expr=expr))
+    # eps straight on the pairs: no picks, so no draw
+    for name, fuses, expr in (
+            ("eps/join", ("dedup",), Dedup(join)),
+            ("eps/product", ("dedup",), Dedup(product)),
+            ("eps/shared-join", (), AdditiveUnion(Dedup(join), join))):
+        yield name, fuses, Case(schema=schema, database=database,
+                                expr=expr)
 
 
 def _outcome(case: Case, semiring: str, options: dict) -> Any:
@@ -133,19 +144,32 @@ def _outcome(case: Case, semiring: str, options: dict) -> Any:
         return type(error), str(error)
 
 
+def fused_kernels(expr: Expr, database) -> Tuple[str, ...]:
+    """The kernels of the plan nodes that the default-level plan's
+    fused pair-kernel steps cover besides the product or join itself,
+    sorted and distinct: ``map`` for a rearrangement, ``dedup`` for an
+    ``eps``."""
+    return tuple(sorted({
+        name for segment in plan_for(expr, database).segments
+        for step in segment.steps if type(step[1]) is tuple
+        for name in step[1][1:]}))
+
+
 def is_fused(expr: Expr, database) -> bool:
     """Whether the default-level plan holds a fused join-project
     step."""
-    return any("picks=" in segment.source
-               for segment in plan_for(expr, database).segments)
+    return "map" in fused_kernels(expr, database)
 
 
-def check_case(case: Case, fuses: Optional[bool] = None) -> List[str]:
+def check_case(case: Case,
+               fuses: Optional[Tuple[str, ...]] = None) -> List[str]:
     """Every way an engine's answer differs from the tree walker's."""
     problems = []
-    if fuses is not None and is_fused(case.expr,
-                                      case.database) != fuses:
-        problems.append(f"fused join-project step expected: {fuses}")
+    if fuses is not None:
+        found = fused_kernels(case.expr, case.database)
+        if found != fuses:
+            problems.append(f"fused into the pair kernel: {found}, "
+                            f"expected {fuses}")
     for semiring in SEMIRINGS:
         expected = _outcome(case, semiring, dict(engine="tree"))
         for name, options in ENGINES.items():

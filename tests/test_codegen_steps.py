@@ -91,34 +91,50 @@ PLANS = {
     "dedup-join-project": Dedup(Map(
         Lam("t", Tupling(Attribute(_T, 4), Attribute(_T, 4),
                          Attribute(_T, 1))), _JOIN)),
+    # eps over a join / a product (and over pi on a product): one
+    # fused step that multiplies no count, which must count, tick and
+    # size as the separate steps did
+    "dedup-join": Dedup(_JOIN),
+    "dedup-product": Dedup(Cartesian(var("A0"), var("A1"))),
+    "dedup-product-project": Dedup(Map(
+        Lam("t", Tupling(Attribute(_T, 4), Attribute(_T, 1))),
+        Cartesian(var("A0"), var("A1")))),
 }
 
+#: the plans the fused join-dedup step runs
+_DEDUP_PLANS = ("dedup-join", "dedup-product", "dedup-join-project",
+                "dedup-product-project")
 
-def _verdict(expr, semiring, limits):
+
+def _verdict(expr, semiring, limits, engine):
     """``(subtype, details)`` of the governed failure."""
     with pytest.raises(BudgetExceeded) as info:
-        evaluate(expr, DB, engine="codegen", cache=None,
-                 semiring=semiring, limits=limits)
+        evaluate(expr, DB, cache=None, semiring=semiring, limits=limits,
+                 **engine)
     return type(info.value).__name__, info.value.details
 
 
-def observe(name, semiring):
-    """Everything one governed codegen run of a plan lets us count:
+def observe(name, semiring, engine=None):
+    """Everything one governed run of a plan lets us count (on
+    ``codegen`` unless ``engine`` gives other ``evaluate`` options):
     ``(fused_segments, kernel counts, rows_emitted,
     shared_materialized, shared_reused, barrier_fallbacks, governor
     steps, size observed under max_size=5)``."""
     expr = PLANS[name]
+    engine = engine or {"engine": "codegen"}
     stats = EngineStats()
     governor = ResourceGovernor(Limits(max_steps=1 << 30))
-    evaluate(expr, DB, engine="codegen", cache=None, stats=stats,
-             governor=governor, semiring=semiring)
+    evaluate(expr, DB, cache=None, stats=stats, governor=governor,
+             semiring=semiring, **engine)
     steps = governor.steps
     # one step short of the total: the budget fires inside execution,
     # past every planner tick
-    assert _verdict(expr, semiring, Limits(max_steps=steps - 1)) == (
+    assert _verdict(expr, semiring, Limits(max_steps=steps - 1),
+                    engine) == (
         "BudgetExceeded",
         {"budget": "steps", "limit": steps - 1, "observed": steps})
-    subtype, details = _verdict(expr, semiring, Limits(max_size=5))
+    subtype, details = _verdict(expr, semiring, Limits(max_size=5),
+                                engine)
     assert (subtype, details["budget"], details["limit"]) == (
         "BudgetExceeded", "size", 5)
     return (stats.fused_segments,
@@ -182,6 +198,25 @@ FROZEN = {
     ("dedup-join-project", "bool"):
         (1, "dedup:1 hash-join:1 map:1 scan:2", 35204, 0, 0, 0, 296,
          6401),
+    # recorded where the pair kernel and the dedup were two steps
+    ("dedup-join", "nat"):
+        (1, "dedup:1 hash-join:1 scan:2", 33604, 0, 0, 0,
+         283, 80006),
+    ("dedup-join", "bool"):
+        (1, "dedup:1 hash-join:1 scan:2", 33604, 0, 0, 0,
+         283, 80006),
+    ("dedup-product", "nat"):
+        (1, "dedup:1 nested-loop-product:1 scan:2", 10939, 0, 0, 0,
+         95, 26981),
+    ("dedup-product", "bool"):
+        (1, "dedup:1 nested-loop-product:1 scan:2", 10939, 0, 0, 0,
+         95, 26981),
+    ("dedup-product-project", "nat"):
+        (1, "dedup:1 map:1 nested-loop-product:1 scan:2", 11083, 0, 0, 0,
+         97, 433),
+    ("dedup-product-project", "bool"):
+        (1, "dedup:1 map:1 nested-loop-product:1 scan:2", 11083, 0, 0, 0,
+         97, 433),
 }
 
 
@@ -225,17 +260,39 @@ _MID_KERNEL = {
             Limits(timeout=12.0), clock=_SteppingClock()),
         "size": lambda: ResourceGovernor(Limits(max_size=400)),
     },
+    "dedup-join": {
+        "steps": lambda: ResourceGovernor(Limits(max_steps=22)),
+        "deadline": lambda: ResourceGovernor(
+            Limits(timeout=44.0), clock=_SteppingClock()),
+        "size": lambda: ResourceGovernor(Limits(max_size=400)),
+        # inside the join's epilogue, then inside the dedup's
+        "steps-in-the-join-epilogue": lambda: ResourceGovernor(
+            Limits(max_steps=60)),
+        "steps-in-the-dedup-epilogue": lambda: ResourceGovernor(
+            Limits(max_steps=200)),
+    },
+    "dedup-product": {
+        "steps": lambda: ResourceGovernor(Limits(max_steps=6)),
+        "deadline": lambda: ResourceGovernor(
+            Limits(timeout=12.0), clock=_SteppingClock()),
+        "size": lambda: ResourceGovernor(Limits(max_size=400)),
+        "steps-in-the-join-epilogue": lambda: ResourceGovernor(
+            Limits(max_steps=10)),
+        "steps-in-the-dedup-epilogue": lambda: ResourceGovernor(
+            Limits(max_steps=60)),
+    },
 }
 
 
-def mid_kernel_verdict(name, semiring, kind):
+def mid_kernel_verdict(name, semiring, kind, engine=None):
     """``(subtype, details, partial EvalStats, kernels recorded)`` of
-    the governed failure."""
+    the governed failure (on ``codegen`` unless ``engine`` gives other
+    ``evaluate`` options)."""
     stats = EngineStats()
     with pytest.raises(GovernedError) as info:
-        evaluate(PLANS[name], DB, engine="codegen", cache=None,
-                 stats=stats, governor=_MID_KERNEL[name][kind](),
-                 semiring=semiring)
+        evaluate(PLANS[name], DB, cache=None, stats=stats,
+                 governor=_MID_KERNEL[name][kind](), semiring=semiring,
+                 **(engine or {"engine": "codegen"}))
     error = info.value
     return (type(error).__name__,
             " ".join(f"{key}={value}" for key, value
@@ -289,6 +346,67 @@ FROZEN_VERDICTS = {
     ("product-project", "provenance", "size"):
         ("BudgetExceeded", "budget=size limit=400 observed=433",
          ({}, 0, 0, 0, 0), "map:1 nested-loop-product:1 scan:2"),
+    # recorded where the pair kernel and the dedup were two steps
+    ("dedup-join", "nat", "steps"):
+        ("BudgetExceeded", "budget=steps limit=22 observed=23",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("dedup-join", "nat", "deadline"):
+        ("DeadlineExceeded", "steps=24 timeout=44.0",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("dedup-join", "nat", "size"):
+        ("BudgetExceeded", "budget=size limit=400 observed=80006",
+         ({}, 0, 0, 0, 0), "dedup:1 hash-join:1 scan:2"),
+    ("dedup-join", "nat", "steps-in-the-join-epilogue"):
+        ("BudgetExceeded", "budget=steps limit=60 observed=61",
+         ({}, 0, 0, 0, 0), "hash-join:1 scan:2"),
+    ("dedup-join", "nat", "steps-in-the-dedup-epilogue"):
+        ("BudgetExceeded", "budget=steps limit=200 observed=201",
+         ({}, 0, 0, 0, 0), "dedup:1 hash-join:1 scan:2"),
+    ("dedup-join", "provenance", "steps"):
+        ("BudgetExceeded", "budget=steps limit=22 observed=23",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("dedup-join", "provenance", "deadline"):
+        ("DeadlineExceeded", "steps=24 timeout=44.0",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("dedup-join", "provenance", "size"):
+        ("BudgetExceeded", "budget=size limit=400 observed=80006",
+         ({}, 0, 0, 0, 0), "dedup:1 hash-join:1 scan:2"),
+    ("dedup-join", "provenance", "steps-in-the-join-epilogue"):
+        ("BudgetExceeded", "budget=steps limit=60 observed=61",
+         ({}, 0, 0, 0, 0), "hash-join:1 scan:2"),
+    ("dedup-join", "provenance", "steps-in-the-dedup-epilogue"):
+        ("BudgetExceeded", "budget=steps limit=200 observed=201",
+         ({}, 0, 0, 0, 0), "dedup:1 hash-join:1 scan:2"),
+    ("dedup-product", "nat", "steps"):
+        ("BudgetExceeded", "budget=steps limit=6 observed=7",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("dedup-product", "nat", "deadline"):
+        ("DeadlineExceeded", "steps=8 timeout=12.0",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("dedup-product", "nat", "size"):
+        ("BudgetExceeded", "budget=size limit=400 observed=26981",
+         ({}, 0, 0, 0, 0), "dedup:1 nested-loop-product:1 scan:2"),
+    ("dedup-product", "nat", "steps-in-the-join-epilogue"):
+        ("BudgetExceeded", "budget=steps limit=10 observed=11",
+         ({}, 0, 0, 0, 0), "nested-loop-product:1 scan:2"),
+    ("dedup-product", "nat", "steps-in-the-dedup-epilogue"):
+        ("BudgetExceeded", "budget=steps limit=60 observed=61",
+         ({}, 0, 0, 0, 0), "dedup:1 nested-loop-product:1 scan:2"),
+    ("dedup-product", "provenance", "steps"):
+        ("BudgetExceeded", "budget=steps limit=6 observed=7",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("dedup-product", "provenance", "deadline"):
+        ("DeadlineExceeded", "steps=8 timeout=12.0",
+         ({}, 0, 0, 0, 0), "scan:2"),
+    ("dedup-product", "provenance", "size"):
+        ("BudgetExceeded", "budget=size limit=400 observed=26981",
+         ({}, 0, 0, 0, 0), "dedup:1 nested-loop-product:1 scan:2"),
+    ("dedup-product", "provenance", "steps-in-the-join-epilogue"):
+        ("BudgetExceeded", "budget=steps limit=10 observed=11",
+         ({}, 0, 0, 0, 0), "nested-loop-product:1 scan:2"),
+    ("dedup-product", "provenance", "steps-in-the-dedup-epilogue"):
+        ("BudgetExceeded", "budget=steps limit=60 observed=61",
+         ({}, 0, 0, 0, 0), "dedup:1 nested-loop-product:1 scan:2"),
 }
 
 
@@ -297,6 +415,84 @@ def test_verdicts_from_inside_the_fused_join_project_step(
         name, semiring, kind):
     assert (mid_kernel_verdict(name, semiring, kind)
             == FROZEN_VERDICTS[name, semiring, kind])
+
+
+#: the parallel engines at their default threshold, which shard these
+#: plans' joins and products
+_PARALLEL = {
+    "thread": {"engine": "parallel", "workers": 2,
+               "parallel_backend": "thread"},
+    "process": {"engine": "parallel", "workers": 2,
+                "parallel_backend": "process"},
+}
+
+
+def parallel_observe(name, semiring, options):
+    """What a parallel run counts whatever the shards' interleaving:
+    ``(fused_segments, kernel counts, rows_emitted,
+    barrier_fallbacks)`` of one run, then ``(subtype, budget, limit)``
+    of each ``_MID_KERNEL`` verdict (the observed steps, size and
+    clock reading depend on which shard gets there first)."""
+    stats = EngineStats()
+    evaluate(PLANS[name], DB, cache=None, stats=stats,
+             semiring=semiring, **options)
+    verdicts = []
+    for kind in _MID_KERNEL.get(name, ()):
+        with pytest.raises(GovernedError) as info:
+            evaluate(PLANS[name], DB, cache=None,
+                     governor=_MID_KERNEL[name][kind](),
+                     semiring=semiring, **options)
+        details = info.value.details
+        verdicts.append((type(info.value).__name__,
+                         details.get("budget"), details.get("limit")))
+    return (stats.fused_segments,
+            " ".join(f"{kernel}:{count}" for kernel, count
+                     in sorted(stats.kernel_counts.items())),
+            stats.rows_emitted, stats.barrier_fallbacks, verdicts)
+
+
+_DEDUP_JOIN_VERDICTS = [("BudgetExceeded", "steps", 22),
+                        ("DeadlineExceeded", None, None),
+                        ("BudgetExceeded", "size", 400),
+                        ("BudgetExceeded", "steps", 60),
+                        ("BudgetExceeded", "steps", 200)]
+_DEDUP_PRODUCT_VERDICTS = [("BudgetExceeded", "steps", 6),
+                           ("DeadlineExceeded", None, None),
+                           ("BudgetExceeded", "size", 400),
+                           ("BudgetExceeded", "steps", 10),
+                           ("BudgetExceeded", "steps", 60)]
+
+#: ``parallel_observe`` of the dedup plans, recorded on both backends
+#: where the pair kernel and the dedup were two steps
+FROZEN_PARALLEL = {
+    "dedup-join": (5, "dedup:4 exchange:1 hash-join:4 scan:10", 51207,
+                   0, _DEDUP_JOIN_VERDICTS),
+    "dedup-product": (5, "dedup:4 exchange:1 nested-loop-product:1 "
+                         "scan:6", 21731, 0, _DEDUP_PRODUCT_VERDICTS),
+    "dedup-join-project": (9, "dedup:4 exchange:2 hash-join:4 map:4 "
+                              "scan:14", 41606, 0, []),
+    "dedup-product-project": (2, "dedup:1 exchange:1 map:1 "
+                                 "nested-loop-product:1 scan:3", 11371,
+                              0, []),
+}
+
+
+@pytest.mark.parametrize("name", _DEDUP_PLANS)
+def test_the_fused_join_dedup_step_governs_alike_on_every_engine(name):
+    # physical runs codegen's one segment: everything must match
+    for (plan, semiring), frozen in FROZEN.items():
+        if plan == name:
+            assert observe(name, semiring,
+                           {"engine": "physical"}) == frozen
+    for (plan, semiring, kind), frozen in FROZEN_VERDICTS.items():
+        if plan == name:
+            assert mid_kernel_verdict(name, semiring, kind,
+                                      {"engine": "physical"}) == frozen
+    # the shards run it too, on either backend
+    for options in _PARALLEL.values():
+        for semiring in ("nat", "provenance"):
+            assert parallel_observe(name, semiring, options) \
+                == FROZEN_PARALLEL[name]
 
 
 # ----------------------------------------------------------------------

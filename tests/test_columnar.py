@@ -16,10 +16,12 @@ Three layers:
   steps look kernels up on the module object when they run, so
   patching ``repro.engine.columnar`` attributes reaches inside
   compiled plans).  The fused join-project path (``picks=``) gets
-  four mutants of its own, each caught by the kernel pins as well,
-  and so do the nest kernel (a dropped multiplicity, the row's shape
-  stamped on the inner bag) and the lambda-invariant search (one that
-  enters an inner lambda's body).
+  four mutants of its own, each caught by the kernel pins as well;
+  so does the fused join-dedup path (``dedup=``: one match per probe
+  row, build/probe concatenation order, a count where one belongs),
+  the nest kernel (a dropped multiplicity, the row's shape stamped on
+  the inner bag) and the lambda-invariant search (one that enters an
+  inner lambda's body).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from repro.core.expr import (
     Powerset, Select, Subtraction, Tupling, Var, var,
 )
 from repro.core.nest import Nest, Unnest, nest_bag
+from repro.core.semiring import resolve_semiring
 from repro.core.types import TupleType
 from repro.engine import (
     EngineStats, PlanCache, evaluate, explain_physical, plan_for,
@@ -213,6 +216,37 @@ class TestKernels:
         # no pair, no pick, no error
         assert c_product([], [], _PR, picks=(7,)) == ({}, 0)
 
+    def test_fused_dedup_is_the_deduped_join(self):
+        _fused_dedup_pins()
+
+    def test_fused_dedup_reads_no_count_and_keeps_the_checks(self):
+        probe, build, keys, probe_is_left = _JOIN_SIDES[0]
+        # no probe count column at all, and a build dict whose counts
+        # would fail any arithmetic
+        poisoned = dict.fromkeys(build, object())
+        got, pairs = c_hash_join(list(probe), None, poisoned, *keys,
+                                 probe_is_left, dedup=True)
+        assert got == dict.fromkeys(
+            c_hash_join(list(probe), list(probe.values()), build,
+                        *keys, probe_is_left)[0], 1) and pairs == 5
+        assert c_product(list(_PL), None, dict.fromkeys(_PR, object()),
+                         dedup=True)[1] == 9
+        with pytest.raises(BagTypeError, match="hash join requires"):
+            c_hash_join(["a"], None, build, *keys, probe_is_left,
+                        dedup=True)
+        with pytest.raises(BagTypeError, match="cartesian product"):
+            c_product(list(_PL), None, {"b": 1}, dedup=True)
+        with pytest.raises(BagTypeError,
+                           match="attribute index 5 out of range for "
+                                 "arity 4"):
+            c_hash_join(list(probe), None, build, *keys, probe_is_left,
+                        picks=(1, 5), dedup=True)
+        ticks = []
+        c_product([Tup("x",)] * 3, None,
+                  {Tup(str(i),): 1 for i in range(columnar.TICK_CHUNK)},
+                  tick=lambda: ticks.append(1), dedup=True)
+        assert len(ticks) == 3
+
     def test_quadratic_kernels_tick(self):
         ticks = []
         build = {Tup(str(i),): 1 for i in range(columnar.TICK_CHUNK)}
@@ -253,6 +287,68 @@ def _fused_projection_pins():
     assert columnar.c_product(list(_PL), list(_PL.values()), _PR,
                               picks=(3,)) == (
         {Tup(1): (2 + 3 + 1) * (5 + 1), Tup(2): (2 + 3 + 1) * 7}, 9)
+
+
+#: BALG^2 sides of ``sigma_{1=3}(L x R)`` for the fused dedup pins: the
+#: inner bag is empty on one row and full on the others (so the rows'
+#: shapes differ), one row's shape is still uncomputed (its joined
+#: rows get none, as ``Tup.concat`` gives them), and the probe column
+#: repeats a row, so equal joined rows meet twice
+_NL_ROWS = [Tup("a", Bag()), Tup("a", Bag(["x", "x"])), Tup("b", Bag(["y"]))]
+_NR_ROWS = [Tup("a", 1), Tup("a", 2), Tup("b", 1), Tup("c", 3)]
+
+
+def _dedup_sides(sr):
+    """``(probe values, probe counts, build dict, keys, probe_is_left)``
+    in both build orientations, then with an empty side, each count
+    the semiring's own."""
+    def count(n):
+        return n if sr is None else sr.from_int(n)
+
+    for row in _NL_ROWS[:2] + _NR_ROWS:
+        _shape_of(row)
+    left = _NL_ROWS + [_NL_ROWS[1]]
+    lcounts = [count(2), count(3), count(1), count(4)]
+    right = {row: count(index + 2) for index, row in enumerate(_NR_ROWS)}
+    keys = (lambda tup: tup.attribute(1), lambda tup: tup.attribute(1))
+    yield left, lcounts, right, keys, True
+    yield list(right), list(right.values()), dict(zip(left, lcounts)), \
+        keys, False
+    yield [], [], right, keys, True
+    yield left, lcounts, {}, keys, True
+
+
+def _fused_dedup_pins():
+    """``dedup=True`` against ``c_dedup`` of the plain kernel's value
+    column, under every semiring: the same rows in the same order,
+    each key with the plain path's ``_shape``, every count one, and
+    the pairs enumerated; with ``picks`` too."""
+    for name in ("nat", "bool", "tropical", "provenance"):
+        sr = resolve_semiring(name)
+        extra = () if sr is None else (None, sr)
+        for values, counts, build, keys, probe_is_left in \
+                _dedup_sides(sr):
+            for call, args in (
+                    (c_hash_join, (*keys, probe_is_left)),
+                    (c_product, ())):
+                plain, _ = call(values, counts, build, *args, *extra)
+                got, pairs = call(values, None, build, *args, *extra,
+                                  dedup=True)
+                expected = c_dedup(plain, *extra[1:])
+                assert list(got) == list(expected)
+                assert [row._shape for row in got] == [
+                    row._shape for row in expected]
+                assert list(got.values()) == list(expected.values())
+                assert pairs == len(plain)
+                projected, _ = call(values, counts, build, *args,
+                                    *extra, picks=(4, 1))
+                assert call(values, None, build, *args, *extra,
+                            picks=(4, 1), dedup=True) == (
+                    c_dedup(projected, *extra[1:]), len(plain))
+    # the shapes were checked, not vacuous: a rigid row and an unknown
+    got = c_hash_join(_NL_ROWS, None, dict.fromkeys(_NR_ROWS, 1),
+                      *next(_dedup_sides(None))[3], True, dedup=True)[0]
+    assert {row._shape is None for row in got} == {True, False}
 
 
 # ----------------------------------------------------------------------
@@ -577,6 +673,15 @@ def _caught_twice(patches, shape):
     return _detect(patches, case_for=_join_project_case(shape))
 
 
+def _dedup_caught_twice(patches, shape):
+    """A fused join-dedup mutant is caught by the kernel pins and,
+    within 10 generated cases, by the differential."""
+    _fused_dedup_pins()
+    with _mutated(patches), pytest.raises(AssertionError):
+        _fused_dedup_pins()
+    return _detect(patches, case_for=_join_project_case(shape))
+
+
 class TestMutationDetection:
     def test_monus_without_count_clamp_is_caught(self):
         def patch(orig):
@@ -672,6 +777,40 @@ class TestMutationDetection:
             assert _caught_twice({"pick_getter": patch},
                                  shape) is not None
 
+
+    def test_join_dedup_keeping_one_match_per_probe_row_is_caught(self):
+        def patch(orig):
+            def patched(seen, value, value_first, matches, *rest):
+                return orig(seen, value, value_first, matches[:1], *rest)
+            return patched
+
+        for shape in ("eps/join", "dedup-join/cross-side"):
+            assert _dedup_caught_twice({"_dedup_pairs": patch},
+                                       shape) is not None
+
+    def test_join_dedup_in_build_probe_order_is_caught(self):
+        def patch(orig):
+            def patched(seen, value, value_first, *rest):
+                # probe + build, whichever side is the logical left
+                return orig(seen, value, True, *rest)
+            return patched
+
+        for shape in ("eps/join", "dedup-join/cross-side"):
+            assert _dedup_caught_twice({"_dedup_pairs": patch},
+                                       shape) is not None
+
+    def test_join_dedup_keeping_the_count_is_caught(self):
+        def patch(orig):
+            def patched(seen, value, value_first, matches, one, *rest):
+                # each pair keeps the count the kernel has in reach
+                for other, count in matches:
+                    orig(seen, value, value_first, [(other, count)],
+                         count, *rest)
+            return patched
+
+        for shape in ("eps/join", "eps/product", "dedup-join/repeat"):
+            assert _dedup_caught_twice({"_dedup_pairs": patch},
+                                       shape) is not None
 
     def test_nest_dropping_the_multiplicity_is_caught(self):
         def patch(orig):
@@ -807,3 +946,44 @@ def test_projected_join_builds_one_tup_per_distinct_row(monkeypatch):
                     cache=None, stats=stats) == expected
     assert stats.morsels_executed >= 2
     assert 9 <= len(calls) <= 9 * stats.morsels_executed < 144
+
+
+# ----------------------------------------------------------------------
+# No annotation arithmetic under eps
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("semiring", ["bool", "tropical", "provenance"])
+def test_a_join_under_eps_multiplies_no_annotation(monkeypatch,
+                                                   semiring):
+    """``eps(sigma_{2=3}(L x R))`` asks only for the support, and a
+    product of non-zero annotations is non-zero in each shipped
+    semiring: the fused join-dedup step calls ``mul`` not once, while
+    the same join without ``eps`` calls it once per joined pair."""
+    database = {"L": random_relation(12, arity=2, seed=5),
+                "R": random_relation(12, arity=2, seed=6)}
+    join = Select(Lam("t", Attribute(Var("t"), 2)),
+                  Lam("t", Attribute(Var("t"), 3)),
+                  Cartesian(var("L"), var("R")))
+    sr = type(resolve_semiring(semiring))
+    expected = {expr: evaluate(expr, database, engine="tree",
+                               semiring=semiring)
+                for expr in (Dedup(join), join)}
+    calls = []
+    mul = sr.mul
+
+    def counting(self, left, right):
+        calls.append(1)
+        return mul(self, left, right)
+
+    monkeypatch.setattr(sr, "mul", counting)
+    stats = EngineStats()
+    assert evaluate(Dedup(join), database, engine="codegen",
+                    cache=None, semiring=semiring,
+                    stats=stats) == expected[Dedup(join)]
+    assert stats.kernel_counts["hash-join"] == 1 and calls == []
+    stats = EngineStats()
+    assert evaluate(join, database, engine="codegen", cache=None,
+                    semiring=semiring, stats=stats) == expected[join]
+    scanned = sum(bag.distinct_count for bag in database.values())
+    pairs = stats.rows_emitted - scanned
+    assert pairs > scanned and len(calls) == pairs
