@@ -325,8 +325,19 @@ class Semiring:
                 for name, value in bindings.items()}
 
     def _adapt_bag(self, bag: Any, label: str) -> Any:
-        """The per-instance work; :meth:`adapt_bag` is its only caller."""
+        """The per-instance work; :meth:`adapt_bag` is its only caller.
+
+        Under an idempotent ``add`` every positive int is ``one``
+        (``n = 1 + ... + 1``), and a member whose shape holds no bag is
+        its own adaptation: a bag of such members and int counts is
+        resealed in its own shape with no per-member rebuild."""
         from repro.core.bag import Bag
+        from repro.core.database import _rigid_size
+        counts, shape = bag._counts, bag._shape
+        if (self.idempotent_add and shape is not None
+                and _rigid_size(shape) is not None
+                and set(map(type, counts.values())) == {int}):
+            return Bag.trusted(dict.fromkeys(counts, self.one), shape)
         return Bag.from_counts({self.adapt_value(value): self.coerce(count)
                                 for value, count in bag.items()})
 

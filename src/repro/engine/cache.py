@@ -44,17 +44,24 @@ _COMMUTATIVE = (AdditiveUnion, MaxUnion, Intersection)
 def canonical_key(expr: Expr) -> Hashable:
     """A canonicalized structural key for an expression.
 
-    Commutative operands are sorted by their repr — at *every* depth,
-    not only the root — so the two operand orders of ``(+)``, ``u``,
-    and ``n`` hash to the same plan: a cached plan for one order
-    computes the same bag for the other.  Non-commutative nodes key on
+    Commutative operands are sorted — at *every* depth, not only the
+    root — so the two operand orders of ``(+)``, ``u``, and ``n`` hash
+    to the same plan: a cached plan for one order computes the same
+    bag for the other.  Two operand keys compare directly (tuples of
+    names, atoms and keys); only where that comparison raises — the
+    first difference is a bag or tuple constant, a lambda, or atoms of
+    two types — do their reprs decide.  Non-commutative nodes key on
     their type plus the canonical keys of their slots, so order
     differences buried under a ``Dedup`` or a ``Map`` still collapse.
     """
     if isinstance(expr, _COMMUTATIVE):
         left = canonical_key(expr.left)
         right = canonical_key(expr.right)
-        if repr(right) < repr(left):
+        try:
+            swap = right < left
+        except TypeError:
+            swap = repr(right) < repr(left)
+        if swap:
             left, right = right, left
         return (type(expr).__name__, left, right)
     if isinstance(expr, Expr):

@@ -182,18 +182,19 @@ class Lowering:
     # -- estimates ------------------------------------------------------
 
     def _estimate(self, expr: Expr) -> Optional[BagStats]:
+        """``expr``'s estimate (``None``: none exists).  The estimator's
+        recursion shares the memo: each node is estimated once."""
         if self.statistics is None:
             return None
-        if expr in self._estimates:
-            return self._estimates[expr]
-        try:
-            stats = estimate(expr, self.statistics,
-                             selectivity=self.selectivity,
-                             selectivity_fn=self.selectivity_fn)
-        except BagTypeError:
-            stats = None
-        self._estimates[expr] = stats
-        return stats
+        if expr not in self._estimates:
+            try:
+                estimate(expr, self.statistics,
+                         selectivity=self.selectivity,
+                         selectivity_fn=self.selectivity_fn,
+                         memo=self._estimates)
+            except BagTypeError:
+                self._estimates[expr] = None
+        return self._estimates[expr]
 
     @staticmethod
     def _card(stats: Optional[BagStats]) -> Optional[float]:
@@ -211,17 +212,18 @@ class Lowering:
     def _count_occurrences(self, expr: Expr) -> None:
         """Count structural occurrences of dataflow subexpressions, to
         decide which ones deserve a shared materialisation."""
+        counts, dataflow = self._share_counts, self._dataflow_children
         stack: List[Expr] = [expr]
         while stack:
             node = stack.pop()
-            self._share_counts[node] = self._share_counts.get(node, 0) + 1
-            stack.extend(self._dataflow_children(node))
+            counts[node] = counts.get(node, 0) + 1
+            stack.extend(dataflow(node))
 
     @staticmethod
     def _dataflow_children(node: Expr) -> Tuple[Expr, ...]:
-        bodies = tuple(lam.body for lam in node.lambdas())
-        return tuple(child for child in node.children()
-                     if all(child is not body for body in bodies))
+        """``children()`` up to the lambda bodies, which come last."""
+        lams = node.lambdas()
+        return node.children()[:-len(lams)] if lams else node.children()
 
     def _is_shared(self, expr: Expr) -> bool:
         """Worth sharing: occurs more than once and is not a leaf."""

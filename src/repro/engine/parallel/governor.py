@@ -132,8 +132,9 @@ class WorkerGovernor(ResourceGovernor):
         super().__init__(
             max_size=parent.max_size,
             powerset_budget=parent.powerset_budget,
-            # the parent deadline, expressed as this governor's timeout
-            timeout=remaining if remaining is not None else None,
+            # the parent deadline, expressed as this governor's
+            # timeout: one already passed is a timeout of zero
+            timeout=None if remaining is None else max(0.0, remaining),
             max_depth=parent.max_depth,
             token=LinkedToken(parent.token),
             clock=parent.clock,

@@ -53,6 +53,7 @@ def explain(expr: Expr,
             for node, inferred in checker.annotations:
                 types.setdefault(id(node), inferred)
     lines: List[str] = []
+    estimates: Dict[Expr, Optional[BagStats]] = {}  # each node once
 
     def render(node: Expr, depth: int) -> None:
         if isinstance(node, Var):
@@ -65,7 +66,7 @@ def explain(expr: Expr,
         if statistics is not None:
             try:
                 stats = estimate(node, statistics,
-                                 selectivity=selectivity)
+                                 selectivity=selectivity, memo=estimates)
                 parts.append(f"est card {stats.cardinality:g} / "
                              f"distinct {stats.distinct:g}")
             except BagTypeError:

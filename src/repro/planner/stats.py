@@ -155,7 +155,9 @@ def _scan(bag: Bag) -> BagStats:
 
 def estimate(expr: Expr, statistics: Mapping[str, BagStats],
              selectivity: float = DEFAULT_SELECTIVITY,
-             selectivity_fn: Optional[SelectivityFn] = None) -> BagStats:
+             selectivity_fn: Optional[SelectivityFn] = None,
+             memo: Optional[Dict[Expr, Optional[BagStats]]] = None
+             ) -> BagStats:
     """Estimate output statistics of an expression bottom-up.
 
     ``statistics`` binds the relation variables.  Lambda-bound
@@ -166,17 +168,41 @@ def estimate(expr: Expr, statistics: Mapping[str, BagStats],
     ``Select`` node is offered to it first and the flat ``selectivity``
     only applies when it returns ``None`` — this is how catalog
     histograms replace the one-size-fits-all default.
+
+    ``memo`` maps subtrees already estimated to their statistics
+    (``None``: none, nor for any tree above it).  Every node estimated
+    here is added to it, so a caller that asks about many nodes of one
+    tree (the lowering) with one memo visits each node once.
     """
     if not 0 < selectivity <= 1:
         raise BagTypeError("selectivity must be in (0, 1]")
-    return _estimate(expr, dict(statistics), selectivity,
-                     selectivity_fn)
+    stats = dict(statistics)
+    memo = {} if memo is None else memo
+
+    def visit(node: Expr) -> BagStats:
+        if node not in memo:
+            try:
+                memo[node] = _estimate(node, visit, stats, selectivity,
+                                       selectivity_fn)
+            except BagTypeError:
+                memo[node] = None
+                raise
+        known = memo[node]
+        if known is None:
+            raise BagTypeError(f"no estimate for {type(node).__name__}")
+        return known
+
+    try:
+        return visit(expr)
+    finally:
+        del visit  # it refers to itself: free the cycle (and memo) now
 
 
-def _estimate(expr: Expr, stats: Dict[str, BagStats],
-              selectivity: float,
-              selectivity_fn: Optional[SelectivityFn] = None
-              ) -> BagStats:
+def _estimate(expr: Expr, visit: Callable[[Expr], BagStats],
+              stats: Dict[str, BagStats], selectivity: float,
+              selectivity_fn: Optional[SelectivityFn]) -> BagStats:
+    """One node's statistics from its operands', read through
+    ``visit``."""
     if isinstance(expr, Var):
         if expr.name not in stats:
             raise BagTypeError(
@@ -188,47 +214,47 @@ def _estimate(expr: Expr, stats: Dict[str, BagStats],
         return BagStats(1.0, 1.0)
 
     if isinstance(expr, AdditiveUnion):
-        left = _estimate(expr.left, stats, selectivity, selectivity_fn)
+        left = visit(expr.left)
         if expr.left == expr.right:
             # B (+) B doubles every multiplicity: 2c rows but still
             # only d distinct members (the engine's MultiplicityScale)
             return BagStats(2.0 * left.cardinality, left.distinct,
                             left.avg_element_size)
-        right = _estimate(expr.right, stats, selectivity, selectivity_fn)
+        right = visit(expr.right)
         return BagStats(left.cardinality + right.cardinality,
                         left.distinct + right.distinct,
                         _merge_size(left, right))
     if isinstance(expr, MaxUnion):
-        left = _estimate(expr.left, stats, selectivity, selectivity_fn)
+        left = visit(expr.left)
         if expr.left == expr.right:
             return left  # B u B = B
-        right = _estimate(expr.right, stats, selectivity, selectivity_fn)
+        right = visit(expr.right)
         return BagStats(left.cardinality + right.cardinality,
                         left.distinct + right.distinct,
                         _merge_size(left, right))
     if isinstance(expr, Subtraction):
-        left = _estimate(expr.left, stats, selectivity, selectivity_fn)
+        left = visit(expr.left)
         if expr.left == expr.right:
             return BagStats(0.0, 0.0)  # B - B = {{}} under monus
         return left
     if isinstance(expr, Intersection):
-        left = _estimate(expr.left, stats, selectivity, selectivity_fn)
+        left = visit(expr.left)
         if expr.left == expr.right:
             return left  # B n B = B
-        right = _estimate(expr.right, stats, selectivity, selectivity_fn)
+        right = visit(expr.right)
         return BagStats(min(left.cardinality, right.cardinality),
                         min(left.distinct, right.distinct),
                         _merge_size(left, right))
     if isinstance(expr, Cartesian):
-        left = _estimate(expr.left, stats, selectivity, selectivity_fn)
-        right = _estimate(expr.right, stats, selectivity, selectivity_fn)
+        left = visit(expr.left)
+        right = visit(expr.right)
         return BagStats(left.cardinality * right.cardinality,
                         left.distinct * right.distinct)
     if isinstance(expr, Map):
-        inner = _estimate(expr.operand, stats, selectivity, selectivity_fn)
+        inner = visit(expr.operand)
         return BagStats(inner.cardinality, inner.distinct)
     if isinstance(expr, Select):
-        inner = _estimate(expr.operand, stats, selectivity, selectivity_fn)
+        inner = visit(expr.operand)
         kept = None
         if selectivity_fn is not None:
             kept = selectivity_fn(expr)
@@ -238,23 +264,23 @@ def _estimate(expr: Expr, stats: Dict[str, BagStats],
                         inner.distinct * kept,
                         inner.avg_element_size)
     if isinstance(expr, Dedup):
-        inner = _estimate(expr.operand, stats, selectivity, selectivity_fn)
+        inner = visit(expr.operand)
         return BagStats(inner.distinct, inner.distinct,
                         inner.avg_element_size)
     if isinstance(expr, Powerset):
-        inner = _estimate(expr.operand, stats, selectivity, selectivity_fn)
+        inner = visit(expr.operand)
         subbags = _powerset_size(inner)
         # a uniformly random subbag keeps half of B's elements
         return BagStats(subbags, subbags,
                         avg_element_size=inner.cardinality / 2.0)
     if isinstance(expr, Powerbag):
-        inner = _estimate(expr.operand, stats, selectivity, selectivity_fn)
+        inner = visit(expr.operand)
         total = min(_CAP, 2.0 ** min(inner.cardinality, 60.0)
                     if inner.cardinality <= 60 else _CAP)
         return BagStats(total, min(total, _powerset_size(inner)),
                         avg_element_size=inner.cardinality / 2.0)
     if isinstance(expr, BagDestroy):
-        inner = _estimate(expr.operand, stats, selectivity, selectivity_fn)
+        inner = visit(expr.operand)
         # each of the inner bags contributes its own cardinality;
         # powerset/nest outputs carry the true average subbag size —
         # fall back to the average multiplicity only without it
@@ -265,13 +291,13 @@ def _estimate(expr: Expr, stats: Dict[str, BagStats],
         return BagStats(min(_CAP, inner.cardinality * per_bag),
                         min(_CAP, inner.distinct * per_bag))
     if isinstance(expr, Nest):
-        inner = _estimate(expr.operand, stats, selectivity, selectivity_fn)
+        inner = visit(expr.operand)
         # one output tuple per distinct residual key: at most d groups
         groups = max(1.0, inner.distinct) if inner.cardinality else 0.0
         per_group = (inner.cardinality / groups) if groups else 0.0
         return BagStats(groups, groups, avg_element_size=per_group)
     if isinstance(expr, Unnest):
-        inner = _estimate(expr.operand, stats, selectivity, selectivity_fn)
+        inner = visit(expr.operand)
         if inner.avg_element_size is not None:
             per_tuple = inner.avg_element_size
         else:

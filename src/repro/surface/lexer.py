@@ -29,7 +29,7 @@ from typing import List, NamedTuple
 
 from repro.core.errors import ParseError
 
-__all__ = ["Token", "tokenize", "KEYWORDS"]
+__all__ = ["Token", "tokenize", "scan", "kind_of", "KEYWORDS", "KINDS"]
 
 #: Reserved operator keywords of the surface syntax.
 KEYWORDS = frozenset({
@@ -38,31 +38,25 @@ KEYWORDS = frozenset({
 })
 
 _PUNCTUATION = {
-    "(+)": "ADDUNION",
-    "!=": "NE",
-    "<=": "LE",
-    "{{": "LBAG",
-    "}}": "RBAG",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "[": "LBRACKET",
-    "]": "RBRACKET",
-    ",": "COMMA",
-    ":": "COLON",
-    ";": "SEMI",
-    "-": "MINUS",
-    "=": "EQ",
+    "(+)": "ADDUNION", "!=": "NE", "<=": "LE", "{{": "LBAG", "}}": "RBAG",
+    "(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET",
+    ",": "COMMA", ":": "COLON", ";": "SEMI", "-": "MINUS", "=": "EQ",
     "<": "LT",
 }
 
-#: One alternation per token class, tried in this order at every
-#: offset: blanks, longest-first punctuation, a quoted atom, a run of
-#: word characters (``\w`` is exactly ``str.isalnum() or "_"``; the
-#: digit and identifier rules below carve runs up), anything else.
-_MASTER = re.compile(
-    r"[ \t\r\n]+|(?P<punct>%s)|'(?P<string>[^']*)'|(?P<run>\w+)"
-    r"|(?P<bad>(?s:.))" % "|".join(map(
-        re.escape, sorted(_PUNCTUATION, key=len, reverse=True))))
+#: Token text -> kind, for the texts whose kind is their spelling.
+KINDS = dict(_PUNCTUATION, **dict.fromkeys(KEYWORDS, "KEYWORD"))
+
+#: One token after blanks (only space, tab, CR and LF are blank).  The
+#: captured alternatives are the tokens whose text settles their kind:
+#: punctuation (longest first), a quoted atom (quotes kept), a word
+#: led by an ASCII letter or underscore, ASCII digits that end a word.
+#: Any other word (``\w`` is exactly ``str.isalnum() or "_"``) and a
+#: character that starts no token match uncaptured, as ``""``.
+_SCAN = re.compile(
+    r"[ \t\r\n]*(?:(%s|'[^']*'|[A-Za-z_]\w*|[0-9]+(?!\w))|\w+|[^ \t\r\n])"
+    % "|".join(map(re.escape,
+                   sorted(_PUNCTUATION, key=len, reverse=True))))
 
 
 class Token(NamedTuple):
@@ -73,49 +67,64 @@ class Token(NamedTuple):
     position: int
 
 
+def scan(source: str) -> List[str]:
+    """The token texts of ``source`` (an atom keeps its quotes), from
+    one ``findall``.  A text holding a word the fast alternatives do
+    not settle is rescanned token by token: ``str.isdigit`` ends a
+    number (``12ab`` is two tokens), and the first character that
+    starts no token raises :class:`ParseError`."""
+    texts = _SCAN.findall(source)
+    if "" not in texts:
+        return texts
+    texts, position = [], 0
+    while match := _SCAN.match(source, position):
+        text, position = match[0].lstrip(" \t\r\n"), match.end()
+        start = position - len(text)
+        if not match[1] and text[0].isdigit():
+            text = text[:next((i for i, char in enumerate(text)
+                               if not char.isdigit()), len(text))]
+            position = start + len(text)
+        elif not (match[1] or text[0].isalpha() or text[0] == "_"):
+            # a quote that never closes, a stray character, or a
+            # numeric that is neither digit nor letter (a vulgar
+            # fraction)
+            raise ParseError(
+                "unclosed string literal" if text == "'" else
+                f"unexpected character {text[0]!r}", start, source)
+        texts.append(text)
+    return texts
+
+
+def kind_of(text: str) -> str:
+    """The kind of a token text from :func:`scan` (``""`` is EOF)."""
+    kind = KINDS.get(text)
+    if kind is not None:
+        return kind
+    if not text:
+        return "EOF"
+    if text[0] == "'":
+        return "STRING"
+    if text[0].isdigit():
+        return "INT"
+    if text.startswith("alpha") and text[5:].isdigit():
+        return "ALPHA"  # "alpha3": the keyword fused with an index
+    return "IDENT"
+
+
 def tokenize(source: str) -> List[Token]:
     """Tokenize a surface-syntax expression.
 
     Raises :class:`ParseError` on unrecognised characters or unclosed
-    string literals.
+    string literals.  Only blanks lie between two tokens, so a token's
+    position is where its text next occurs.
     """
     tokens: List[Token] = []
-    scan = _MASTER.match
     position = 0
-    length = len(source)
-    while position < length:
-        match = scan(source, position)
-        group = match.lastgroup
-        start, position = position, match.end()
-        if group is None:
-            continue
-        text = match[group]
-        if group == "punct":
-            kind = _PUNCTUATION[text]
-        elif group == "string":
-            kind = "STRING"
-        elif text[0].isdigit():
-            kind = "INT"
-            if not text.isdigit():
-                # "12ab": the number ends where the digits do
-                text = text[:next(i for i, char in enumerate(text)
-                                  if not char.isdigit())]
-                position = start + len(text)
-        elif group == "bad" or not (text[0].isalpha()
-                                    or text[0] == "_"):
-            # no token starts here: a quote that never closes, a stray
-            # character, or a numeric that is neither digit nor letter
-            # (a vulgar fraction)
-            raise ParseError(
-                "unclosed string literal" if text == "'" else
-                f"unexpected character {text[0]!r}", start, source)
-        elif text.startswith("alpha") and text[5:].isdigit():
-            # "alpha3" style: keyword fused with an index
-            kind = "ALPHA"
-        elif text in KEYWORDS:
-            kind = "KEYWORD"
-        else:
-            kind = "IDENT"
-        tokens.append(Token(kind, text, start))
-    tokens.append(Token("EOF", "", length))
+    for text in scan(source):
+        position = source.index(text, position)
+        kind = kind_of(text)
+        tokens.append(Token(kind, text[1:-1] if kind == "STRING" else text,
+                            position))
+        position += len(text)
+    tokens.append(Token("EOF", "", len(source)))
     return tokens

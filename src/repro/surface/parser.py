@@ -26,7 +26,7 @@ become :class:`~repro.core.expr.Const` nodes.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, Callable, List
 
 from repro.core.bag import Bag, Tup
 from repro.core.derived import project_expr
@@ -36,12 +36,19 @@ from repro.core.expr import (
     Dedup, Expr, Intersection, Lam, Map, MaxUnion, Powerbag, Powerset,
     Select, Subtraction, Tupling, Var,
 )
+from repro.core.nest import Nest, Unnest
 from repro.machines.ifp import Ifp
-from repro.surface.lexer import Token, tokenize
+from repro.surface.lexer import KINDS, kind_of, scan, tokenize
 
 __all__ = ["parse"]
 
-_CMP_TOKENS = {"EQ": "eq", "NE": "ne", "LE": "le", "LT": "lt"}
+#: binary operator text -> (binding level, loosest 0, node class)
+_BINARY = {"(+)": (0, AdditiveUnion), "-": (0, Subtraction),
+           "u": (1, MaxUnion), "n": (1, Intersection),
+           "x": (2, Cartesian)}
+_SIMPLE = {"P": Powerset, "Pb": Powerbag, "delta": BagDestroy,
+           "eps": Dedup, "beta": Bagging}
+_CMP = {"=": "eq", "!=": "ne", "<=": "le", "<": "lt"}
 
 
 def parse(source: str) -> Expr:
@@ -49,210 +56,184 @@ def parse(source: str) -> Expr:
 
     >>> parse("pi[1](sigma[t: alpha1(t) = 'a'](B))")  # doctest: +SKIP
     """
-    parser = _Parser(tokenize(source), source)
-    expr = parser.parse_expr()
-    parser.expect("EOF")
+    parser = _Parser(source)
+    expr = parser.expr()
+    if parser.tokens[parser.index]:
+        parser.fail("expected 'EOF', found {found!r}")
     return expr
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token], source: str):
-        self._tokens = tokens
-        self._source = source
-        self._index = 0
+    """Recursive descent over the token texts of one :func:`scan`;
+    ``""`` ends the list (EOF)."""
+
+    __slots__ = ("tokens", "index", "source")
+
+    def __init__(self, source: str):
+        self.tokens = scan(source) + [""]
+        self.index = 0
+        self.source = source
 
     # -- token plumbing --------------------------------------------------
 
-    def peek(self) -> Token:
-        return self._tokens[self._index]
+    def fail(self, template: str, index: int | None = None) -> None:
+        """Raise at token ``index`` (default: the next one).  Positions
+        and the ``{text}`` / ``{found}`` of the message are the
+        token's as :func:`tokenize` reports it (an atom unquoted)."""
+        token = tokenize(self.source)[
+            self.index if index is None else index]
+        raise ParseError(
+            template.format(text=token.text, found=token.text or "EOF"),
+            token.position, self.source)
 
-    def advance(self) -> Token:
-        token = self._tokens[self._index]
-        self._index += 1
-        return token
+    def expect(self, text: str) -> None:
+        if self.tokens[self.index] != text:
+            self.fail(f"expected {KINDS[text]!r}, found {{found!r}}")
+        self.index += 1
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        token = self.peek()
-        if token.kind == kind and (text is None or token.text == text):
-            return self.advance()
-        return None
+    def take(self, kind: str) -> str:
+        text = self.tokens[self.index]
+        if kind_of(text) != kind:
+            self.fail(f"expected {kind!r}, found {{found!r}}")
+        self.index += 1
+        return text
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        token = self.accept(kind, text)
-        if token is None:
-            actual = self.peek()
-            wanted = text or kind
-            raise ParseError(
-                f"expected {wanted!r}, found {actual.text or 'EOF'!r}",
-                actual.position, self._source)
-        return token
+    def items(self, item: Callable[[], Any], close: str,
+              empty: bool = False) -> List[Any]:
+        """``item (',' item)*`` then ``close``; none at all when
+        ``empty`` allows it and ``close`` comes first."""
+        found = []
+        if not (empty and self.tokens[self.index] == close):
+            found.append(item())
+            while self.tokens[self.index] == ",":
+                self.index += 1
+                found.append(item())
+        self.expect(close)
+        return found
 
     # -- grammar ----------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        return self.parse_sum()
-
-    def parse_sum(self) -> Expr:
-        left = self.parse_extreme()
+    def expr(self, level: int = 0) -> Expr:
+        """Operands joined by binary operators that bind at ``level``
+        or tighter, left-associative."""
+        left = self.unary()
+        tokens = self.tokens
         while True:
-            if self.accept("ADDUNION"):
-                left = AdditiveUnion(left, self.parse_extreme())
-            elif self.accept("MINUS"):
-                left = Subtraction(left, self.parse_extreme())
-            else:
+            operator = _BINARY.get(tokens[self.index])
+            if operator is None or operator[0] < level:
                 return left
+            self.index += 1
+            left = operator[1](left, self.expr(operator[0] + 1))
 
-    def parse_extreme(self) -> Expr:
-        left = self.parse_product()
-        while True:
-            if self.accept("KEYWORD", "u"):
-                left = MaxUnion(left, self.parse_product())
-            elif self.accept("KEYWORD", "n"):
-                left = Intersection(left, self.parse_product())
-            else:
-                return left
+    def parens(self) -> Expr:
+        self.expect("(")
+        inner = self.expr()
+        self.expect(")")
+        return inner
 
-    def parse_product(self) -> Expr:
-        left = self.parse_unary()
-        while self.accept("KEYWORD", "x"):
-            left = Cartesian(left, self.parse_unary())
-        return left
+    def binder(self) -> str:
+        """``'[' IDENT ':'``, the head of map, sigma and ifp."""
+        self.expect("[")
+        param = self.take("IDENT")
+        self.expect(":")
+        return param
 
-    def parse_unary(self) -> Expr:
-        token = self.peek()
-        if token.kind == "KEYWORD":
-            return self._parse_keyword()
-        if token.kind == "ALPHA":
-            self.advance()
-            index = int(token.text[5:])
-            self.expect("LPAREN")
-            operand = self.parse_expr()
-            self.expect("RPAREN")
-            return Attribute(operand, index)
-        if token.kind == "IDENT":
-            self.advance()
-            return Var(token.text)
-        if token.kind in ("STRING", "INT", "LBAG", "LBRACKET"):
-            return Const(self._parse_literal())
-        if self.accept("LPAREN"):
-            inner = self.parse_expr()
-            self.expect("RPAREN")
-            return inner
-        raise ParseError(f"unexpected token {token.text!r}",
-                         token.position, self._source)
+    def indices(self) -> List[int]:
+        self.expect("[")
+        return self.items(lambda: int(self.take("INT")), "]")
 
-    def _parse_keyword(self) -> Expr:
-        token = self.advance()
-        word = token.text
-        simple = {"P": Powerset, "Pb": Powerbag, "delta": BagDestroy,
-                  "eps": Dedup, "beta": Bagging}
-        if word in simple:
-            self.expect("LPAREN")
-            operand = self.parse_expr()
-            self.expect("RPAREN")
-            return simple[word](operand)
-        if word == "tau":
-            self.expect("LPAREN")
-            parts = [self.parse_expr()]
-            while self.accept("COMMA"):
-                parts.append(self.parse_expr())
-            self.expect("RPAREN")
-            return Tupling(*parts)
-        if word in ("nest", "unnest"):
-            from repro.core.nest import Nest, Unnest
-            self.expect("LBRACKET")
-            indices = [int(self.expect("INT").text)]
-            while self.accept("COMMA"):
-                indices.append(int(self.expect("INT").text))
-            self.expect("RBRACKET")
-            self.expect("LPAREN")
-            operand = self.parse_expr()
-            self.expect("RPAREN")
-            if word == "nest":
-                return Nest(operand, *indices)
-            if len(indices) != 1:
-                raise ParseError("unnest takes exactly one index",
-                                 token.position, self._source)
-            return Unnest(operand, indices[0])
-        if word == "pi":
-            self.expect("LBRACKET")
-            indices = [int(self.expect("INT").text)]
-            while self.accept("COMMA"):
-                indices.append(int(self.expect("INT").text))
-            self.expect("RBRACKET")
-            self.expect("LPAREN")
-            operand = self.parse_expr()
-            self.expect("RPAREN")
-            return project_expr(operand, *indices)
-        if word == "map":
-            self.expect("LBRACKET")
-            param = self.expect("IDENT").text
-            self.expect("COLON")
-            body = self.parse_expr()
-            self.expect("RBRACKET")
-            self.expect("LPAREN")
-            operand = self.parse_expr()
-            self.expect("RPAREN")
-            return Map(Lam(param, body), operand)
-        if word == "sigma":
-            self.expect("LBRACKET")
-            param = self.expect("IDENT").text
-            self.expect("COLON")
-            left_body = self.parse_expr()
-            comparator = self._parse_comparator()
-            right_body = self.parse_expr()
-            self.expect("RBRACKET")
-            self.expect("LPAREN")
-            operand = self.parse_expr()
-            self.expect("RPAREN")
-            return Select(Lam(param, left_body), Lam(param, right_body),
-                          operand, op=comparator)
-        if word == "ifp":
-            self.expect("LBRACKET")
-            param = self.expect("IDENT").text
-            self.expect("COLON")
-            body = self.parse_expr()
-            self.expect("SEMI")
-            seed = self.parse_expr()
-            self.expect("RBRACKET")
-            return Ifp(param, body, seed)
-        raise ParseError(f"keyword {word!r} cannot start an expression",
-                         token.position, self._source)
+    def unary(self) -> Expr:
+        index = self.index
+        text = self.tokens[index]
+        self.index = index + 1
+        if text in _SIMPLE:
+            return _SIMPLE[text](self.parens())
+        rule = _RULES.get(text)
+        if rule is not None:
+            return rule(self, index)
+        first = text[:1]
+        if first.isalpha() or first == "_":
+            if text in KINDS:
+                self.fail("keyword {text!r} cannot start an expression",
+                          index)
+            if text.startswith("alpha") and text[5:].isdigit():
+                attribute = int(text[5:])
+                return Attribute(self.parens(), attribute)
+            return Var(text)
+        self.index = index
+        if first in ("'", "{", "[") or first.isdigit():
+            return Const(self.literal())
+        self.fail("unexpected token {text!r}")
 
-    def _parse_comparator(self) -> str:
-        for kind, name in _CMP_TOKENS.items():
-            if self.accept(kind):
-                return name
-        actual = self.peek()
-        raise ParseError("expected a comparator (= != <= <)",
-                         actual.position, self._source)
+    def _paren(self, index: int) -> Expr:
+        inner = self.expr()
+        self.expect(")")
+        return inner
+
+    def _tau(self, index: int) -> Expr:
+        self.expect("(")
+        return Tupling(*self.items(self.expr, ")"))
+
+    def _nest(self, index: int) -> Expr:
+        indices = self.indices()
+        return Nest(self.parens(), *indices)
+
+    def _unnest(self, index: int) -> Expr:
+        indices = self.indices()
+        operand = self.parens()
+        if len(indices) != 1:
+            self.fail("unnest takes exactly one index", index)
+        return Unnest(operand, indices[0])
+
+    def _pi(self, index: int) -> Expr:
+        indices = self.indices()
+        return project_expr(self.parens(), *indices)
+
+    def _map(self, index: int) -> Expr:
+        param = self.binder()
+        body = self.expr()
+        self.expect("]")
+        return Map(Lam(param, body), self.parens())
+
+    def _sigma(self, index: int) -> Expr:
+        param = self.binder()
+        left = self.expr()
+        comparator = _CMP.get(self.tokens[self.index])
+        if comparator is None:
+            self.fail("expected a comparator (= != <= <)")
+        self.index += 1
+        right = self.expr()
+        self.expect("]")
+        return Select(Lam(param, left), Lam(param, right), self.parens(),
+                      op=comparator)
+
+    def _ifp(self, index: int) -> Expr:
+        param = self.binder()
+        body = self.expr()
+        self.expect(";")
+        seed = self.expr()
+        self.expect("]")
+        return Ifp(param, body, seed)
 
     # -- literals ----------------------------------------------------------
 
-    def _parse_literal(self) -> Any:
-        token = self.peek()
-        if token.kind == "STRING":
-            self.advance()
-            return token.text
-        if token.kind == "INT":
-            self.advance()
-            return int(token.text)
-        if self.accept("LBAG"):
-            elements = []
-            if self.peek().kind != "RBAG":
-                elements.append(self._parse_literal())
-                while self.accept("COMMA"):
-                    elements.append(self._parse_literal())
-            self.expect("RBAG")
-            return Bag(elements)
-        if self.accept("LBRACKET"):
-            items = []
-            if self.peek().kind != "RBRACKET":
-                items.append(self._parse_literal())
-                while self.accept("COMMA"):
-                    items.append(self._parse_literal())
-            self.expect("RBRACKET")
-            return Tup(*items)
-        raise ParseError(
-            f"expected a literal, found {token.text!r}",
-            token.position, self._source)
+    def literal(self) -> Any:
+        index = self.index
+        text = self.tokens[index]
+        self.index = index + 1
+        if text == "{{":
+            return Bag(self.items(self.literal, "}}", empty=True))
+        if text == "[":
+            return Tup(*self.items(self.literal, "]", empty=True))
+        if text[:1] == "'":
+            return text[1:-1]
+        if text[:1].isdigit():
+            return int(text)
+        self.fail("expected a literal, found {text!r}", index)
+
+
+#: token text -> the rule of the operand it starts
+_RULES = {"(": _Parser._paren, "tau": _Parser._tau,
+          "nest": _Parser._nest, "unnest": _Parser._unnest,
+          "pi": _Parser._pi, "map": _Parser._map,
+          "sigma": _Parser._sigma, "ifp": _Parser._ifp}

@@ -950,3 +950,18 @@ def test_explain_counts_the_invariants():
     text = explain_physical(
         Map(_SHADOWING["inner-body-is-closed"][0], var("N")), _HOIST_DB)
     assert "invariant" not in text
+
+
+def test_thread_shard_deadline_verdict_is_never_negative():
+    """The stepping clock runs past the parent's deadline while the
+    shards run: the parent hands each shard what is left of it, never
+    less than zero, so whichever governor raises reports a timeout of
+    at least zero."""
+    thread = {"engine": "parallel", "workers": 2,
+              "parallel_backend": "thread"}
+    for _ in range(3):
+        kind, details, _, _ = mid_kernel_verdict(
+            "dedup-join", "nat", "deadline", thread)
+        assert kind == "DeadlineExceeded"
+        figures = dict(part.split("=") for part in details.split())
+        assert float(figures["timeout"]) >= 0.0

@@ -557,6 +557,21 @@ class TestSharedBudget:
             worker.tick()
         assert worker.steps == 100
 
+    def test_worker_timeout_is_never_negative(self):
+        """A parent whose deadline already passed hands its shards a
+        timeout of zero, not the (negative) time left."""
+        clock = iter(range(100)).__next__
+        parent = ResourceGovernor(Limits(timeout=1.0), clock=clock)
+        parent.start()
+        for _ in range(10):
+            clock()
+        assert parent.remaining_time() < 0
+        worker = WorkerGovernor(parent, SharedBudget(None))
+        assert worker.timeout == 0.0
+        with pytest.raises(DeadlineExceeded) as info:
+            worker.tick()
+        assert info.value.details["timeout"] == 0.0
+
     def test_worker_governor_sees_parent_cancellation(self):
         parent = ResourceGovernor(Limits(max_steps=1000))
         parent.start()

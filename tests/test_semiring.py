@@ -522,6 +522,33 @@ class TestAdaptOnce:
     """``adapt_bag`` is the one adaptation entry, memoised per
     ``(bag identity, semiring, label)``."""
 
+    @pytest.mark.parametrize("sr", (BOOL, TROPICAL), ids=lambda s: s.name)
+    def test_reseal_equals_per_member_adaptation(self, sr):
+        """Bool and tropical reseal a bag-free bag without rebuilding
+        its members: values, counts and shape are what adapting each
+        member and count gives, flat or nested; a foreign annotation
+        is still rejected."""
+        nested = Bag.from_counts({Tup("a", Bag.of("x", "x", "y")): 2,
+                                  Tup("b", Bag.of("y")): 1})
+        for bag in (R, Bag.of("a", "a", "b"), Bag.of(1, 2, 2, 2),
+                    Bag.from_counts({Tup("a", Tup(1, "b")): 5}), nested,
+                    Bag.from_counts({Bag.of("x", "x"): 3}),
+                    TROPICAL.adapt_bag(R, "R"), Bag()):
+            if bag._counts and sr is BOOL and not all(
+                    isinstance(count, int) for count in bag._counts.values()):
+                with pytest.raises(BagTypeError, match="another semiring"):
+                    sr._adapt_bag(bag, "R")
+                continue
+            expected = Bag.from_counts({sr.adapt_value(value):
+                                        sr.coerce(count)
+                                        for value, count in bag.items()})
+            adapted = sr._adapt_bag(bag, "R")
+            assert adapted._counts == expected._counts
+            assert [type(count) for count in adapted._counts.values()] \
+                == [type(count) for count in expected._counts.values()]
+            assert adapted._shape == expected._shape
+            assert adapted.cardinality == expected.cardinality
+
     @pytest.mark.parametrize("sr", NON_NAT, ids=lambda s: s.name)
     def test_second_adaptation_is_the_same_object(self, sr):
         bag = Bag.from_counts({Tup("a", "b"): 3, Tup("c", "d"): 1})
